@@ -36,24 +36,10 @@
 // server); -enc-out writes the JSON report that is committed as
 // BENCH_enc.json.
 //
-// -pipe-bench switches to the wire-pipelining benchmark (query throughput
-// for 1, 8 and 64 concurrent callers sharing one connection, lockstep v1
-// vs pipelined v2); -pipe-out writes the JSON report that is committed as
-// BENCH_pipeline.json.
-//
 // -cluster-bench switches to the cluster routing benchmark (upload and
 // query throughput through the fan-out router fronting 1, 2 and 4
 // in-process partition nodes); -cluster-out writes the JSON report that
 // is committed as BENCH_cluster.json.
-//
-// -alloc-bench switches to the per-request allocation benchmark (the
-// legacy encode/write lifecycle vs the pooled append-style one on the
-// pipelined query and upload-batch paths); -alloc-out writes the JSON
-// report that is committed as BENCH_alloc.json. -alloc-smoke instead
-// runs the CI gate, failing when a pooled path exceeds its committed
-// allocs/op ceiling or loses the required reduction over the legacy
-// lifecycle; -alloc-baseline names the committed report to structurally
-// validate.
 //
 // -cpuprofile and -memprofile write pprof profiles for whichever mode
 // runs (CPU profiling covers the whole run; the heap profile is taken
@@ -93,16 +79,9 @@ func main() {
 		encBench   = flag.Bool("enc-bench", false, "run the client-crypto + upload-path benchmark instead of the paper experiments")
 		encDur     = flag.Duration("enc-dur", 500*time.Millisecond, "measurement window per enc-bench cell")
 		encOut     = flag.String("enc-out", "", "write the enc-bench JSON report to this file (e.g. BENCH_enc.json)")
-		pipeBench  = flag.Bool("pipe-bench", false, "run the wire-pipelining query throughput benchmark (lockstep v1 vs pipelined v2) instead of the paper experiments")
-		pipeDur    = flag.Duration("pipe-dur", time.Second, "measurement window per pipe-bench cell")
-		pipeOut    = flag.String("pipe-out", "", "write the pipe-bench JSON report to this file (e.g. BENCH_pipeline.json)")
 		clBench    = flag.Bool("cluster-bench", false, "run the cluster routing benchmark (upload/query throughput through the fan-out router at 1, 2 and 4 partitions) instead of the paper experiments")
 		clDur      = flag.Duration("cluster-dur", time.Second, "measurement window per cluster-bench cell")
 		clOut      = flag.String("cluster-out", "", "write the cluster-bench JSON report to this file (e.g. BENCH_cluster.json)")
-		allocBench = flag.Bool("alloc-bench", false, "run the per-request allocation benchmark (legacy vs pooled frame lifecycle on the pipelined query and upload-batch paths) instead of the paper experiments")
-		allocOut   = flag.String("alloc-out", "", "write the alloc-bench JSON report to this file (e.g. BENCH_alloc.json)")
-		allocSmoke = flag.Bool("alloc-smoke", false, "run the allocation regression gate: fail when a pooled hot path exceeds its committed allocs/op ceiling or loses the required reduction over the legacy lifecycle")
-		allocBase  = flag.String("alloc-baseline", "", "committed alloc-bench report to structurally validate during -alloc-smoke (e.g. BENCH_alloc.json)")
 		cpuProfile = flag.String("cpuprofile", "", "write a CPU profile for the selected mode to this file")
 		memProfile = flag.String("memprofile", "", "write a heap profile at exit to this file")
 	)
@@ -166,29 +145,8 @@ func main() {
 		}
 		return
 	}
-	if *pipeBench {
-		if err := runPipeBench(os.Stdout, *pipeDur, *pipeOut, []int{1, 8, 64}); err != nil {
-			fmt.Fprintln(os.Stderr, "smatch-bench:", err)
-			os.Exit(1)
-		}
-		return
-	}
 	if *clBench {
 		if err := runClusterBench(os.Stdout, *clDur, *clOut, []int{1, 2, 4}); err != nil {
-			fmt.Fprintln(os.Stderr, "smatch-bench:", err)
-			os.Exit(1)
-		}
-		return
-	}
-	if *allocSmoke {
-		if err := runAllocSmoke(os.Stdout, *allocBase); err != nil {
-			fmt.Fprintln(os.Stderr, "smatch-bench:", err)
-			os.Exit(1)
-		}
-		return
-	}
-	if *allocBench {
-		if err := runAllocBench(os.Stdout, *allocOut); err != nil {
 			fmt.Fprintln(os.Stderr, "smatch-bench:", err)
 			os.Exit(1)
 		}

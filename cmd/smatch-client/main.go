@@ -12,8 +12,7 @@
 // information.
 //
 // -cmd subscribe registers a standing probe instead of polling: the
-// server pushes a notification over the pipelined (v2) connection
-// whenever another user's upload lands within -maxdist of this user's
+// server pushes a notification over the connection whenever another user's upload lands within -maxdist of this user's
 // encrypted profile, until -watch elapses or the process is interrupted.
 package main
 
@@ -49,21 +48,20 @@ func main() {
 		timeout  = flag.Duration("timeout", 30*time.Second, "request timeout")
 		retries  = flag.Int("retries", 2, "max retries for idempotent requests (query/OPRF/remove) after connection failures; -1 disables")
 		backoff  = flag.Duration("retry-backoff", 50*time.Millisecond, "base of the jittered exponential retry backoff")
-		noPipe   = flag.Bool("no-pipeline", false, "speak the legacy lockstep protocol (v1) instead of negotiating pipelined v2")
-		inFlight = flag.Int("inflight", 0, "cap on concurrent in-flight v2 requests per connection (0 = client default); the server may clamp it lower")
+		inFlight = flag.Int("inflight", 0, "cap on concurrent in-flight requests per connection (0 = client default); the server may clamp it lower")
 		maxDist  = flag.Int64("maxdist", 1<<16, "order-sum distance threshold for -cmd subscribe")
 		watch    = flag.Duration("watch", 0, "how long -cmd subscribe listens for pushes (0 = until interrupted)")
 		weights  = flag.String("weights", "", `attribute priorities "w1,w2,..." (one per attribute; empty = unweighted) — must match the priorities the population was uploaded with, since weights are folded into key derivation`)
 	)
 	flag.Parse()
 
-	if err := run(*server, *dsName, *cmd, profile.ID(*userID), *topK, *theta, *kBits, *batch, *verify, *timeout, *retries, *backoff, *noPipe, *inFlight, *maxDist, *watch, *weights); err != nil {
+	if err := run(*server, *dsName, *cmd, profile.ID(*userID), *topK, *theta, *kBits, *batch, *verify, *timeout, *retries, *backoff, *inFlight, *maxDist, *watch, *weights); err != nil {
 		fmt.Fprintln(os.Stderr, "smatch-client:", err)
 		os.Exit(1)
 	}
 }
 
-func run(server, dsName, cmd string, userID profile.ID, topK, theta int, kBits uint, batch int, verify bool, timeout time.Duration, retries int, backoff time.Duration, noPipe bool, inFlight int, maxDist int64, watch time.Duration, weightSpec string) error {
+func run(server, dsName, cmd string, userID profile.ID, topK, theta int, kBits uint, batch int, verify bool, timeout time.Duration, retries int, backoff time.Duration, inFlight int, maxDist int64, watch time.Duration, weightSpec string) error {
 	ds, err := dataset.ByName(dsName)
 	if err != nil {
 		return err
@@ -77,7 +75,7 @@ func run(server, dsName, cmd string, userID profile.ID, topK, theta int, kBits u
 	}
 	conn, err := client.Dial(server, client.Options{
 		Timeout: timeout, MaxRetries: retries, RetryBackoff: backoff,
-		DisablePipeline: noPipe, MaxInFlight: inFlight,
+		MaxInFlight: inFlight,
 	})
 	if err != nil {
 		return err

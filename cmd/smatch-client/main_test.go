@@ -40,13 +40,13 @@ func startTestServer(t *testing.T) string {
 func TestClientUploadAndQuery(t *testing.T) {
 	addr := startTestServer(t)
 	// Upload two users, then query one for the other with verification.
-	if err := run(addr, "Infocom06", "upload", 1, 5, 8, 64, 64, false, 10*time.Second, 2, 50*time.Millisecond, false, 0, 100, 0, ""); err != nil {
+	if err := run(addr, "Infocom06", "upload", 1, 5, 8, 64, 64, false, 10*time.Second, 2, 50*time.Millisecond, 0, 100, 0, ""); err != nil {
 		t.Fatalf("upload user 1: %v", err)
 	}
-	if err := run(addr, "Infocom06", "upload", 2, 5, 8, 64, 64, false, 10*time.Second, 2, 50*time.Millisecond, false, 0, 100, 0, ""); err != nil {
+	if err := run(addr, "Infocom06", "upload", 2, 5, 8, 64, 64, false, 10*time.Second, 2, 50*time.Millisecond, 0, 100, 0, ""); err != nil {
 		t.Fatalf("upload user 2: %v", err)
 	}
-	if err := run(addr, "Infocom06", "query", 1, 5, 8, 64, 64, true, 10*time.Second, 2, 50*time.Millisecond, false, 0, 100, 0, ""); err != nil {
+	if err := run(addr, "Infocom06", "query", 1, 5, 8, 64, 64, true, 10*time.Second, 2, 50*time.Millisecond, 0, 100, 0, ""); err != nil {
 		t.Fatalf("query: %v", err)
 	}
 }
@@ -59,9 +59,9 @@ func TestClientSubscribeWatch(t *testing.T) {
 	// either way.
 	uploadDone := make(chan error, 1)
 	go func() {
-		uploadDone <- run(addr, "Infocom06", "upload", 2, 5, 8, 64, 64, false, 10*time.Second, 2, 50*time.Millisecond, false, 0, 100, 0, "")
+		uploadDone <- run(addr, "Infocom06", "upload", 2, 5, 8, 64, 64, false, 10*time.Second, 2, 50*time.Millisecond, 0, 100, 0, "")
 	}()
-	if err := run(addr, "Infocom06", "subscribe", 1, 5, 8, 64, 64, false, 10*time.Second, 2, 50*time.Millisecond, false, 0, 1<<20, 2*time.Second, ""); err != nil {
+	if err := run(addr, "Infocom06", "subscribe", 1, 5, 8, 64, 64, false, 10*time.Second, 2, 50*time.Millisecond, 0, 1<<20, 2*time.Second, ""); err != nil {
 		t.Fatalf("subscribe: %v", err)
 	}
 	if err := <-uploadDone; err != nil {
@@ -69,36 +69,29 @@ func TestClientSubscribeWatch(t *testing.T) {
 	}
 }
 
-func TestClientSubscribeNeedsPipeline(t *testing.T) {
-	addr := startTestServer(t)
-	if err := run(addr, "Infocom06", "subscribe", 1, 5, 8, 64, 64, false, 10*time.Second, 2, 50*time.Millisecond, true, 0, 100, time.Second, ""); err == nil {
-		t.Error("subscribe over -no-pipeline succeeded; want ErrNoPush")
-	}
-}
-
 func TestClientUnknownUser(t *testing.T) {
 	addr := startTestServer(t)
-	if err := run(addr, "Infocom06", "upload", 9999, 5, 8, 64, 64, false, 10*time.Second, 2, 50*time.Millisecond, false, 0, 100, 0, ""); err == nil {
+	if err := run(addr, "Infocom06", "upload", 9999, 5, 8, 64, 64, false, 10*time.Second, 2, 50*time.Millisecond, 0, 100, 0, ""); err == nil {
 		t.Error("upload of nonexistent user succeeded")
 	}
 }
 
 func TestClientUnknownCommand(t *testing.T) {
 	addr := startTestServer(t)
-	if err := run(addr, "Infocom06", "destroy", 1, 5, 8, 64, 64, false, 10*time.Second, 2, 50*time.Millisecond, false, 0, 100, 0, ""); err == nil {
+	if err := run(addr, "Infocom06", "destroy", 1, 5, 8, 64, 64, false, 10*time.Second, 2, 50*time.Millisecond, 0, 100, 0, ""); err == nil {
 		t.Error("unknown command accepted")
 	}
 }
 
 func TestClientUnknownDataset(t *testing.T) {
-	if err := run("127.0.0.1:1", "Orkut", "upload", 1, 5, 8, 64, 64, false, time.Second, 2, 50*time.Millisecond, false, 0, 100, 0, ""); err == nil {
+	if err := run("127.0.0.1:1", "Orkut", "upload", 1, 5, 8, 64, 64, false, time.Second, 2, 50*time.Millisecond, 0, 100, 0, ""); err == nil {
 		t.Error("unknown dataset accepted")
 	}
 }
 
 func TestClientQueryBeforeUpload(t *testing.T) {
 	addr := startTestServer(t)
-	if err := run(addr, "Infocom06", "query", 1, 5, 8, 64, 64, false, 10*time.Second, 2, 50*time.Millisecond, false, 0, 100, 0, ""); err == nil {
+	if err := run(addr, "Infocom06", "query", 1, 5, 8, 64, 64, false, 10*time.Second, 2, 50*time.Millisecond, 0, 100, 0, ""); err == nil {
 		t.Error("query for never-uploaded user succeeded")
 	}
 }

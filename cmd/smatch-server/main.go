@@ -25,13 +25,13 @@
 // window), and SIGINT/SIGTERM triggers a graceful drain — stop accepting,
 // finish in-flight requests within -drain-timeout, then close.
 //
-// Clients that speak protocol v2 (negotiated with a Hello frame; current
-// smatch tooling does this automatically) get a pipelined connection:
-// up to -pipeline-depth requests in flight at once, handled by a worker
-// pool and answered out of order by request ID. v1 clients are served
-// lockstep, byte-for-byte as before.
+// Every connection opens with a hello exchange (smatch tooling does this
+// on dial; a connection whose first frame is anything else is refused
+// with one error frame) and is then pipelined: up to -pipeline-depth
+// requests in flight at once, handled by a worker pool and answered out
+// of order by request ID.
 //
-// v2 clients can also register standing push subscriptions
+// Clients can also register standing push subscriptions
 // (smatch-client -cmd subscribe): when an uploaded profile lands within a
 // subscription's distance threshold the server pushes a match
 // notification without being asked. Each subscription's pending pushes
@@ -113,7 +113,7 @@ func main() {
 	flag.IntVar(&o.maxTopK, "max-topk", 100, "cap on per-query result count")
 	flag.IntVar(&o.maxConns, "max-conns", 0, "cap on concurrent connections (0 = unlimited); at the cap, accepts stop and overflow dials are turned away")
 	flag.DurationVar(&o.writeTimeout, "write-timeout", 30*time.Second, "per-response write deadline; stalled readers are dropped")
-	flag.IntVar(&o.pipeDepth, "pipeline-depth", 32, "per-connection cap on in-flight pipelined (protocol v2) requests; also the worker count per pipelined connection")
+	flag.IntVar(&o.pipeDepth, "pipeline-depth", 32, "per-connection cap on in-flight requests; also the worker count per connection")
 	flag.DurationVar(&o.drainTimeout, "drain-timeout", 5*time.Second, "graceful-shutdown budget for in-flight requests before force-close")
 	flag.IntVar(&o.notifyQueue, "notify-queue", 0, "per-subscription bound on queued push notifications (0 = default); overflow drops the oldest, counted in /metrics")
 	flag.IntVar(&o.maxSubs, "max-subs", 0, "per-connection cap on standing push subscriptions (0 = default)")

@@ -5,27 +5,24 @@
 // can derive profile keys through the network exactly as the paper's
 // Android client does.
 //
-// On dial the client offers the v2 pipelined protocol with a hello
-// frame. Against a v2 server the connection becomes a request
-// multiplexer: concurrent callers share it, each request carries a
-// 64-bit ID, and a reader goroutine routes responses back by ID — so a
-// slow query does not block an OPRF round behind it. Against a v1
-// server (which answers the hello with an error frame, or closes) the
-// client falls back to the legacy lockstep exchange, byte-for-byte the
-// protocol this package has always spoken.
+// Every dial opens with the hello exchange (wire.TypeHello, acked with
+// wire.TypeHelloResp); a server that does not ack it is a dial error. The
+// connection is then a request multiplexer: concurrent callers share it,
+// each request carries a 64-bit ID, and a reader goroutine routes
+// responses back by ID — so a slow query does not block an OPRF round
+// behind it.
 //
 // The transport is resilient in the way a mobile device has to be: any
 // I/O error or stream desync marks the connection broken (it is never
 // reused, so an aborted response can't bleed into the next request), the
 // next request transparently redials, and idempotent requests — query,
 // OPRF, remove — are retried a bounded number of times with jittered
-// exponential backoff. On a multiplexed connection a request timeout
-// poisons the connection only when the conn has been completely silent
-// since the request started; if other responses kept arriving, only the
-// one request fails (retryably) and every other caller keeps its
-// connection. Uploads are not idempotent over this protocol (a duplicate
-// is observable server-side), so they surface the error and let the
-// caller decide.
+// exponential backoff. A request timeout poisons the connection only
+// when the conn has been completely silent since the request started; if
+// other responses kept arriving, only the one request fails (retryably)
+// and every other caller keeps its connection. Uploads are not idempotent
+// over this protocol (a duplicate is observable server-side), so they
+// surface the error and let the caller decide.
 package client
 
 import (
@@ -53,19 +50,17 @@ var ErrServer = errors.New("client: server error")
 // ErrClosed is returned for requests issued after Close.
 var ErrClosed = errors.New("client: connection closed")
 
-// Conn is a client connection. Safe for concurrent use: on a pipelined
-// (v2) connection concurrent requests genuinely interleave on the wire;
-// on a lockstep (v1) connection they serialize.
+// Conn is a client connection. Safe for concurrent use: concurrent
+// requests interleave on the wire, up to the negotiated window.
 type Conn struct {
 	addrs []string // seed list; addrs[cur] is the address in use
 	cur   int      // guarded by mu; advanced on dial failover
 	opts  Options
 
 	mu     sync.Mutex
-	sess   session // nil until (re)connected
+	sess   *muxSession // nil until (re)connected
 	closed bool
 	dialed bool // a session has existed; later dials count as reconnects
-	noV2   bool // server rejected the hello; don't offer it again
 
 	queryID atomic.Uint64
 	subID   atomic.Uint64 // subscription IDs; conn-scoped, never reused
@@ -90,13 +85,10 @@ type Options struct {
 	RetryBackoff time.Duration
 	// MaxRetryBackoff caps the backoff envelope. Zero means 2s.
 	MaxRetryBackoff time.Duration
-	// MaxInFlight caps how many requests may be outstanding at once on a
-	// pipelined connection; callers beyond the cap wait for a slot. The
-	// server may negotiate it down in the hello exchange. Zero means 32.
+	// MaxInFlight caps how many requests may be outstanding at once on
+	// the connection; callers beyond the cap wait for a slot. The server
+	// may negotiate it down in the hello exchange. Zero means 32.
 	MaxInFlight int
-	// DisablePipeline skips the v2 hello entirely and speaks the legacy
-	// lockstep protocol, exactly as pre-pipelining clients did.
-	DisablePipeline bool
 	// Metrics, when non-nil, receives the client_* resilience counters
 	// (broken connections, reconnects, retries) — e.g. from a load
 	// generator exporting its own /metrics.
@@ -135,25 +127,7 @@ func (o Options) withDefaults() Options {
 	return o
 }
 
-// session is the transport behind one dialed connection: either the v1
-// lockstep exchange or the v2 request multiplexer. A session that breaks
-// is discarded whole; Conn dials a replacement on the next request.
-type session interface {
-	// do performs one request/response. It returns the response payload,
-	// or: a server-reported error (healthy stream), a *connFailure (the
-	// session is poisoned), or a *requestTimeout (this request gave up
-	// but the session remains usable).
-	do(t wire.MsgType, payload []byte, want wire.MsgType, timeout time.Duration) ([]byte, error)
-	// abandon poisons the session from outside the round-trip path (e.g.
-	// a response that decodes but belongs to a different query).
-	abandon()
-	// broken reports whether the session has been poisoned.
-	broken() bool
-	// close releases the session's conn and any goroutines.
-	close()
-}
-
-// Dial connects to an S-MATCH server and negotiates the protocol. addr
+// Dial connects to an S-MATCH server and completes the hello exchange. addr
 // may be a comma-separated seed list ("host1:9000,host2:9000"): the
 // client uses one address at a time and fails over to the next on dial
 // failure — both here and on every later redial, so the existing
@@ -176,12 +150,12 @@ func Dial(addr string, opts Options) (*Conn, error) {
 	return c, nil
 }
 
-// dialTLS dials and completes the TLS handshake under the timeout. With
-// a multi-address seed list it tries each address once, starting from
-// the one currently in use, and sticks with the first that answers.
-// Called with c.mu held (every dial happens inside getSession/negotiate),
+// dial establishes a session: TCP, TLS handshake and hello exchange, all
+// under the timeout. With a multi-address seed list it tries each address
+// once, starting from the one currently in use, and sticks with the first
+// that completes the exchange. Called with c.mu held (from getSession),
 // which is what makes reading and advancing c.cur safe.
-func (c *Conn) dialTLS() (*tls.Conn, error) {
+func (c *Conn) dial() (*muxSession, error) {
 	dial := c.opts.Dialer
 	if dial == nil {
 		d := &net.Dialer{Timeout: c.opts.Timeout}
@@ -190,35 +164,73 @@ func (c *Conn) dialTLS() (*tls.Conn, error) {
 	var lastErr error
 	for i := 0; i < len(c.addrs); i++ {
 		idx := (c.cur + i) % len(c.addrs)
-		tc, err := c.dialTLSAddr(dial, c.addrs[idx])
+		sess, err := c.dialAddr(dial, c.addrs[idx])
 		if err != nil {
-			lastErr = err
+			lastErr = fmt.Errorf("client: dial %s: %w", c.addrs[idx], err)
 			continue
 		}
 		c.cur = idx
-		return tc, nil
+		return sess, nil
 	}
 	return nil, lastErr
 }
 
-func (c *Conn) dialTLSAddr(dial func(network, addr string) (net.Conn, error), addr string) (*tls.Conn, error) {
+func (c *Conn) dialAddr(dial func(network, addr string) (net.Conn, error), addr string) (*muxSession, error) {
 	raw, err := dial("tcp", addr)
 	if err != nil {
-		return nil, fmt.Errorf("client: dial %s: %w", addr, err)
+		return nil, err
 	}
 	tc := tls.Client(raw, c.opts.TLSConfig)
 	_ = tc.SetDeadline(time.Now().Add(c.opts.Timeout))
 	if err := tc.Handshake(); err != nil {
 		tc.Close()
-		return nil, fmt.Errorf("client: dial %s: %w", addr, err)
+		return nil, err
+	}
+	window, err := c.hello(tc)
+	if err != nil {
+		tc.Close()
+		return nil, fmt.Errorf("protocol v%d hello exchange: %w", wire.ProtocolV2, err)
 	}
 	_ = tc.SetDeadline(time.Time{})
-	return tc, nil
+	return newMuxSession(tc, window, c.opts.Metrics), nil
+}
+
+// hello runs the mandatory exchange on a freshly handshaken conn and
+// returns the in-flight window both sides agreed on: the client offers
+// wire.ProtocolV2 and its window, and the server must ack with
+// TypeHelloResp at exactly that version. Anything else — an error frame,
+// another version, a closed connection — fails the dial of this address;
+// there is no other protocol to fall back to.
+func (c *Conn) hello(tc *tls.Conn) (int, error) {
+	hello := wire.Hello{Version: wire.ProtocolV2, Depth: uint16(c.opts.MaxInFlight)}
+	if err := wire.WriteFrame(tc, wire.TypeHello, hello.Encode()); err != nil {
+		return 0, fmt.Errorf("sending hello: %w", err)
+	}
+	t, payload, err := wire.ReadFrame(tc)
+	if err != nil {
+		return 0, fmt.Errorf("reading hello ack: %w", err)
+	}
+	if _, err := interpret(t, payload, wire.TypeHelloResp); err != nil {
+		return 0, err
+	}
+	ack, err := wire.DecodeHello(payload)
+	if err != nil {
+		return 0, fmt.Errorf("bad hello ack: %w", err)
+	}
+	if ack.Version != wire.ProtocolV2 {
+		return 0, fmt.Errorf("server acked with protocol v%d", ack.Version)
+	}
+	window := c.opts.MaxInFlight
+	if d := int(ack.Depth); d > 0 && d < window {
+		window = d
+	}
+	return window, nil
 }
 
 // getSession returns the live session, dialing (and negotiating the
-// protocol) if the previous one broke or none exists yet.
-func (c *Conn) getSession() (session, error) {
+// window) if the previous one broke or none exists yet. A session that
+// breaks is discarded whole; the next request dials a replacement.
+func (c *Conn) getSession() (*muxSession, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if c.closed {
@@ -231,7 +243,7 @@ func (c *Conn) getSession() (session, error) {
 		c.sess.close()
 		c.sess = nil
 	}
-	sess, err := c.negotiate()
+	sess, err := c.dial()
 	if err != nil {
 		return nil, err
 	}
@@ -243,62 +255,6 @@ func (c *Conn) getSession() (session, error) {
 	c.dialed = true
 	c.sess = sess
 	return sess, nil
-}
-
-// negotiate dials and establishes a session. Unless pipelining is off it
-// offers v2 with a hello frame (still in v1 framing): a TypeHelloResp
-// upgrades the connection to a multiplexer; a TypeError is a v1 server
-// politely declining, so the same connection continues in lockstep; a
-// closed connection is a v1 server that drops unknown frame types, so we
-// redial once and speak lockstep. Either rejection is remembered —
-// later redials skip the wasted round trip.
-func (c *Conn) negotiate() (session, error) {
-	tc, err := c.dialTLS()
-	if err != nil {
-		return nil, err
-	}
-	if c.opts.DisablePipeline || c.noV2 {
-		return &lockstepSession{conn: tc, metrics: c.opts.Metrics}, nil
-	}
-	_ = tc.SetDeadline(time.Now().Add(c.opts.Timeout))
-	hello := wire.Hello{Version: wire.ProtocolV2, Depth: uint16(c.opts.MaxInFlight)}
-	if err := wire.WriteFrame(tc, wire.TypeHello, hello.Encode()); err != nil {
-		tc.Close()
-		return nil, &connFailure{fmt.Errorf("client: sending hello: %w", err)}
-	}
-	t, payload, err := wire.ReadFrame(tc)
-	if err != nil {
-		// v1 servers that drop unknown frame types close the conn.
-		tc.Close()
-		c.noV2 = true
-		tc, err = c.dialTLS()
-		if err != nil {
-			return nil, err
-		}
-		return &lockstepSession{conn: tc, metrics: c.opts.Metrics}, nil
-	}
-	_ = tc.SetDeadline(time.Time{})
-	switch t {
-	case wire.TypeHelloResp:
-		ack, derr := wire.DecodeHello(payload)
-		if derr != nil {
-			tc.Close()
-			return nil, &connFailure{fmt.Errorf("client: bad hello ack: %w", derr)}
-		}
-		window := c.opts.MaxInFlight
-		if d := int(ack.Depth); d > 0 && d < window {
-			window = d
-		}
-		return newMuxSession(tc, window, c.opts.Metrics), nil
-	case wire.TypeError:
-		// A v1 server answers an unknown type with an error frame and
-		// keeps the stream in sync: continue on this conn in lockstep.
-		c.noV2 = true
-		return &lockstepSession{conn: tc, metrics: c.opts.Metrics}, nil
-	default:
-		tc.Close()
-		return nil, &connFailure{fmt.Errorf("client: unexpected hello response type %d", t)}
-	}
 }
 
 // Close shuts the connection down; subsequent requests fail with ErrClosed.
@@ -438,76 +394,10 @@ func interpret(respType wire.MsgType, payload []byte, wantType wire.MsgType) ([]
 	return payload, nil
 }
 
-// lockstepSession is the legacy v1 transport: one request/response at a
-// time, concurrent callers serialized on the session mutex.
-type lockstepSession struct {
-	conn    *tls.Conn
-	metrics *metrics.Registry
-
-	mu   sync.Mutex
-	dead bool
-}
-
-func (s *lockstepSession) do(t wire.MsgType, payload []byte, wantType wire.MsgType, timeout time.Duration) ([]byte, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.dead {
-		return nil, &connFailure{errors.New("client: connection broken")}
-	}
-	resp, err := s.exchange(t, payload, wantType, timeout)
-	if isConnFailure(err) {
-		s.poisonLocked()
-	}
-	return resp, err
-}
-
-func (s *lockstepSession) exchange(t wire.MsgType, payload []byte, wantType wire.MsgType, timeout time.Duration) ([]byte, error) {
-	if err := s.conn.SetDeadline(time.Now().Add(timeout)); err != nil {
-		return nil, &connFailure{fmt.Errorf("client: setting deadline: %w", err)}
-	}
-	if err := wire.WriteFrame(s.conn, t, payload); err != nil {
-		return nil, &connFailure{err}
-	}
-	respType, respPayload, err := wire.ReadFrame(s.conn)
-	if err != nil {
-		return nil, &connFailure{fmt.Errorf("client: reading response: %w", err)}
-	}
-	return interpret(respType, respPayload, wantType)
-}
-
-func (s *lockstepSession) poisonLocked() {
-	if s.dead {
-		return
-	}
-	s.dead = true
-	s.conn.Close()
-	if s.metrics != nil {
-		s.metrics.ClientBrokenConns.Add(1)
-	}
-}
-
-func (s *lockstepSession) abandon() {
-	s.mu.Lock()
-	s.poisonLocked()
-	s.mu.Unlock()
-}
-
-func (s *lockstepSession) broken() bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.dead
-}
-
-func (s *lockstepSession) close() {
-	s.mu.Lock()
-	s.dead = true
-	s.conn.Close()
-	s.mu.Unlock()
-}
-
-// muxSession is the v2 transport: requests from concurrent callers are
-// written (under a write mutex) with unique IDs, and a single reader
-// goroutine routes response frames back to waiting callers by ID.
+// muxSession is the transport behind one dialed connection: requests
+// from concurrent callers are written (under a write mutex) with unique
+// IDs, and a single reader goroutine routes response frames back to
+// waiting callers by ID.
 type muxSession struct {
 	conn    *tls.Conn
 	metrics *metrics.Registry
@@ -655,13 +545,22 @@ func (s *muxSession) removeSub(id uint64) {
 	s.mu.Unlock()
 }
 
+// do performs one request/response. It returns the response payload, or:
+// a server-reported error (healthy stream), a *connFailure (the session
+// is poisoned), or a *requestTimeout (this request gave up but the
+// session remains usable).
 func (s *muxSession) do(t wire.MsgType, payload []byte, wantType wire.MsgType, timeout time.Duration) ([]byte, error) {
 	start := time.Now()
+	// One timer bounds both waits, stopped on every return: under go.mod's
+	// go 1.22 an unstopped timer (time.After's included) stays on the
+	// runtime heap until it fires, a full Timeout after the request ended.
+	timer := time.NewTimer(timeout)
+	defer timer.Stop()
 	select {
 	case s.window <- struct{}{}:
 	case <-s.readerDone:
 		return nil, s.failure()
-	case <-time.After(timeout):
+	case <-timer.C:
 		// The in-flight window stayed full for the whole timeout. The
 		// conn itself may be fine (slow server, saturated window), so
 		// fail only this request.
@@ -694,8 +593,15 @@ func (s *muxSession) do(t wire.MsgType, payload []byte, wantType wire.MsgType, t
 		return nil, cf
 	}
 
-	timer := time.NewTimer(timeout)
-	defer timer.Stop()
+	// The response wait gets the full timeout again. If the timer fired
+	// while the select above picked the window slot, drain the stale tick.
+	if !timer.Stop() {
+		select {
+		case <-timer.C:
+		default:
+		}
+	}
+	timer.Reset(timeout)
 	select {
 	case res := <-ch:
 		if res.err != nil {
@@ -732,6 +638,7 @@ func (s *muxSession) failure() error {
 	return &connFailure{errors.New("client: connection broken")}
 }
 
+// abandon poisons the session from outside the round-trip path.
 func (s *muxSession) abandon() {
 	s.fail(&connFailure{errors.New("client: connection abandoned after desync")})
 }

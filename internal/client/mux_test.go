@@ -1,13 +1,13 @@
-// Tests for the v2 request multiplexer and the protocol negotiation:
-// hello/ack upgrade, out-of-order response routing, per-request timeouts
-// that spare a live connection, silent-connection poisoning, and the two
-// lockstep fallbacks (a v1 server answering the hello with an error
-// frame, and one that just closes the connection).
+// Tests for the request multiplexer and the hello exchange: window
+// negotiation, out-of-order response routing, per-request timeouts that
+// spare a live connection, silent-connection poisoning, and the dial
+// error against a server that does not ack the hello.
 package client
 
 import (
 	"fmt"
 	"net"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -19,8 +19,8 @@ import (
 	"smatch/internal/wire"
 )
 
-// expectHello consumes the client's v1-framed hello and acks the upgrade,
-// optionally clamping the window.
+// expectHello consumes the client's hello and acks it, optionally
+// clamping the window.
 func expectHello(t *testing.T, conn net.Conn, ackDepth uint16) bool {
 	t.Helper()
 	typ, payload, err := wire.ReadFrame(conn)
@@ -241,101 +241,50 @@ func TestMuxSilentConnPoisonedAndRedialed(t *testing.T) {
 	}
 }
 
-func TestFallbackOnErrorFrameKeepsConn(t *testing.T) {
-	// A v1 server answers the hello with an error frame and keeps the
-	// stream in sync; the client must continue in lockstep on the SAME
-	// connection and skip the hello on later redials.
-	var accepts atomic.Int32
-	var hellosSeen atomic.Int32
-	addr := scriptServer(t, func(i int, conn net.Conn) {
-		accepts.Add(1)
-		for {
-			typ, payload, err := wire.ReadFrame(conn)
-			if err != nil {
-				return
+func TestDialRefusesServerWithoutV2(t *testing.T) {
+	// A server that does not ack the hello with protocol v2 — it answers
+	// with an error frame, closes, or acks another version — is a dial
+	// error naming the protocol: each seed address is tried exactly once
+	// (no fallback protocol, no redial loop) and no session exists after.
+	for name, answer := range map[string]func(conn net.Conn){
+		"error frame": func(conn net.Conn) {
+			msg := wire.ErrorMsg{Text: "unknown message type"}
+			wire.WriteFrame(conn, wire.TypeError, msg.Encode())
+		},
+		"closes": func(net.Conn) {},
+		"acks v3": func(conn net.Conn) {
+			ack := wire.Hello{Version: wire.ProtocolV2 + 1, Depth: 8}
+			wire.WriteFrame(conn, wire.TypeHelloResp, ack.Encode())
+		},
+	} {
+		t.Run(name, func(t *testing.T) {
+			var accepts atomic.Int32
+			script := func(i int, conn net.Conn) {
+				accepts.Add(1)
+				if typ, _, err := wire.ReadFrame(conn); err != nil || typ != wire.TypeHello {
+					t.Errorf("first frame: type %d, err %v; want a hello", typ, err)
+					return
+				}
+				answer(conn)
+				// Anything the client sends after a refused hello is a bug.
+				conn.SetReadDeadline(time.Now().Add(300 * time.Millisecond))
+				if typ, _, err := wire.ReadFrame(conn); err == nil {
+					t.Errorf("client kept talking after the refused hello: frame type %d", typ)
+				}
 			}
-			switch typ {
-			case wire.TypeHello:
-				hellosSeen.Add(1)
-				msg := wire.ErrorMsg{Text: "unknown message type"}
-				if err := wire.WriteFrame(conn, wire.TypeError, msg.Encode()); err != nil {
-					return
-				}
-			case wire.TypeQueryReq:
-				req, err := wire.DecodeQueryReq(payload)
-				if err != nil {
-					return
-				}
-				resp := wire.QueryResp{QueryID: req.QueryID, Timestamp: time.Now().Unix(),
-					Results: []match.Result{{ID: req.ID, Auth: []byte{1}}}}
-				if err := wire.WriteFrame(conn, wire.TypeQueryResp, resp.Encode()); err != nil {
-					return
-				}
-			default:
-				return
+			seeds := scriptServer(t, script) + "," + scriptServer(t, script)
+			c, err := Dial(seeds, Options{Timeout: 2 * time.Second})
+			if err == nil {
+				c.Close()
+				t.Fatal("Dial succeeded against servers that never acked protocol v2")
 			}
-		}
-	})
-	c, err := Dial(addr, Options{Timeout: 2 * time.Second})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-	if _, err := c.Query(3, 1); err != nil {
-		t.Fatalf("lockstep fallback query failed: %v", err)
-	}
-	if got := accepts.Load(); got != 1 {
-		t.Errorf("server saw %d connections, want 1 (error-frame fallback reuses the conn)", got)
-	}
-	// Force a redial; the client must not offer the hello again.
-	c.markBroken()
-	if _, err := c.Query(4, 1); err != nil {
-		t.Fatalf("query after redial failed: %v", err)
-	}
-	if got := hellosSeen.Load(); got != 1 {
-		t.Errorf("server saw %d hellos, want 1 (fallback must be sticky)", got)
-	}
-}
-
-func TestFallbackWhenServerClosesOnHello(t *testing.T) {
-	// A stricter v1 server drops the connection on an unknown frame type;
-	// the client must transparently redial and speak lockstep.
-	var accepts atomic.Int32
-	addr := scriptServer(t, func(i int, conn net.Conn) {
-		accepts.Add(1)
-		typ, payload, err := wire.ReadFrame(conn)
-		if err != nil {
-			return
-		}
-		if typ == wire.TypeHello {
-			return // close without a word
-		}
-		if typ != wire.TypeQueryReq {
-			return
-		}
-		// Post-fallback conn: the first frame is already a query. Answer
-		// it, then serve the rest in lockstep.
-		req, err := wire.DecodeQueryReq(payload)
-		if err != nil {
-			return
-		}
-		resp := wire.QueryResp{QueryID: req.QueryID, Timestamp: time.Now().Unix(),
-			Results: []match.Result{{ID: 42, Auth: []byte{1}}}}
-		if err := wire.WriteFrame(conn, wire.TypeQueryResp, resp.Encode()); err != nil {
-			return
-		}
-		respondQueries(t, conn, 0)
-	})
-	c, err := Dial(addr, Options{Timeout: 2 * time.Second})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-	if _, err := c.Query(1, 5); err != nil {
-		t.Fatalf("query after close-on-hello fallback failed: %v", err)
-	}
-	if got := accepts.Load(); got != 2 {
-		t.Errorf("server saw %d connections, want 2 (hello conn + lockstep redial)", got)
+			if !strings.Contains(err.Error(), "protocol v2") {
+				t.Errorf("dial error %q does not name the required protocol", err)
+			}
+			if got := accepts.Load(); got != 2 {
+				t.Errorf("servers saw %d connections, want 2 (one attempt per seed address)", got)
+			}
+		})
 	}
 }
 

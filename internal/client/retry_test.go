@@ -1,12 +1,10 @@
-// Resilience tests for the legacy lockstep (v1) client path: connection
-// poisoning after timeouts (no cross-request desync), bounded retry for
-// idempotent requests, uploads surfacing errors instead of retrying, and
-// the backoff envelope. Each test runs a scripted TLS server whose
-// per-connection behavior is chosen by connection index, so "first
-// connection misbehaves, the redial works" is deterministic; the scripts
-// speak raw v1 frames, so the clients set DisablePipeline to skip the
-// hello (the pipelined path and the fallback negotiation have their own
-// suites in mux_test.go).
+// Resilience tests: connection poisoning after timeouts (no cross-request
+// desync), bounded retry for idempotent requests, uploads surfacing
+// errors instead of retrying, and the backoff envelope. Each test runs a
+// scripted TLS server whose per-connection behavior is chosen by
+// connection index, so "first connection misbehaves, the redial works" is
+// deterministic; every script acks the hello (expectHello, mux_test.go)
+// and then speaks raw v2 frames.
 package client
 
 import (
@@ -57,9 +55,12 @@ func scriptServer(t *testing.T, handler func(i int, conn net.Conn)) string {
 // respondQueries answers every query frame on the conn with a single
 // result (user 42), echoing the request's QueryID.
 func respondQueries(t *testing.T, conn net.Conn, delayFirst time.Duration) {
+	if !expectHello(t, conn, 0) {
+		return
+	}
 	first := true
 	for {
-		typ, payload, err := wire.ReadFrame(conn)
+		id, typ, payload, err := wire.ReadFrameV2(conn)
 		if err != nil {
 			return
 		}
@@ -79,7 +80,7 @@ func respondQueries(t *testing.T, conn net.Conn, delayFirst time.Duration) {
 			Timestamp: time.Now().Unix(),
 			Results:   []match.Result{{ID: 42, Auth: []byte{1}}},
 		}
-		if err := wire.WriteFrame(conn, wire.TypeQueryResp, resp.Encode()); err != nil {
+		if err := wire.WriteFrameV2(conn, id, wire.TypeQueryResp, resp.Encode()); err != nil {
 			return
 		}
 	}
@@ -89,8 +90,9 @@ func TestTimeoutPoisonsConnNoDesync(t *testing.T) {
 	// Connection 0 serves the first query's response too late; later
 	// connections respond promptly. Before the fix, the timed-out
 	// connection was reused and the second query read the first query's
-	// stale response (QueryID desync). Now the timeout poisons the conn
-	// and the second query runs on a fresh one.
+	// stale response (QueryID desync). Now the timeout on a connection
+	// that stayed silent poisons it and the second query runs on a fresh
+	// one.
 	addr := scriptServer(t, func(i int, conn net.Conn) {
 		var delay time.Duration
 		if i == 0 {
@@ -99,7 +101,7 @@ func TestTimeoutPoisonsConnNoDesync(t *testing.T) {
 		respondQueries(t, conn, delay)
 	})
 	reg := metrics.New()
-	c, err := Dial(addr, Options{DisablePipeline: true, Timeout: 150 * time.Millisecond, MaxRetries: -1, Metrics: reg})
+	c, err := Dial(addr, Options{Timeout: 150 * time.Millisecond, MaxRetries: -1, Metrics: reg})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -129,7 +131,10 @@ func TestIdempotentRetryRecovers(t *testing.T) {
 	// the fault.
 	addr := scriptServer(t, func(i int, conn net.Conn) {
 		if i == 0 {
-			if _, _, err := wire.ReadFrame(conn); err != nil {
+			if !expectHello(t, conn, 0) {
+				return
+			}
+			if _, _, _, err := wire.ReadFrameV2(conn); err != nil {
 				return
 			}
 			conn.Write([]byte{0x00, 0x00, 0x01}) // mid-frame reset
@@ -138,7 +143,7 @@ func TestIdempotentRetryRecovers(t *testing.T) {
 		respondQueries(t, conn, 0)
 	})
 	reg := metrics.New()
-	c, err := Dial(addr, Options{DisablePipeline: true, Timeout: 2 * time.Second, MaxRetries: 2, RetryBackoff: 5 * time.Millisecond, Metrics: reg})
+	c, err := Dial(addr, Options{Timeout: 2 * time.Second, MaxRetries: 2, RetryBackoff: 5 * time.Millisecond, Metrics: reg})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -160,13 +165,16 @@ func TestRetriesExhaustedSurfacesError(t *testing.T) {
 	// Every connection tears the response: after MaxRetries the last
 	// connection failure must surface instead of looping forever.
 	addr := scriptServer(t, func(i int, conn net.Conn) {
-		if _, _, err := wire.ReadFrame(conn); err != nil {
+		if !expectHello(t, conn, 0) {
+			return
+		}
+		if _, _, _, err := wire.ReadFrameV2(conn); err != nil {
 			return
 		}
 		conn.Write([]byte{0x00})
 	})
 	reg := metrics.New()
-	c, err := Dial(addr, Options{DisablePipeline: true, Timeout: time.Second, MaxRetries: 2, RetryBackoff: 5 * time.Millisecond, Metrics: reg})
+	c, err := Dial(addr, Options{Timeout: time.Second, MaxRetries: 2, RetryBackoff: 5 * time.Millisecond, Metrics: reg})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -185,8 +193,11 @@ func TestUploadNotRetriedButConnRecovers(t *testing.T) {
 	// the connection must recover for the next request.
 	var uploadsSeen atomic.Int32
 	addr := scriptServer(t, func(i int, conn net.Conn) {
+		if !expectHello(t, conn, 0) {
+			return
+		}
 		for {
-			typ, payload, err := wire.ReadFrame(conn)
+			id, typ, payload, err := wire.ReadFrameV2(conn)
 			if err != nil {
 				return
 			}
@@ -196,7 +207,7 @@ func TestUploadNotRetriedButConnRecovers(t *testing.T) {
 				if i == 0 {
 					return // die without acking
 				}
-				if err := wire.WriteFrame(conn, wire.TypeUploadResp, nil); err != nil {
+				if err := wire.WriteFrameV2(conn, id, wire.TypeUploadResp, nil); err != nil {
 					return
 				}
 			case wire.TypeQueryReq:
@@ -205,7 +216,7 @@ func TestUploadNotRetriedButConnRecovers(t *testing.T) {
 					return
 				}
 				resp := wire.QueryResp{QueryID: req.QueryID, Timestamp: time.Now().Unix()}
-				if err := wire.WriteFrame(conn, wire.TypeQueryResp, resp.Encode()); err != nil {
+				if err := wire.WriteFrameV2(conn, id, wire.TypeQueryResp, resp.Encode()); err != nil {
 					return
 				}
 			default:
@@ -214,7 +225,7 @@ func TestUploadNotRetriedButConnRecovers(t *testing.T) {
 		}
 	})
 	reg := metrics.New()
-	c, err := Dial(addr, Options{DisablePipeline: true, Timeout: time.Second, MaxRetries: 3, RetryBackoff: 5 * time.Millisecond, Metrics: reg})
+	c, err := Dial(addr, Options{Timeout: time.Second, MaxRetries: 3, RetryBackoff: 5 * time.Millisecond, Metrics: reg})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -248,7 +259,7 @@ func TestRequestAfterCloseFails(t *testing.T) {
 	addr := scriptServer(t, func(i int, conn net.Conn) {
 		respondQueries(t, conn, 0)
 	})
-	c, err := Dial(addr, Options{DisablePipeline: true, Timeout: time.Second})
+	c, err := Dial(addr, Options{Timeout: time.Second})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -4,12 +4,9 @@
 // a newly uploaded profile lands within the threshold, without the
 // client re-querying.
 //
-// Pushes only exist on a pipelined (v2) connection: they arrive as
-// unsolicited frames whose request IDs sit in the reserved
-// [wire.PushIDBase, 2^64) range, and the mux reader routes them to the
-// subscription's channel instead of a pending request. A lockstep (v1)
-// connection has no frame the server could push on, so Subscribe refuses
-// it with ErrNoPush.
+// Pushes arrive as unsolicited frames whose request IDs sit in the
+// reserved [wire.PushIDBase, 2^64) range, and the mux reader routes them
+// to the subscription's channel instead of a pending request.
 //
 // A subscription is connection-scoped: if the session breaks (I/O error,
 // desync, Close), the server side died with the conn and the channel is
@@ -28,10 +25,6 @@ import (
 	"smatch/internal/profile"
 	"smatch/internal/wire"
 )
-
-// ErrNoPush is returned by Subscribe on a lockstep (v1) connection,
-// which has no channel for server-initiated frames.
-var ErrNoPush = errors.New("client: server connection is lockstep (v1); push subscriptions need the pipelined protocol")
 
 // Notification event kinds, mirroring the wire constants.
 const (
@@ -152,13 +145,9 @@ func (c *Conn) Subscribe(e match.Entry, maxDist *big.Int, buffer int) (*Subscrip
 	if buffer <= 0 {
 		buffer = 64
 	}
-	sess, err := c.getSession()
+	mux, err := c.getSession()
 	if err != nil {
 		return nil, err
-	}
-	mux, ok := sess.(*muxSession)
-	if !ok {
-		return nil, ErrNoPush
 	}
 	sub := &Subscription{
 		conn: c,

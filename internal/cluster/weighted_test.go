@@ -1,8 +1,8 @@
 // Weighted equivalence across deployment shapes: the ISSUE acceptance
 // scenario. A 3-attribute weighted workload must rank identically whether
-// it is served by a single node over the legacy lockstep protocol, a
-// single node over pipelined v2, or a 3-node partitioned cluster behind
-// the router — and the push path must report the same matches.
+// it is answered by a single node's store directly, by that node over
+// the wire, or by a 3-node partitioned cluster behind the router — and
+// the push path must report the same matches.
 package cluster
 
 import (
@@ -73,9 +73,9 @@ func weightedEntriesFor(t *testing.T, w scoring.Weights, profiles []profile.Prof
 	return entries
 }
 
-// TestWeightedClusterEquivalence: weighted kNN, max-distance and push
-// queries agree across single-node lockstep, single-node pipelined v2 and
-// a 3-node cluster.
+// TestWeightedClusterEquivalence: weighted kNN and max-distance queries
+// agree across a single node's store asked directly, the same node over
+// the wire and a 3-node cluster; push agrees across the two wire shapes.
 func TestWeightedClusterEquivalence(t *testing.T) {
 	n1 := startNode(t, "node-a", nodeOpts{})
 	n2 := startNode(t, "node-b", nodeOpts{})
@@ -84,16 +84,8 @@ func TestWeightedClusterEquivalence(t *testing.T) {
 	_, routerAddr := startRouter(t, pm, client.Options{}, metrics.New())
 	single := startNode(t, "single", nodeOpts{})
 
-	viaRouter := dialT(t, routerAddr) // pipelined v2 through the cluster
-	viaPipelined := dialT(t, single.addr)
-	viaLockstep := func() *client.Conn {
-		c, err := client.Dial(single.addr, client.Options{Timeout: 5 * time.Second, DisablePipeline: true})
-		if err != nil {
-			t.Fatal(err)
-		}
-		t.Cleanup(func() { c.Close() })
-		return c
-	}()
+	viaRouter := dialT(t, routerAddr)
+	viaSingle := dialT(t, single.addr)
 
 	// Weight 64 on a0. Users 2..4 differ from user 1 only on a0, by 1, 4
 	// and 7: their weighted distance bands (64(d-1)-9, 64(d+1)+9)·2^58 are
@@ -113,44 +105,43 @@ func TestWeightedClusterEquivalence(t *testing.T) {
 		if err := viaRouter.Upload(e); err != nil {
 			t.Fatalf("router upload %d: %v", e.ID, err)
 		}
-		if err := viaPipelined.Upload(e); err != nil {
+		if err := viaSingle.Upload(e); err != nil {
 			t.Fatalf("single upload %d: %v", e.ID, err)
 		}
 	}
 
 	// kNN: all three shapes return the same ranking, and it is the
 	// analytically forced one.
-	kNN := func(c *client.Conn, label string) []profile.ID {
-		t.Helper()
-		res, err := c.Query(1, 5)
-		if err != nil {
-			t.Fatalf("%s kNN: %v", label, err)
-		}
-		ids := make([]profile.ID, len(res))
-		for i, r := range res {
-			ids[i] = r.ID
-		}
-		return ids
+	type shape struct {
+		label   string
+		kNN     func(profile.ID, int) ([]match.Result, error)
+		maxDist func(profile.ID, *big.Int) ([]match.Result, error)
+	}
+	shapes := []shape{
+		{"store", single.store.Match, single.store.MatchMaxDistance},
+		{"single-node", viaSingle.Query, viaSingle.QueryMaxDistance},
+		{"cluster", viaRouter.Query, viaRouter.QueryMaxDistance},
 	}
 	want := []profile.ID{2, 3, 4}
-	if got := kNN(viaLockstep, "lockstep"); !reflect.DeepEqual(got, want) {
-		t.Fatalf("lockstep weighted kNN = %v, want %v", got, want)
-	}
-	if got := kNN(viaPipelined, "pipelined"); !reflect.DeepEqual(got, want) {
-		t.Fatalf("pipelined weighted kNN = %v, want %v", got, want)
-	}
-	if got := kNN(viaRouter, "cluster"); !reflect.DeepEqual(got, want) {
-		t.Fatalf("cluster weighted kNN = %v, want %v", got, want)
+	for _, sh := range shapes {
+		res, err := sh.kNN(1, 5)
+		if err != nil {
+			t.Fatalf("%s kNN: %v", sh.label, err)
+		}
+		got := make([]profile.ID, len(res))
+		for i, r := range res {
+			got[i] = r.ID
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("%s weighted kNN = %v, want %v", sh.label, got, want)
+		}
 	}
 
 	// Max-distance at 350·2^58: inside the d=1 and d=4 bands (max 137, 329)
 	// and below the d=7 band (min 375), so exactly users 2 and 3 qualify.
 	maxDist := new(big.Int).Lsh(big.NewInt(350), 58)
-	for _, c := range []struct {
-		conn  *client.Conn
-		label string
-	}{{viaLockstep, "lockstep"}, {viaPipelined, "pipelined"}, {viaRouter, "cluster"}} {
-		res, err := c.conn.QueryMaxDistance(1, maxDist)
+	for _, c := range shapes {
+		res, err := c.maxDist(1, maxDist)
 		if err != nil {
 			t.Fatalf("%s max-dist: %v", c.label, err)
 		}
@@ -167,7 +158,7 @@ func TestWeightedClusterEquivalence(t *testing.T) {
 	// the router relay report the same weighted match for a new upload.
 	// User 6 differs by 2 on a0 — band (55, 201)·2^58, inside the
 	// threshold.
-	subSingle, err := viaPipelined.Subscribe(entries[0], maxDist, 64)
+	subSingle, err := viaSingle.Subscribe(entries[0], maxDist, 64)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -176,7 +167,7 @@ func TestWeightedClusterEquivalence(t *testing.T) {
 		t.Fatal(err)
 	}
 	newcomer := weightedEntriesFor(t, w, []profile.Profile{{ID: 6, Attrs: []int{11, 9, 9}}})[0]
-	if err := viaPipelined.Upload(newcomer); err != nil {
+	if err := viaSingle.Upload(newcomer); err != nil {
 		t.Fatal(err)
 	}
 	if err := viaRouter.Upload(newcomer); err != nil {
@@ -200,7 +191,7 @@ func TestWeightedClusterEquivalence(t *testing.T) {
 	expectNotify(subCluster, "cluster push", client.NotifyMatch)
 
 	// And the symmetric gone event when the newcomer leaves.
-	if err := viaPipelined.Remove(6); err != nil {
+	if err := viaSingle.Remove(6); err != nil {
 		t.Fatal(err)
 	}
 	if err := viaRouter.Remove(6); err != nil {

@@ -2,10 +2,10 @@ package server
 
 import (
 	"context"
-	"crypto/tls"
 	"encoding/binary"
 	"io"
 	"math/big"
+	"net"
 	"testing"
 	"time"
 
@@ -14,55 +14,37 @@ import (
 	"smatch/internal/wire"
 )
 
-// rawDial opens a bare TLS connection so tests can write hostile bytes.
-func rawDial(t *testing.T, addr string) *tls.Conn {
-	t.Helper()
-	conn, err := tls.Dial("tcp", addr, &tls.Config{InsecureSkipVerify: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { conn.Close() })
-	return conn
-}
-
 func TestServerSurvivesGarbageFrame(t *testing.T) {
-	addr, srv := startServer(t)
-	conn := rawDial(t, addr)
-	// A frame with an unknown type gets an error frame back, and the
-	// server keeps serving other clients.
-	if err := wire.WriteFrame(conn, wire.MsgType(200), []byte("junk")); err != nil {
-		t.Fatal(err)
+	addr, _ := startServer(t)
+	raw := dialRawV2(t, addr)
+	// A frame with an unknown type gets an error frame back under its own
+	// request ID, and the server keeps serving other clients.
+	raw.send(9, wire.MsgType(200), []byte("junk"))
+	if id, typ, _ := raw.recv(); id != 9 || typ != wire.TypeError {
+		t.Errorf("got frame id %d type %d, want error frame for request 9", id, typ)
 	}
-	typ, _, err := wire.ReadFrame(conn)
-	if err != nil {
-		t.Fatalf("no response to unknown frame: %v", err)
-	}
-	if typ != wire.TypeError {
-		t.Errorf("got type %d, want error frame", typ)
-	}
-	// Server still healthy.
 	good := dial(t, addr)
 	if _, err := good.OPRFPublicKey(); err != nil {
 		t.Errorf("server unhealthy after garbage frame: %v", err)
 	}
-	_ = srv
 }
 
 func TestServerDropsOversizedHeader(t *testing.T) {
 	addr, _ := startServer(t)
-	conn := rawDial(t, addr)
-	// Claim a 4 GiB payload: the server must drop the connection, not
-	// allocate.
-	var hdr [5]byte
+	// Claim a 4 GiB payload, as the first frame and again after the hello:
+	// the server must drop the connection, not allocate.
+	hdr := make([]byte, wire.FrameHeaderLenV2)
 	binary.BigEndian.PutUint32(hdr[:4], 0xffffffff)
 	hdr[4] = byte(wire.TypeUploadReq)
-	if _, err := conn.Write(hdr[:]); err != nil {
-		t.Fatal(err)
-	}
-	conn.SetReadDeadline(time.Now().Add(3 * time.Second))
-	if _, err := io.ReadAll(conn); err != nil && err != io.EOF {
-		// Any outcome but a hang is acceptable; typical is clean close.
-		t.Logf("connection ended with %v", err)
+	for _, conn := range []net.Conn{dialRawTLS(t, addr), dialRawV2(t, addr).conn} {
+		if _, err := conn.Write(hdr); err != nil {
+			t.Fatal(err)
+		}
+		conn.SetReadDeadline(time.Now().Add(3 * time.Second))
+		if _, err := io.ReadAll(conn); err != nil && err != io.EOF {
+			// Any outcome but a hang is acceptable; typical is clean close.
+			t.Logf("connection ended with %v", err)
+		}
 	}
 	// Server still healthy for others.
 	good := dial(t, addr)
@@ -73,12 +55,14 @@ func TestServerDropsOversizedHeader(t *testing.T) {
 
 func TestServerSurvivesMidFrameDisconnect(t *testing.T) {
 	addr, _ := startServer(t)
-	conn := rawDial(t, addr)
-	// Write half a frame header and slam the connection.
-	if _, err := conn.Write([]byte{0x00, 0x00}); err != nil {
-		t.Fatal(err)
+	// Write half a frame header and slam the connection, before the hello
+	// and after it.
+	for _, conn := range []net.Conn{dialRawTLS(t, addr), dialRawV2(t, addr).conn} {
+		if _, err := conn.Write([]byte{0x00, 0x00}); err != nil {
+			t.Fatal(err)
+		}
+		conn.Close()
 	}
-	conn.Close()
 	good := dial(t, addr)
 	if _, err := good.OPRFPublicKey(); err != nil {
 		t.Errorf("server unhealthy after mid-frame disconnect: %v", err)
@@ -87,17 +71,11 @@ func TestServerSurvivesMidFrameDisconnect(t *testing.T) {
 
 func TestServerSurvivesMalformedPayload(t *testing.T) {
 	addr, _ := startServer(t)
-	conn := rawDial(t, addr)
+	raw := dialRawV2(t, addr)
 	// Valid type, garbage payload: decode error -> error frame, not a
 	// crash or silent drop.
-	if err := wire.WriteFrame(conn, wire.TypeUploadReq, []byte{1, 2, 3}); err != nil {
-		t.Fatal(err)
-	}
-	typ, _, err := wire.ReadFrame(conn)
-	if err != nil {
-		t.Fatalf("no response to malformed payload: %v", err)
-	}
-	if typ != wire.TypeError {
+	raw.send(1, wire.TypeUploadReq, []byte{1, 2, 3})
+	if _, typ, _ := raw.recv(); typ != wire.TypeError {
 		t.Errorf("got type %d, want error frame", typ)
 	}
 }
@@ -155,7 +133,7 @@ func TestConnectionTimeoutReaped(t *testing.T) {
 	done := make(chan error, 1)
 	go func() { done <- srv.Serve(context.Background()) }()
 
-	idle := rawDial(t, a.String())
+	idle := dialRawTLS(t, a.String())
 	time.Sleep(400 * time.Millisecond)
 	// The idle connection should be closed by now.
 	idle.SetReadDeadline(time.Now().Add(time.Second))

@@ -1,9 +1,7 @@
 // Connection-lifecycle tests: write deadlines releasing stalled handlers,
 // graceful drain, the max-connections cap, accept-error cleanup, and
-// goroutine hygiene on shutdown. net.Pipe is used where determinism
-// matters — it has no buffering, so "the peer stopped reading" stalls a
-// write immediately instead of after an unpredictable amount of kernel
-// buffer.
+// goroutine hygiene on shutdown. net.Pipe (servePipe) is used where
+// determinism matters.
 package server
 
 import (
@@ -19,24 +17,6 @@ import (
 	"smatch/internal/client"
 	"smatch/internal/wire"
 )
-
-// servePipe registers one end of a net.Pipe as a tracked connection and
-// runs the frame loop on it, exactly as Serve would for an accepted conn.
-func servePipe(t *testing.T, srv *Server) net.Conn {
-	t.Helper()
-	cli, sc := net.Pipe()
-	st := &connState{}
-	srv.mu.Lock()
-	srv.conns[sc] = st
-	srv.mu.Unlock()
-	srv.wg.Add(1)
-	go func() {
-		defer srv.wg.Done()
-		srv.handle(sc, st)
-	}()
-	t.Cleanup(func() { cli.Close() })
-	return cli
-}
 
 // wgDone returns a channel closed once every handler goroutine has exited.
 func wgDone(srv *Server) <-chan struct{} {
@@ -56,14 +36,12 @@ func TestStalledReaderReleasedByWriteDeadline(t *testing.T) {
 	if err := srv.Store().Upload(matchEntryForTest(1, "b", 5)); err != nil {
 		t.Fatal(err)
 	}
-	cli := servePipe(t, srv)
+	cli := helloRaw(t, servePipe(t, srv))
 
 	// Send a query, then never read the response: the pipe has no
 	// buffering, so the server's response write stalls immediately.
 	req := wire.QueryReq{QueryID: 1, Timestamp: time.Now().Unix(), ID: 1, TopK: 1}
-	if err := wire.WriteFrame(cli, wire.TypeQueryReq, req.Encode()); err != nil {
-		t.Fatal(err)
-	}
+	cli.send(1, wire.TypeQueryReq, req.Encode())
 	select {
 	case <-wgDone(srv):
 		// Handler released: the write deadline fired and the connection
@@ -87,12 +65,10 @@ func TestShutdownDrainsInFlightRequest(t *testing.T) {
 	if err := srv.Store().Upload(matchEntryForTest(1, "b", 5)); err != nil {
 		t.Fatal(err)
 	}
-	cli := servePipe(t, srv)
+	cli := helloRaw(t, servePipe(t, srv))
 
 	req := wire.QueryReq{QueryID: 7, Timestamp: time.Now().Unix(), ID: 1, TopK: 1}
-	if err := wire.WriteFrame(cli, wire.TypeQueryReq, req.Encode()); err != nil {
-		t.Fatal(err)
-	}
+	cli.send(3, wire.TypeQueryReq, req.Encode())
 	// Give the handler time to pick up the request and block in the
 	// response write (the pipe is unbuffered and we haven't read yet).
 	time.Sleep(100 * time.Millisecond)
@@ -102,13 +78,10 @@ func TestShutdownDrainsInFlightRequest(t *testing.T) {
 	// Shutdown must not kill the in-flight request: the response is still
 	// readable after the drain begins.
 	time.Sleep(100 * time.Millisecond)
-	cli.SetReadDeadline(time.Now().Add(2 * time.Second))
-	typ, payload, err := wire.ReadFrame(cli)
-	if err != nil {
-		t.Fatalf("in-flight response lost during drain: %v", err)
-	}
-	if typ != wire.TypeQueryResp {
-		t.Fatalf("got frame type %d, want query response", typ)
+	cli.conn.SetReadDeadline(time.Now().Add(2 * time.Second))
+	id, typ, payload := cli.recv() // fails the test if the response was lost
+	if id != 3 || typ != wire.TypeQueryResp {
+		t.Fatalf("got frame id %d type %d, want the query response for request 3", id, typ)
 	}
 	resp, err := wire.DecodeQueryResp(payload)
 	if err != nil {
@@ -144,11 +117,9 @@ func TestShutdownForceClosesAtDrainDeadline(t *testing.T) {
 	if err := srv.Store().Upload(matchEntryForTest(1, "b", 5)); err != nil {
 		t.Fatal(err)
 	}
-	cli := servePipe(t, srv)
+	cli := helloRaw(t, servePipe(t, srv))
 	req := wire.QueryReq{QueryID: 1, Timestamp: time.Now().Unix(), ID: 1, TopK: 1}
-	if err := wire.WriteFrame(cli, wire.TypeQueryReq, req.Encode()); err != nil {
-		t.Fatal(err)
-	}
+	cli.send(1, wire.TypeQueryReq, req.Encode())
 	time.Sleep(100 * time.Millisecond) // handler now blocked writing the response
 
 	start := time.Now()
@@ -317,6 +288,17 @@ func TestShutdownLeavesNoGoroutines(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
+	// A fifth connection is accepted but has not said hello when the drain
+	// starts: it is idle by definition and must be closed at once, like
+	// the four idle sessions, not held until DrainTimeout.
+	silent := dialRawTLS(t, a.String())
+	for deadline := time.Now().Add(3 * time.Second); srv.Metrics().ActiveConns.Load() != 5; {
+		if time.Now().After(deadline) {
+			t.Fatalf("active_conns = %d, want 5 before the drain", srv.Metrics().ActiveConns.Load())
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+	start := time.Now()
 	cancel()
 	select {
 	case err := <-done:
@@ -325,6 +307,16 @@ func TestShutdownLeavesNoGoroutines(t *testing.T) {
 		}
 	case <-time.After(5 * time.Second):
 		t.Fatal("Serve did not return after cancellation")
+	}
+	if elapsed := time.Since(start); elapsed > time.Second {
+		t.Errorf("drain of five idle connections took %v, want immediate (DrainTimeout is 2s)", elapsed)
+	}
+	if got := srv.Metrics().DrainForcedCloses.Load(); got != 0 {
+		t.Errorf("drain_forced_closes = %d, want 0", got)
+	}
+	silent.SetReadDeadline(time.Now().Add(2 * time.Second))
+	if n, err := silent.Read(make([]byte, 1)); err == nil || n != 0 {
+		t.Errorf("pre-hello conn read %d bytes, err %v after the drain; want it closed", n, err)
 	}
 	for _, c := range conns {
 		c.Close()

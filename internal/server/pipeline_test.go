@@ -1,7 +1,8 @@
-// Integration tests for the v2 pipelined protocol: protocol negotiation,
-// v1-vs-v2 equivalence (identical store state and responses either way),
-// concurrent multiplexed callers, out-of-order completion under injected
-// transport faults, and graceful drain with requests in flight.
+// Integration tests for the pipelined session: wire-vs-direct
+// equivalence (the workload through TLS, framing and the service layer
+// leaves the store and the answers a directly driven match.Server
+// gives), concurrent multiplexed callers, out-of-order completion under
+// injected transport faults, and graceful drain with requests in flight.
 package server
 
 import (
@@ -20,8 +21,8 @@ import (
 	"smatch/internal/profile"
 )
 
-// dialOpts is dial with caller-controlled options (the suite toggles
-// DisablePipeline and MaxInFlight per test).
+// dialOpts is dial with caller-controlled options (the suite sets
+// MaxInFlight, MaxRetries and a faulty Dialer per test).
 func dialOpts(t *testing.T, addr string, opts client.Options) *client.Conn {
 	t.Helper()
 	if opts.Timeout == 0 {
@@ -35,11 +36,40 @@ func dialOpts(t *testing.T, addr string, opts client.Options) *client.Conn {
 	return c
 }
 
-// runWorkload drives one deterministic mixed workload through a client:
-// uploads (single and batch), re-uploads that move buckets, removes, and
-// queries in both modes. It returns the query responses in issue order so
-// the equivalence test can compare them across protocol versions.
-func runWorkload(t *testing.T, c *client.Conn) []string {
+// workloadTarget is what runWorkload drives: a *client.Conn, or the store
+// itself behind directStore.
+type workloadTarget interface {
+	Upload(match.Entry) error
+	UploadBatch([]match.Entry) ([]string, error)
+	Remove(profile.ID) error
+	Query(profile.ID, int) ([]match.Result, error)
+	QueryMaxDistance(profile.ID, *big.Int) ([]match.Result, error)
+}
+
+// directStore drives a match.Server with no wire, server or service layer
+// in between — the reference the networked path is compared against.
+type directStore struct{ *match.Server }
+
+func (d directStore) UploadBatch(entries []match.Entry) ([]string, error) {
+	for _, e := range entries {
+		if err := d.Upload(e); err != nil {
+			return nil, err
+		}
+	}
+	return nil, nil
+}
+
+func (d directStore) Query(id profile.ID, k int) ([]match.Result, error) { return d.Match(id, k) }
+
+func (d directStore) QueryMaxDistance(id profile.ID, maxDist *big.Int) ([]match.Result, error) {
+	return d.MatchMaxDistance(id, maxDist)
+}
+
+// runWorkload drives one deterministic mixed workload: uploads (single
+// and batch), re-uploads that move buckets, removes, and queries in both
+// modes. It returns the query responses in issue order so the equivalence
+// test can compare them across targets.
+func runWorkload(t *testing.T, c workloadTarget) []string {
 	t.Helper()
 	for i := 1; i <= 10; i++ {
 		if err := c.Upload(matchEntryForTest(uint32(i), "bucket-a", int64(i*10))); err != nil {
@@ -81,37 +111,34 @@ func runWorkload(t *testing.T, c *client.Conn) []string {
 	return responses
 }
 
-func TestV1V2Equivalence(t *testing.T) {
-	// The same workload through the legacy lockstep protocol and the
-	// pipelined one must leave byte-identical stores (Snapshot is
+func TestWireDirectEquivalence(t *testing.T) {
+	// The same workload through a pipelined connection and straight into
+	// a match.Server must leave byte-identical stores (Snapshot is
 	// deterministic: ascending user-ID order) and return identical query
 	// responses.
-	addrV1, srvV1 := startServer(t)
-	addrV2, srvV2 := startServer(t)
-	respV1 := runWorkload(t, dialOpts(t, addrV1, client.Options{DisablePipeline: true}))
-	respV2 := runWorkload(t, dialOpts(t, addrV2, client.Options{}))
+	addr, srv := startServer(t)
+	direct := match.NewServer()
+	respWire := runWorkload(t, dialOpts(t, addr, client.Options{}))
+	respDirect := runWorkload(t, directStore{direct})
 
-	if srvV1.Metrics().PipelinedConns.Load() != 0 {
-		t.Error("lockstep client triggered a v2 upgrade")
+	if got := srv.Metrics().PipelinedConns.Load(); got != 1 {
+		t.Errorf("pipelined_conns = %d, want 1", got)
 	}
-	if srvV2.Metrics().PipelinedConns.Load() == 0 {
-		t.Error("pipelined client did not upgrade")
-	}
-	for i := range respV1 {
-		if respV1[i] != respV2[i] {
-			t.Errorf("query %d diverged:\n  v1: %s\n  v2: %s", i, respV1[i], respV2[i])
+	for i := range respDirect {
+		if respWire[i] != respDirect[i] {
+			t.Errorf("query %d diverged:\n  wire:   %s\n  direct: %s", i, respWire[i], respDirect[i])
 		}
 	}
-	var snapV1, snapV2 bytes.Buffer
-	if err := srvV1.Store().Snapshot(&snapV1); err != nil {
+	var snapWire, snapDirect bytes.Buffer
+	if err := srv.Store().Snapshot(&snapWire); err != nil {
 		t.Fatal(err)
 	}
-	if err := srvV2.Store().Snapshot(&snapV2); err != nil {
+	if err := direct.Snapshot(&snapDirect); err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(snapV1.Bytes(), snapV2.Bytes()) {
-		t.Errorf("store snapshots diverged: v1 %d bytes, v2 %d bytes",
-			snapV1.Len(), snapV2.Len())
+	if !bytes.Equal(snapWire.Bytes(), snapDirect.Bytes()) {
+		t.Errorf("store snapshots diverged: wire %d bytes, direct %d bytes",
+			snapWire.Len(), snapDirect.Len())
 	}
 }
 

@@ -1,16 +1,17 @@
-// Push delivery for the v2 pipelined protocol: each upgraded connection
-// owns a connPush — the conn-local subscription table plus a pump
-// goroutine that drains the broker's bounded per-subscription queues and
-// writes TypeMatchNotify frames through the connection's single-writer /
-// write-deadline choke point (a mutex shared with the response writer, so
-// a push can never interleave bytes with a response).
+// Push delivery: every connection owns a connPush — the conn-local
+// subscription table plus a pump goroutine that drains the broker's
+// bounded per-subscription queues and writes TypeMatchNotify frames
+// through the connection's single-writer / write-deadline choke point (a
+// mutex shared with the response writer, so a push can never interleave
+// bytes with a response). The pump is also the connection's graceful
+// close path (requestDrain), so it starts when the connection is
+// accepted, before the hello.
 //
 // Subscriptions are conn-scoped by construction: they are registered by
-// the pipelined reader, keyed by the client-chosen sub ID, delivered only
-// on this connection, and torn down when the connection ends. A v1
-// connection has no connPush and no way to reach these handlers (the
-// lockstep path routes subscribe frames to the service registry, which
-// rejects them as unknown), so a v1 client can never receive a push.
+// the connection's reader, keyed by the client-chosen sub ID, delivered
+// only on this connection, and torn down when the connection ends. A
+// connection that never completes the hello never reaches the reader, so
+// it can neither subscribe nor receive a push.
 package server
 
 import (
@@ -24,8 +25,8 @@ import (
 	"smatch/internal/wire"
 )
 
-// connPush carries one pipelined connection's subscription state and
-// push-delivery machinery.
+// connPush carries one connection's subscription state and push-delivery
+// machinery.
 type connPush struct {
 	s    *Server
 	conn net.Conn
@@ -97,7 +98,7 @@ func (p *connPush) hasSubs() bool {
 func (p *connPush) nSubsLocked() int { return len(p.subs) + len(p.remote) }
 
 // teardown ends the pump and deregisters every subscription. Called once
-// when the pipelined loop exits; subscriptions die with their conn.
+// when the connection's handler exits; subscriptions die with their conn.
 func (p *connPush) teardown() {
 	close(p.stop)
 	<-p.done

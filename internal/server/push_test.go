@@ -2,8 +2,8 @@
 // real TLS, server-initiated TypeMatchNotify frames, the
 // slow-subscriber-never-blocks-apply guarantee, pull≡push equivalence
 // against fresh MAX-distance queries, chaos on long-lived subscriber
-// connections (under -race), and the v1 regression — a lockstep client
-// must never see a push frame.
+// connections (under -race), and the no-hello regression — a connection
+// that skips the hello must never see a response or a push frame.
 package server
 
 import (
@@ -11,9 +11,12 @@ import (
 	"context"
 	"crypto/tls"
 	"fmt"
+	"io"
 	"math/big"
 	"net"
+	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -130,16 +133,6 @@ func TestSubscriptionsDieWithConn(t *testing.T) {
 	}
 }
 
-// TestSubscribeRefusedOnLockstep: the client refuses to subscribe over a
-// v1 lockstep session — there is no frame the server could push on.
-func TestSubscribeRefusedOnLockstep(t *testing.T) {
-	addr, _ := startServer(t)
-	conn := dialOpts(t, addr, client.Options{DisablePipeline: true})
-	if _, err := conn.Subscribe(matchEntryForTest(0, "b", 1), big.NewInt(1), 1); err != client.ErrNoPush {
-		t.Fatalf("Subscribe on lockstep conn returned %v, want ErrNoPush", err)
-	}
-}
-
 // TestMaxSubsPerConnEnforced: the per-connection subscription cap turns
 // the overflow registration into a server error, not a silent drop.
 func TestMaxSubsPerConnEnforced(t *testing.T) {
@@ -221,17 +214,6 @@ func TestIdleSubscriberSurvivesReadTimeout(t *testing.T) {
 	}
 }
 
-// dialRawTLS opens a bare TLS connection for byte-level protocol tests.
-func dialRawTLS(t *testing.T, addr string) *tls.Conn {
-	t.Helper()
-	conn, err := tls.Dial("tcp", addr, &tls.Config{InsecureSkipVerify: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { conn.Close() })
-	return conn
-}
-
 // dialRawTLSNarrow is dialRawTLS with a tiny TCP receive buffer, so a
 // reader that stalls makes the server's writes block almost immediately
 // instead of disappearing into kernel buffering.
@@ -253,41 +235,16 @@ func dialRawTLSNarrow(t *testing.T, address string) *tls.Conn {
 	return conn
 }
 
-// upgradeRawV2 performs the hello exchange on a raw conn, leaving it in
-// v2 framing.
-func upgradeRawV2(t *testing.T, conn *tls.Conn) {
-	t.Helper()
-	hello := wire.Hello{Version: wire.ProtocolV2, Depth: 8}
-	if err := wire.WriteFrame(conn, wire.TypeHello, hello.Encode()); err != nil {
-		t.Fatal(err)
-	}
-	rt, _, err := wire.ReadFrame(conn)
-	if err != nil || rt != wire.TypeHelloResp {
-		t.Fatalf("hello exchange: type %d, err %v", rt, err)
-	}
-}
-
-// subscribeRawV2 registers a probe over a raw v2 conn and consumes the ack.
-func subscribeRawV2(t *testing.T, conn *tls.Conn, subID uint64, bucket string, sum, maxDist int64) {
-	t.Helper()
+// subscribeReqForTest builds a standing-probe request for the bucket.
+func subscribeReqForTest(subID uint64, bucket string, sum, maxDist int64) *wire.SubscribeReq {
 	probe := matchEntryForTest(0, bucket, sum)
-	req := wire.SubscribeReq{
+	return &wire.SubscribeReq{
 		SubID:    subID,
 		KeyHash:  probe.KeyHash,
 		CtBits:   uint32(probe.Chain.CtBits),
 		NumAttrs: uint16(probe.Chain.NumAttrs()),
 		Chain:    probe.Chain.Bytes(),
 		MaxDist:  big.NewInt(maxDist),
-	}
-	if err := wire.WriteFrameV2(conn, 1, wire.TypeSubscribeReq, req.Encode()); err != nil {
-		t.Fatal(err)
-	}
-	id, rt, payload, err := wire.ReadFrameV2(conn)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if id != 1 || rt != wire.TypeSubscribeResp {
-		t.Fatalf("subscribe ack: id %d type %d (%x)", id, rt, payload)
 	}
 }
 
@@ -324,9 +281,11 @@ func TestStalledSubscriberNeverBlocksUploads(t *testing.T) {
 	// Subscribe on a narrow-windowed raw conn, then never read again: the
 	// server's push writes fill the small socket buffers, block, and hit
 	// the write deadline while publishes keep overflowing the queue.
-	raw := dialRawTLSNarrow(t, a.String())
-	upgradeRawV2(t, raw)
-	subscribeRawV2(t, raw, 1, "push-stall", 0, 1<<40)
+	raw := helloRaw(t, dialRawTLSNarrow(t, a.String()))
+	raw.send(1, wire.TypeSubscribeReq, subscribeReqForTest(1, "push-stall", 0, 1<<40).Encode())
+	if id, rt, payload := raw.recv(); id != 1 || rt != wire.TypeSubscribeResp {
+		t.Fatalf("subscribe ack: id %d type %d (%x)", id, rt, payload)
+	}
 
 	// Big auth blobs make each push frame heavy, so the pump jams fast.
 	uploader := dialOpts(t, a.String(), client.Options{Timeout: 5 * time.Second})
@@ -355,64 +314,84 @@ func TestStalledSubscriberNeverBlocksUploads(t *testing.T) {
 	}
 }
 
-// TestV1ClientNeverReceivesPush is the regression satellite: a client
-// that never sends a hello stays on the v1 lockstep path, where
-// subscribe frames are rejected by the service registry and no push
-// frame can ever appear — the stream stays strictly
-// request/response, byte-for-byte.
-func TestV1ClientNeverReceivesPush(t *testing.T) {
-	addr, _ := startServer(t)
-	raw := dialRawTLS(t, addr)
+// TestNoHelloRefused is the regression satellite: a connection whose
+// first frame is not a hello gets exactly one error frame (in the hello
+// framing it spoke) and then EOF — never a response, never a
+// registration, never a push, even while uploads land in the bucket it
+// tried to subscribe to.
+func TestNoHelloRefused(t *testing.T) {
+	for name, first := range map[string]struct {
+		typ     wire.MsgType
+		payload []byte
+	}{
+		"subscribe": {wire.TypeSubscribeReq, subscribeReqForTest(1, "push-nohello", 3, 1<<30).Encode()},
+		"query":     {wire.TypeQueryReq, (&wire.QueryReq{QueryID: 1, ID: 7, TopK: 1}).Encode()},
+		"bad hello": {wire.TypeHello, []byte{0, 1, 0, 8}}, // downlevel version
+	} {
+		t.Run(name, func(t *testing.T) {
+			var logged atomic.Int32
+			srv, err := New(Config{OPRF: testOPRF(t), ReadTimeout: 5 * time.Second,
+				Logf: func(string, ...any) { logged.Add(1) }})
+			if err != nil {
+				t.Fatal(err)
+			}
+			a, err := srv.Listen("127.0.0.1:0")
+			if err != nil {
+				t.Fatal(err)
+			}
+			ctx, cancel := context.WithCancel(context.Background())
+			done := make(chan error, 1)
+			go func() { done <- srv.Serve(ctx) }()
+			defer func() { cancel(); <-done }()
+			addr := a.String()
 
-	// A v1 subscribe attempt gets an error frame, not a registration.
-	req := wire.SubscribeReq{SubID: 1, KeyHash: []byte("push-v1"), CtBits: 48, NumAttrs: 1, Chain: make([]byte, 6), MaxDist: big.NewInt(1 << 30)}
-	if err := wire.WriteFrame(raw, wire.TypeSubscribeReq, req.Encode()); err != nil {
-		t.Fatal(err)
-	}
-	rt, _, err := wire.ReadFrame(raw)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rt != wire.TypeError {
-		t.Fatalf("v1 subscribe answered with type %d, want TypeError", rt)
-	}
+			uploader := dial(t, addr)
+			if err := uploader.Upload(matchEntryForTest(7, "push-nohello", 3)); err != nil {
+				t.Fatal(err)
+			}
 
-	// Qualifying uploads from a v2 client push to nobody on this conn.
-	uploader := dial(t, addr)
-	if err := uploader.Upload(matchEntryForTest(7, "push-v1", 3)); err != nil {
-		t.Fatal(err)
-	}
-
-	// The lockstep exchange stays in byte-lockstep: each request is
-	// answered by exactly its response, never an interleaved push frame.
-	for i := 0; i < 3; i++ {
-		if err := wire.WriteFrame(raw, wire.TypeQueryReq, (&wire.QueryReq{QueryID: uint64(i + 1), ID: 7, TopK: 1}).Encode()); err != nil {
-			t.Fatal(err)
-		}
-		rt, payload, err := wire.ReadFrame(raw)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if rt != wire.TypeQueryResp {
-			t.Fatalf("lockstep query %d answered with type %d, want TypeQueryResp", i, rt)
-		}
-		resp, err := wire.DecodeQueryResp(payload)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if resp.QueryID != uint64(i+1) {
-			t.Fatalf("lockstep response for query %d, want %d", resp.QueryID, i+1)
-		}
-	}
-
-	// And between requests the server sends nothing unsolicited.
-	if err := raw.SetReadDeadline(time.Now().Add(300 * time.Millisecond)); err != nil {
-		t.Fatal(err)
-	}
-	if rt, _, err := wire.ReadFrame(raw); err == nil {
-		t.Fatalf("v1 conn received unsolicited frame type %d", rt)
-	} else if ne, ok := err.(net.Error); !ok || !ne.Timeout() {
-		t.Fatalf("v1 conn read ended with %v, want idle timeout", err)
+			raw := dialRawTLS(t, addr)
+			if err := wire.WriteFrame(raw, first.typ, first.payload); err != nil {
+				t.Fatal(err)
+			}
+			// Qualifying uploads race the refusal: they must push to nobody.
+			for i := 8; i < 12; i++ {
+				if err := uploader.Upload(matchEntryForTest(uint32(i), "push-nohello", 3)); err != nil {
+					t.Fatal(err)
+				}
+			}
+			raw.SetReadDeadline(time.Now().Add(5 * time.Second))
+			rt, payload, err := wire.ReadFrame(raw)
+			if err != nil {
+				t.Fatalf("no refusal frame: %v", err)
+			}
+			if rt != wire.TypeError {
+				t.Fatalf("refusal has type %d, want TypeError", rt)
+			}
+			msg, err := wire.DecodeErrorMsg(payload)
+			if err != nil || !strings.Contains(msg.Text, "hello") {
+				t.Fatalf("refusal %q (err %v) does not name the required hello", msg.Text, err)
+			}
+			rest, err := io.ReadAll(raw)
+			if err != nil || len(rest) != 0 {
+				t.Fatalf("after the refusal: %d more bytes, err %v; want clean EOF", len(rest), err)
+			}
+			if got := srv.broker.NumSubs(); got != 0 {
+				t.Errorf("broker holds %d subscriptions from a conn that never said hello", got)
+			}
+			if got := srv.Metrics().NotifiesSent.Load(); got != 0 {
+				t.Errorf("notifies_sent = %d, want 0", got)
+			}
+			if got := srv.Metrics().Errors.Load(); got != 1 {
+				t.Errorf("errors = %d, want 1 (the refusal)", got)
+			}
+			if got := logged.Load(); got != 1 {
+				t.Errorf("refusal logged %d times, want once", got)
+			}
+			if got := srv.Metrics().PipelinedConns.Load(); got != 1 {
+				t.Errorf("pipelined_conns = %d, want 1 (the uploader only)", got)
+			}
+		})
 	}
 }
 

@@ -59,17 +59,16 @@ type Config struct {
 	// connections still mid-request are force-closed. Zero means 5s.
 	DrainTimeout time.Duration
 	// PipelineDepth is the per-connection worker count (and job-queue
-	// bound) for connections that upgrade to the v2 pipelined protocol;
-	// it caps how many requests one connection can have executing at
-	// once. Zero means 32.
+	// bound); it caps how many requests one connection can have executing
+	// at once, and a client's hello may ask for less. Zero means 32.
 	PipelineDepth int
 	// NotifyQueueCap bounds each subscription's pending-notification
 	// queue; at the cap the oldest notification is dropped (and counted)
 	// so a slow subscriber never stalls the upload path. Zero means
 	// broker.DefaultQueueCap.
 	NotifyQueueCap int
-	// MaxSubsPerConn caps standing subscriptions per pipelined
-	// connection. Zero means 64.
+	// MaxSubsPerConn caps standing subscriptions per connection. Zero
+	// means 64.
 	MaxSubsPerConn int
 	// Logf receives structured-ish log lines; nil disables logging.
 	Logf func(format string, args ...any)
@@ -146,20 +145,19 @@ type Server struct {
 	wg     sync.WaitGroup
 }
 
-// connState tracks whether a connection is mid-request, so a graceful
-// drain can close idle connections immediately while letting busy ones
-// finish their in-flight requests. busy covers the v1 lockstep path
-// (at most one request at a time); inflight counts requests live on the
-// v2 pipelined path (accepted by the reader, response not yet written).
-// drainFn, when set (pipelined connections with a push pump), replaces a
-// direct conn.Close() on the graceful-drain path: it flushes queued push
-// notifications before closing, and must never block.
+// connState is what a graceful drain needs to know about a connection:
+// inflight counts requests accepted by the reader whose response is not
+// yet written, closing marks the drain boundary (frames read after it are
+// dropped), and push owns the one close path — requestDrain flushes queued
+// notifications, then closes the conn, and never blocks. Shutdown calls it
+// at once on an idle connection (one that has not said hello yet
+// included); the response writer calls it when the last in-flight request
+// of a closing connection is on the wire.
 type connState struct {
 	mu       sync.Mutex
-	busy     bool
 	inflight int
 	closing  bool
-	drainFn  func()
+	push     *connPush
 }
 
 // New creates a server around a fresh matching store.
@@ -295,21 +293,19 @@ func (s *Server) Serve(ctx context.Context) error {
 			select {
 			case s.sem <- struct{}{}:
 			default:
-				conn.Close()
+				// Count first: the dialer sees the close at once and may
+				// read the counter.
 				s.metrics.ConnsRejected.Add(1)
+				conn.Close()
 				continue
 			}
 		}
-		st := &connState{}
-		s.mu.Lock()
-		if s.closed {
-			s.mu.Unlock()
+		st := s.track(conn)
+		if st == nil {
 			conn.Close()
 			s.releaseSlot()
 			continue
 		}
-		s.conns[conn] = st
-		s.mu.Unlock()
 		s.wg.Add(1)
 		go func() {
 			defer s.wg.Done()
@@ -317,6 +313,20 @@ func (s *Server) Serve(ctx context.Context) error {
 			s.handle(conn, st)
 		}()
 	}
+}
+
+// track registers an accepted connection for Close/Shutdown and starts
+// its push pump, so the drain path exists before the first frame is read.
+// It returns nil once the server is closed.
+func (s *Server) track(conn net.Conn) *connState {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.closed {
+		return nil
+	}
+	st := &connState{push: newConnPush(s, conn)}
+	s.conns[conn] = st
+	return st
 }
 
 func (s *Server) releaseSlot() {
@@ -354,26 +364,21 @@ func (s *Server) Shutdown() error {
 		return nil
 	}
 	s.closed = true
-	states := make(map[net.Conn]*connState, len(s.conns))
-	for c, st := range s.conns {
-		states[c] = st
+	states := make([]*connState, 0, len(s.conns))
+	for _, st := range s.conns {
+		states = append(states, st)
 	}
 	s.mu.Unlock()
 	if s.ln != nil {
 		s.ln.Close()
 	}
-	for conn, st := range states {
+	for _, st := range states {
 		st.mu.Lock()
 		st.closing = true
-		if !st.busy && st.inflight == 0 {
-			// Idle: the handler is parked in its read loop; unblock it now.
-			// A connection with a push pump gets a final notification flush
-			// first (drainFn never blocks).
-			if st.drainFn != nil {
-				st.drainFn()
-			} else {
-				conn.Close()
-			}
+		if st.inflight == 0 {
+			// Idle: the handler is parked in a read; the pump flushes any
+			// queued notifications and closes the conn, which unblocks it.
+			st.push.requestDrain()
 		}
 		st.mu.Unlock()
 	}
@@ -400,156 +405,94 @@ func (s *Server) Shutdown() error {
 	}
 }
 
+// handle runs one connection: the mandatory hello exchange, then the
+// pipelined engine until the connection ends.
 func (s *Server) handle(conn net.Conn, st *connState) {
 	s.metrics.TotalConns.Add(1)
 	s.metrics.ActiveConns.Add(1)
 	defer func() {
+		st.push.teardown()
 		s.metrics.ActiveConns.Add(-1)
 		conn.Close()
 		s.mu.Lock()
 		delete(s.conns, conn)
 		s.mu.Unlock()
 	}()
-	// Per-connection grow-only buffers: rbuf holds each inbound frame
-	// (payloads alias it, valid until the next read), wbuf each outbound
-	// frame (header + payload built in place, one Write). Lockstep means
-	// at most one of each in use, so no pooling is needed here.
-	var rbuf, wbuf []byte
-	for {
-		if err := conn.SetReadDeadline(time.Now().Add(s.cfg.ReadTimeout)); err != nil {
-			return
-		}
-		t, payload, err := wire.ReadFrameBuf(conn, &rbuf)
-		if err != nil {
-			if isTimeout(err) {
-				s.metrics.ReadTimeouts.Add(1)
-			}
-			return // EOF, timeout or protocol garbage: drop the connection
-		}
-		st.mu.Lock()
-		if st.closing {
-			// Raced the drain boundary: the request arrived as shutdown
-			// closed this (idle) connection. Drop it — the client sees a
-			// connection error and retries if the request was idempotent.
-			st.mu.Unlock()
-			return
-		}
-		st.busy = true
-		st.mu.Unlock()
-
-		var derr error
-		if t == wire.TypeHello {
-			depth, herr := s.acceptHello(conn, payload)
-			if herr == nil {
-				// Upgraded: hand the connection to the pipelined engine,
-				// which does its own inflight accounting from here on.
-				st.mu.Lock()
-				st.busy = false
-				closing := st.closing
-				st.mu.Unlock()
-				if closing {
-					s.metrics.ConnsDrained.Add(1)
-					return
-				}
-				s.metrics.PipelinedConns.Add(1)
-				s.servePipelined(conn, st, depth)
-				return
-			}
-			// A malformed hello (or a torn ack write) flows into the
-			// ordinary error path below; the connection stays lockstep.
-			derr = herr
-		} else {
-			frame := wire.BeginFrame(wbuf[:0])
-			rt, body, herr := s.svc.Handle(t, payload, frame)
-			if herr == nil {
-				frame = body
-				if herr = wire.FinishFrame(frame, 0, rt); herr == nil {
-					wbuf = frame
-					herr = s.writeRawFrame(conn, frame)
-				}
-			}
-			derr = herr
-		}
-		fatal := false
-		if derr != nil {
-			s.metrics.Errors.Add(1)
-			s.cfg.Logf("server: %v", derr)
-			var cerr *connError
-			if errors.As(derr, &cerr) {
-				// The response write itself failed; the stream may hold a
-				// partial frame, so the connection is unusable.
-				fatal = true
-			} else if werr := s.writeError(conn, derr); werr != nil {
-				fatal = true
-			}
-		}
-		st.mu.Lock()
-		st.busy = false
-		closing := st.closing
-		st.mu.Unlock()
-		if fatal {
-			return
-		}
-		if closing {
-			s.metrics.ConnsDrained.Add(1)
-			return
-		}
+	if err := conn.SetReadDeadline(time.Now().Add(s.cfg.ReadTimeout)); err != nil {
+		return
 	}
+	t, payload, err := wire.ReadFrame(conn)
+	if err != nil {
+		if isTimeout(err) {
+			s.metrics.ReadTimeouts.Add(1)
+		}
+		return // EOF, timeout or protocol garbage: drop the connection
+	}
+	depth, err := s.acceptHello(conn, t, payload)
+	if err != nil {
+		s.metrics.Errors.Add(1)
+		s.cfg.Logf("server: %v", err)
+		return
+	}
+	s.metrics.PipelinedConns.Add(1)
+	s.servePipelined(conn, st, depth)
 }
-
-// connError marks a failure of the connection itself (as opposed to the
-// request), so handle drops the connection instead of trying to send an
-// error frame over a possibly half-written stream.
-type connError struct{ err error }
-
-func (e *connError) Error() string { return e.err.Error() }
-func (e *connError) Unwrap() error { return e.err }
 
 func isTimeout(err error) bool {
 	var ne net.Error
 	return errors.As(err, &ne) && ne.Timeout()
 }
 
-// writeFrame sends one response frame under the write deadline, so a
-// client that stops draining its socket cannot park this goroutine
-// forever. A failure poisons the stream and is wrapped in connError.
+// writeFrame sends one frame in the hello framing — the hello ack or the
+// refusal, the only two the server ever writes that way — under the
+// write deadline.
 func (s *Server) writeFrame(conn net.Conn, t wire.MsgType, payload []byte) error {
 	if err := conn.SetWriteDeadline(time.Now().Add(s.cfg.WriteTimeout)); err != nil {
-		return &connError{err}
+		return err
 	}
-	if err := wire.WriteFrame(conn, t, payload); err != nil {
-		if isTimeout(err) {
-			s.metrics.WriteTimeouts.Add(1)
-		}
-		return &connError{err}
+	err := wire.WriteFrame(conn, t, payload)
+	if isTimeout(err) {
+		s.metrics.WriteTimeouts.Add(1)
 	}
-	return nil
+	return err
 }
 
 // writeRawFrame sends one pre-built frame — header already backfilled by
-// FinishFrame/FinishFrameV2 — as a single conn.Write (one syscall, one
-// TLS record), under the same write deadline, timeout accounting, and
-// connError poisoning as writeFrame. Every hot-path response and push
-// goes out through here.
+// FinishFrameV2 — as a single conn.Write (one syscall, one TLS record),
+// under the write deadline. Every response and push goes out through
+// here; a failure leaves the stream torn, so callers drop the connection.
 func (s *Server) writeRawFrame(conn net.Conn, frame []byte) error {
 	if err := conn.SetWriteDeadline(time.Now().Add(s.cfg.WriteTimeout)); err != nil {
-		return &connError{err}
+		return err
 	}
-	if _, err := conn.Write(frame); err != nil {
-		if isTimeout(err) {
-			s.metrics.WriteTimeouts.Add(1)
-		}
-		return &connError{err}
+	_, err := conn.Write(frame)
+	if isTimeout(err) {
+		s.metrics.WriteTimeouts.Add(1)
 	}
-	return nil
+	return err
 }
 
-// acceptHello negotiates the v2 upgrade: decode the client's hello,
-// clamp its requested window to PipelineDepth, and ack in v1 framing —
-// the last v1 frame on the connection.
-func (s *Server) acceptHello(conn net.Conn, payload []byte) (int, error) {
-	hello, err := wire.DecodeHello(payload)
+// acceptHello is the server side of the mandatory negotiation. The
+// connection's first frame must be a TypeHello: its requested window is
+// clamped to PipelineDepth and acked in the hello framing, after which
+// both sides speak the v2 envelope. Anything else — another message type,
+// a malformed hello — is answered with one error frame, also in the hello
+// framing, naming the required hello, and the returned error makes handle
+// close the connection.
+func (s *Server) acceptHello(conn net.Conn, t wire.MsgType, payload []byte) (int, error) {
+	var (
+		hello *wire.Hello
+		err   error
+	)
+	if t == wire.TypeHello {
+		hello, err = wire.DecodeHello(payload)
+	} else {
+		err = fmt.Errorf("got message type %d", t)
+	}
 	if err != nil {
+		err = fmt.Errorf("connection refused: the first frame must be a protocol v%d hello (message type %d): %w", wire.ProtocolV2, wire.TypeHello, err)
+		refusal := wire.ErrorMsg{Text: err.Error()}
+		_ = s.writeFrame(conn, wire.TypeError, refusal.Encode()) // closing either way
 		return 0, err
 	}
 	depth := s.cfg.PipelineDepth
@@ -646,19 +589,7 @@ func (s *Server) processJob(job pipelineJob) pipelineResp {
 // through the same write choke point — push.writeMu serializes the
 // writer goroutine and the pump against each other.
 func (s *Server) servePipelined(conn net.Conn, st *connState, depth int) {
-	push := newConnPush(s, conn)
-	st.mu.Lock()
-	alreadyClosing := st.closing
-	if !alreadyClosing {
-		st.drainFn = push.requestDrain
-	}
-	st.mu.Unlock()
-	if alreadyClosing {
-		// Shutdown won the race between the hello ack and here; it already
-		// closed (or will close) the conn directly.
-		push.teardown()
-		return
-	}
+	push := st.push
 	jobs := make(chan pipelineJob, depth)
 	resps := make(chan pipelineResp, depth)
 	var workers sync.WaitGroup
@@ -734,8 +665,9 @@ func (s *Server) servePipelined(conn net.Conn, st *connState, depth int) {
 		}
 		st.mu.Lock()
 		if st.closing {
-			// Raced the drain boundary: drop the request, exactly like the
-			// lockstep path drops a frame arriving on a closing conn.
+			// Raced the drain boundary: the request arrived as shutdown
+			// closed this connection. Drop it — the client sees a connection
+			// error and retries if the request was idempotent.
 			st.mu.Unlock()
 			break
 		}
@@ -777,7 +709,6 @@ func (s *Server) servePipelined(conn net.Conn, st *connState, depth int) {
 	workers.Wait()
 	close(resps)
 	<-writerDone
-	push.teardown()
 }
 
 // countingReader tracks how many bytes have been consumed, letting the
@@ -792,11 +723,6 @@ func (c *countingReader) Read(p []byte) (int, error) {
 	n, err := c.r.Read(p)
 	c.n += int64(n)
 	return n, err
-}
-
-func (s *Server) writeError(conn net.Conn, err error) error {
-	msg := wire.ErrorMsg{Text: err.Error()}
-	return s.writeFrame(conn, wire.TypeError, msg.Encode())
 }
 
 // SelfSignedCert generates an ephemeral ECDSA certificate for the TLS

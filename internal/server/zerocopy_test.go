@@ -2,8 +2,8 @@
 // hot path (DESIGN §16): every response and push frame leaves the server
 // in exactly one conn.Write, and a frame handed to the writer is never
 // mutated until the write completes. Both drive Server.handle directly
-// over net.Pipe — no TLS, so a second Write could only come from the
-// server's own framing, not the record layer.
+// over net.Pipe (servePipe) — no TLS, so a second Write could only come
+// from the server's own framing, not the record layer.
 package server
 
 import (
@@ -41,30 +41,23 @@ func (c *writeCountingConn) Write(p []byte) (int, error) {
 	return c.Conn.Write(p)
 }
 
-// startPipeServer runs Server.handle over one end of a net.Pipe and
-// returns the client end plus the counting wrapper.
-func startPipeServer(t *testing.T, srv *Server, checkHolds bool) (net.Conn, *writeCountingConn) {
+// startPipeServer runs Server.handle over a net.Pipe behind the counting
+// wrapper and returns the client end, past the hello. Without TLS every
+// Write the server issues is one the wrapper sees.
+func startPipeServer(t *testing.T, srv *Server, checkHolds bool) (*rawV2, *writeCountingConn) {
 	t.Helper()
-	cli, raw := net.Pipe()
-	wc := &writeCountingConn{Conn: raw, checkHolds: checkHolds}
-	st := &connState{}
-	srv.mu.Lock()
-	srv.conns[wc] = st
-	srv.mu.Unlock()
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		srv.handle(wc, st)
-	}()
+	cli, sc := net.Pipe()
+	wc := &writeCountingConn{Conn: sc, checkHolds: checkHolds}
+	serveConn(t, srv, wc)
 	t.Cleanup(func() {
 		cli.Close()
 		select {
-		case <-done:
+		case <-wgDone(srv):
 		case <-time.After(5 * time.Second):
 			t.Error("handler did not exit")
 		}
 	})
-	return cli, wc
+	return helloRaw(t, cli), wc
 }
 
 func uploadReqForTest(id uint32, bucket string, sum int64) wire.UploadReq {
@@ -79,9 +72,9 @@ func uploadReqForTest(id uint32, bucket string, sum int64) wire.UploadReq {
 	}
 }
 
-// TestSingleWritePerResponse pins the coalesced-write contract on all
-// three hot paths: lockstep responses, pipelined responses, and push
-// notifications each cost exactly one conn.Write.
+// TestSingleWritePerResponse pins the coalesced-write contract on both
+// hot paths: responses and push notifications each cost exactly one
+// conn.Write.
 func TestSingleWritePerResponse(t *testing.T) {
 	srv, err := New(Config{OPRF: testOPRF(t), ReadTimeout: 5 * time.Second, WriteTimeout: 5 * time.Second})
 	if err != nil {
@@ -89,37 +82,25 @@ func TestSingleWritePerResponse(t *testing.T) {
 	}
 	cli, wc := startPipeServer(t, srv, false)
 
-	// Lockstep: one upload, one response, one Write.
-	up := uploadReqForTest(1, "wc-bucket", 10)
-	if err := wire.WriteFrame(cli, wire.TypeUploadReq, up.Encode()); err != nil {
-		t.Fatal(err)
-	}
-	if rt, _, err := wire.ReadFrame(cli); err != nil || rt != wire.TypeUploadResp {
-		t.Fatalf("lockstep upload: type %d err %v", rt, err)
-	}
-	if got := wc.writes.Load(); got != 1 {
-		t.Fatalf("lockstep response took %d writes, want 1", got)
-	}
-
-	// Upgrade to v2. The hello ack goes through the generic WriteFrame
-	// (vectored, cold path) and is excluded from the count.
-	hello := wire.Hello{Version: wire.ProtocolV2, Depth: 8}
-	if err := wire.WriteFrame(cli, wire.TypeHello, hello.Encode()); err != nil {
-		t.Fatal(err)
-	}
-	if rt, _, err := wire.ReadFrame(cli); err != nil || rt != wire.TypeHelloResp {
-		t.Fatalf("hello: type %d err %v", rt, err)
-	}
+	// The hello ack went through the generic WriteFrame (vectored, cold
+	// path) and is excluded from the count.
 	base := wc.writes.Load()
+	up := uploadReqForTest(1, "wc-bucket", 10)
+	cli.send(1, wire.TypeUploadReq, up.Encode())
+	if _, rt, _ := cli.recv(); rt != wire.TypeUploadResp {
+		t.Fatalf("upload: type %d", rt)
+	}
+	if got := wc.writes.Load() - base; got != 1 {
+		t.Fatalf("upload response took %d writes, want 1", got)
+	}
+	base = wc.writes.Load()
 
-	// Pipelined: three queries, three responses, three Writes.
+	// Three queries, three responses, three Writes.
 	q := wire.QueryReq{QueryID: 9, ID: 1, TopK: 3}
-	for id := uint64(1); id <= 3; id++ {
-		if err := wire.WriteFrameV2(cli, id, wire.TypeQueryReq, q.Encode()); err != nil {
-			t.Fatal(err)
-		}
-		if _, rt, _, err := wire.ReadFrameV2(cli); err != nil || rt != wire.TypeQueryResp {
-			t.Fatalf("pipelined query %d: type %d err %v", id, rt, err)
+	for id := uint64(2); id <= 4; id++ {
+		cli.send(id, wire.TypeQueryReq, q.Encode())
+		if _, rt, _ := cli.recv(); rt != wire.TypeQueryResp {
+			t.Fatalf("pipelined query %d: type %d", id, rt)
 		}
 	}
 	if got := wc.writes.Load() - base; got != 3 {
@@ -130,22 +111,15 @@ func TestSingleWritePerResponse(t *testing.T) {
 	// upload response, and the push notification are one Write each.
 	base = wc.writes.Load()
 	sub := wire.SubscribeReq{SubID: 7, KeyHash: []byte("wc-bucket"), CtBits: 48, NumAttrs: 1, Chain: up.Chain, MaxDist: big.NewInt(1 << 40)}
-	if err := wire.WriteFrameV2(cli, 4, wire.TypeSubscribeReq, sub.Encode()); err != nil {
-		t.Fatal(err)
-	}
-	if _, rt, _, err := wire.ReadFrameV2(cli); err != nil || rt != wire.TypeSubscribeResp {
-		t.Fatalf("subscribe: type %d err %v", rt, err)
+	cli.send(5, wire.TypeSubscribeReq, sub.Encode())
+	if _, rt, _ := cli.recv(); rt != wire.TypeSubscribeResp {
+		t.Fatalf("subscribe: type %d", rt)
 	}
 	up2 := uploadReqForTest(2, "wc-bucket", 11)
-	if err := wire.WriteFrameV2(cli, 5, wire.TypeUploadReq, up2.Encode()); err != nil {
-		t.Fatal(err)
-	}
+	cli.send(6, wire.TypeUploadReq, up2.Encode())
 	var sawResp, sawPush bool
 	for !sawResp || !sawPush {
-		id, rt, payload, err := wire.ReadFrameV2(cli)
-		if err != nil {
-			t.Fatal(err)
-		}
+		id, rt, payload := cli.recv()
 		if wire.IsPushID(id) {
 			n, err := wire.DecodeMatchNotify(payload)
 			if err != nil || n.ID != profile.ID(2) {
@@ -181,20 +155,13 @@ func TestPooledFrameStableUntilWritten(t *testing.T) {
 		}
 	}
 	cli, _ := startPipeServer(t, srv, true)
-	hello := wire.Hello{Version: wire.ProtocolV2, Depth: 8}
-	if err := wire.WriteFrame(cli, wire.TypeHello, hello.Encode()); err != nil {
-		t.Fatal(err)
-	}
-	if rt, _, err := wire.ReadFrame(cli); err != nil || rt != wire.TypeHelloResp {
-		t.Fatalf("hello: type %d err %v", rt, err)
-	}
 
 	const requests = 200
 	writeErr := make(chan error, 1)
 	go func() {
 		for id := uint64(1); id <= requests; id++ {
 			q := wire.QueryReq{QueryID: id, ID: profile.ID(1 + id%8), TopK: 5}
-			if err := wire.WriteFrameV2(cli, id, wire.TypeQueryReq, q.Encode()); err != nil {
+			if err := wire.WriteFrameV2(cli.conn, id, wire.TypeQueryReq, q.Encode()); err != nil {
 				writeErr <- err
 				return
 			}
@@ -203,10 +170,7 @@ func TestPooledFrameStableUntilWritten(t *testing.T) {
 	}()
 	seen := make(map[uint64]bool, requests)
 	for len(seen) < requests {
-		id, rt, payload, err := wire.ReadFrameV2(cli)
-		if err != nil {
-			t.Fatalf("after %d responses: %v", len(seen), err)
-		}
+		id, rt, payload := cli.recv()
 		if rt != wire.TypeQueryResp {
 			t.Fatalf("response %d: type %d (%s)", id, rt, payload)
 		}

@@ -6,11 +6,10 @@
 //
 // The package is transport-agnostic on purpose: a handler maps a request
 // payload to a response frame (type + payload) or an error, and never
-// touches a connection. That is what lets the server run the same
-// registry behind both protocol paths — the v1 lockstep loop (one frame
-// in, one frame out) and the v2 pipelined path (a reader goroutine, a
-// bounded worker pool executing handlers concurrently, and a single
-// writer serializing responses) — with guaranteed-identical semantics.
+// touches a connection. The server's session engine (a reader goroutine,
+// a bounded worker pool executing handlers concurrently, and a single
+// writer serializing responses) is the registry's one caller outside
+// tests.
 package service
 
 import (

@@ -1,7 +1,6 @@
 // Unit tests for the service registry, driving handlers directly at the
-// payload level — no sockets. The network paths (lockstep and pipelined)
-// are covered by the integration suites in internal/server and
-// internal/client.
+// payload level — no sockets. The network path is covered by the
+// integration suites in internal/server and internal/client.
 package service
 
 import (

@@ -3,17 +3,17 @@
 // Every message type has AppendEncode(buf) — append the encoded payload
 // to a caller-owned buffer and return the extended slice — with Encode()
 // kept as the thin AppendEncode(nil) wrapper. Frames are built in place
-// with a Begin/Finish pair: BeginFrame reserves header space at the tail
-// of a buffer, the payload is appended after it, and FinishFrame
+// with a Begin/Finish pair: BeginFrameV2 reserves header space at the
+// tail of a buffer, the payload is appended after it, and FinishFrameV2
 // backfills the header once the length is known — so one conn.Write (one
 // syscall, one TLS record) carries the whole frame. Reads mirror that:
-// ReadFrameBuf and ReadFrameV2Buf fill a caller-supplied grow-only
-// buffer instead of allocating a payload per frame.
+// ReadFrameV2Buf fills a caller-supplied grow-only buffer instead of
+// allocating a payload per frame.
 //
 // Buffer ownership rules are documented in DESIGN §16. The short form:
-// a payload returned by the Buf readers (and everything a Decode*
-// aliases out of it) is valid only until the buffer's next use, so a
-// consumer that retains decoded bytes must copy them.
+// a payload returned by ReadFrameV2Buf (and everything a Decode* aliases
+// out of it) is valid only until the buffer's next use, so a consumer
+// that retains decoded bytes must copy them.
 package wire
 
 import (
@@ -23,11 +23,8 @@ import (
 	"math/big"
 )
 
-// Frame header sizes (v1: length + type; v2 adds the request ID).
-const (
-	FrameHeaderLen   = 5
-	FrameHeaderLenV2 = v2HeaderSize
-)
+// FrameHeaderLenV2 is the size of the header BeginFrameV2 reserves.
+const FrameHeaderLenV2 = v2HeaderSize
 
 // ensureLen returns a slice of length n backed by b when b's capacity
 // allows, or by a fresh larger array otherwise. Contents are
@@ -55,31 +52,13 @@ func extend(b []byte, n int) []byte {
 	return append(b, make([]byte, n)...)
 }
 
-// BeginFrame reserves a v1 frame header at the tail of buf. Append the
-// payload after it, then call FinishFrame with the same mark (len(buf)
-// before BeginFrame) to backfill the header.
-func BeginFrame(buf []byte) []byte { return extend(buf, FrameHeaderLen) }
-
-// FinishFrame backfills the header a BeginFrame at mark reserved, using
-// everything appended since as the payload.
-func FinishFrame(buf []byte, mark int, t MsgType) error {
-	n := len(buf) - mark - FrameHeaderLen
-	if n < 0 {
-		return fmt.Errorf("wire: FinishFrame before BeginFrame (mark %d, len %d)", mark, len(buf))
-	}
-	if n > MaxFrameSize {
-		return ErrFrameTooLarge
-	}
-	binary.BigEndian.PutUint32(buf[mark:], uint32(n))
-	buf[mark+4] = byte(t)
-	return nil
-}
-
-// BeginFrameV2 reserves a v2 frame header at the tail of buf; pair with
-// FinishFrameV2 exactly like BeginFrame/FinishFrame.
+// BeginFrameV2 reserves a v2 frame header at the tail of buf. Append the
+// payload after it, then call FinishFrameV2 with the same mark (len(buf)
+// before BeginFrameV2) to backfill the header.
 func BeginFrameV2(buf []byte) []byte { return extend(buf, FrameHeaderLenV2) }
 
-// FinishFrameV2 backfills the v2 header a BeginFrameV2 at mark reserved.
+// FinishFrameV2 backfills the header a BeginFrameV2 at mark reserved,
+// using everything appended since as the payload.
 func FinishFrameV2(buf []byte, mark int, id uint64, t MsgType) error {
 	n := len(buf) - mark - FrameHeaderLenV2
 	if n < 0 {
@@ -94,31 +73,10 @@ func FinishFrameV2(buf []byte, mark int, id uint64, t MsgType) error {
 	return nil
 }
 
-// ReadFrameBuf is ReadFrame with a caller-supplied reusable buffer: the
-// frame is read into *buf (grown in place when too small, never shrunk)
-// and the returned payload aliases it. The payload — and anything a
-// decoder aliases out of it — is valid only until *buf's next use.
-func ReadFrameBuf(r io.Reader, buf *[]byte) (MsgType, []byte, error) {
-	b := ensureLen(*buf, FrameHeaderLen)
-	*buf = b
-	if _, err := io.ReadFull(r, b[:FrameHeaderLen]); err != nil {
-		return 0, nil, err
-	}
-	n := binary.BigEndian.Uint32(b[:4])
-	t := MsgType(b[4])
-	if n > MaxFrameSize {
-		return 0, nil, ErrFrameTooLarge
-	}
-	b = ensureLen(b, int(n))
-	*buf = b
-	if _, err := io.ReadFull(r, b); err != nil {
-		return 0, nil, fmt.Errorf("wire: reading payload: %w", err)
-	}
-	return t, b, nil
-}
-
-// ReadFrameV2Buf is ReadFrameV2 with a caller-supplied reusable buffer;
-// same ownership rules as ReadFrameBuf.
+// ReadFrameV2Buf is ReadFrameV2 with a caller-supplied reusable buffer:
+// the frame is read into *buf (grown in place when too small, never
+// shrunk) and the returned payload aliases it. The payload — and anything
+// a decoder aliases out of it — is valid only until *buf's next use.
 func ReadFrameV2Buf(r io.Reader, buf *[]byte) (uint64, MsgType, []byte, error) {
 	b := ensureLen(*buf, FrameHeaderLenV2)
 	*buf = b

@@ -91,27 +91,6 @@ func TestAppendEncodeGrownBuffer(t *testing.T) {
 	}
 }
 
-func TestBeginFinishFrameRoundTrip(t *testing.T) {
-	payload := []byte("the payload")
-	buf := BeginFrame(nil)
-	buf = append(buf, payload...)
-	if err := FinishFrame(buf, 0, TypeQueryReq); err != nil {
-		t.Fatal(err)
-	}
-	// Must match what WriteFrame produces.
-	var legacy bytes.Buffer
-	if err := WriteFrame(&legacy, TypeQueryReq, payload); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(buf, legacy.Bytes()) {
-		t.Fatalf("built frame %x != WriteFrame output %x", buf, legacy.Bytes())
-	}
-	rt, rp, err := ReadFrame(bytes.NewReader(buf))
-	if err != nil || rt != TypeQueryReq || !bytes.Equal(rp, payload) {
-		t.Fatalf("round trip: type %d payload %q err %v", rt, rp, err)
-	}
-}
-
 func TestBeginFinishFrameV2RoundTrip(t *testing.T) {
 	payload := []byte("v2 payload")
 	prefix := []byte("earlier frame")
@@ -139,21 +118,18 @@ func TestBeginFinishFrameV2RoundTrip(t *testing.T) {
 
 func TestFinishFrameRejectsOversize(t *testing.T) {
 	buf := make([]byte, FrameHeaderLenV2+MaxFrameSize+1)
-	if err := FinishFrame(buf, 0, TypeQueryReq); !errors.Is(err, ErrFrameTooLarge) {
+	if err := FinishFrameV2(buf, 0, 1, TypeQueryReq); !errors.Is(err, ErrFrameTooLarge) {
 		t.Fatalf("err = %v, want ErrFrameTooLarge", err)
 	}
-	if err := FinishFrameV2(buf, 0, 1, TypeQueryReq); !errors.Is(err, ErrFrameTooLarge) {
-		t.Fatalf("v2 err = %v, want ErrFrameTooLarge", err)
-	}
-	if err := FinishFrame(buf[:2], 4, TypeQueryReq); err == nil {
-		t.Fatal("FinishFrame with mark past len must error")
+	if err := FinishFrameV2(buf[:2], 4, 1, TypeQueryReq); err == nil {
+		t.Fatal("FinishFrameV2 with mark past len must error")
 	}
 }
 
-// TestReadFrameBufReuse drives both Buf readers over a stream of frames
+// TestReadFrameV2BufReuse drives the Buf reader over a stream of frames
 // with one reusable buffer, checking payload contents, in-place growth,
 // and that the buffer is never shrunk.
-func TestReadFrameBufReuse(t *testing.T) {
+func TestReadFrameV2BufReuse(t *testing.T) {
 	payloads := [][]byte{
 		bytes.Repeat([]byte{1}, 10),
 		bytes.Repeat([]byte{2}, 2000), // forces growth
@@ -162,58 +138,36 @@ func TestReadFrameBufReuse(t *testing.T) {
 	}
 	var stream bytes.Buffer
 	for i, p := range payloads {
-		if err := WriteFrame(&stream, MsgType(10+i), p); err != nil {
+		if err := WriteFrameV2(&stream, uint64(100+i), MsgType(10+i), p); err != nil {
 			t.Fatal(err)
 		}
 	}
 	var buf []byte
 	var lastCap int
 	for i, want := range payloads {
-		rt, rp, err := ReadFrameBuf(&stream, &buf)
+		id, rt, rp, err := ReadFrameV2Buf(&stream, &buf)
 		if err != nil {
 			t.Fatalf("frame %d: %v", i, err)
 		}
-		if rt != MsgType(10+i) || !bytes.Equal(rp, want) {
-			t.Fatalf("frame %d: type %d payload len %d", i, rt, len(rp))
+		if id != uint64(100+i) || rt != MsgType(10+i) || !bytes.Equal(rp, want) {
+			t.Fatalf("frame %d: id %d type %d payload len %d", i, id, rt, len(rp))
 		}
 		if cap(buf) < lastCap {
 			t.Fatalf("frame %d: buffer shrank %d -> %d", i, lastCap, cap(buf))
 		}
 		lastCap = cap(buf)
 	}
-
-	stream.Reset()
-	for i, p := range payloads {
-		if err := WriteFrameV2(&stream, uint64(100+i), MsgType(10+i), p); err != nil {
-			t.Fatal(err)
-		}
-	}
-	buf = nil
-	for i, want := range payloads {
-		id, rt, rp, err := ReadFrameV2Buf(&stream, &buf)
-		if err != nil {
-			t.Fatalf("v2 frame %d: %v", i, err)
-		}
-		if id != uint64(100+i) || rt != MsgType(10+i) || !bytes.Equal(rp, want) {
-			t.Fatalf("v2 frame %d: id %d type %d payload len %d", i, id, rt, len(rp))
-		}
-	}
-	if _, _, err := ReadFrameBuf(&stream, &buf); err != io.EOF {
+	if _, _, _, err := ReadFrameV2Buf(&stream, &buf); err != io.EOF {
 		t.Fatalf("EOF expected, got %v", err)
 	}
 }
 
-func TestReadFrameBufRejectsOversize(t *testing.T) {
-	hdr := make([]byte, FrameHeaderLen)
+func TestReadFrameV2BufRejectsOversize(t *testing.T) {
+	hdr := make([]byte, FrameHeaderLenV2)
 	hdr[0], hdr[1], hdr[2], hdr[3] = 0xff, 0xff, 0xff, 0xff
 	var buf []byte
-	if _, _, err := ReadFrameBuf(bytes.NewReader(hdr), &buf); !errors.Is(err, ErrFrameTooLarge) {
+	if _, _, _, err := ReadFrameV2Buf(bytes.NewReader(hdr), &buf); !errors.Is(err, ErrFrameTooLarge) {
 		t.Fatalf("err = %v, want ErrFrameTooLarge", err)
-	}
-	hdrV2 := make([]byte, FrameHeaderLenV2)
-	hdrV2[0], hdrV2[1], hdrV2[2], hdrV2[3] = 0xff, 0xff, 0xff, 0xff
-	if _, _, _, err := ReadFrameV2Buf(bytes.NewReader(hdrV2), &buf); !errors.Is(err, ErrFrameTooLarge) {
-		t.Fatalf("v2 err = %v, want ErrFrameTooLarge", err)
 	}
 }
 

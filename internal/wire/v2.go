@@ -1,20 +1,18 @@
-// Protocol v2: the pipelined envelope. A v1 connection is strict
-// request/response — one frame in flight, responses implicitly matched by
-// order. v2 prefixes every frame with a 64-bit request ID so many requests
-// can be in flight on one connection and responses may complete out of
-// order; the ID, not arrival order, routes each response back to its
-// caller.
+// The pipelined envelope. Every frame after the hello exchange carries a
+// 64-bit request ID, so many requests can be in flight on one connection
+// and responses may complete out of order; the ID, not arrival order,
+// routes each response back to its caller.
 //
-// v2 is negotiated, never assumed: a client that wants pipelining sends
-// TypeHello (in v1 framing) as its first frame and the server answers
-// TypeHelloResp, after which both sides switch to the v2 envelope. A v1
-// client never sends TypeHello, so it lands on the legacy lockstep path
-// byte-for-byte unchanged; a v2 client talking to a pre-hello server gets
-// an error frame (unknown message type) and falls back to lockstep.
+// The hello is mandatory: a client's first frame is TypeHello and the
+// server answers TypeHelloResp, both in the hello framing (4-byte
+// big-endian payload length, 1-byte message type, payload — see
+// WriteFrame), after which both sides speak only the envelope below. A
+// server closes a connection whose first frame is anything else, after
+// one error frame in the hello framing; a client treats anything but a
+// ProtocolV2 ack as a failed dial.
 //
-// v2 frame layout: 4-byte big-endian payload length, 1-byte message type,
-// 8-byte big-endian request ID, payload. Payload encodings are identical
-// to v1 — only the envelope differs.
+// Frame layout: 4-byte big-endian payload length, 1-byte message type,
+// 8-byte big-endian request ID, payload.
 package wire
 
 import (
@@ -71,7 +69,7 @@ func DecodeHello(payload []byte) (*Hello, error) {
 	return &h, nil
 }
 
-// WriteFrameV2 writes one pipelined frame: the v1 header plus the request
+// WriteFrameV2 writes one pipelined frame: length, type and the request
 // ID that routes the response. Header and payload go out as one vectored
 // write (net.Buffers) — one writev on a *net.TCPConn, sequential writes
 // on transports without writev. The server's pipelined writer avoids even

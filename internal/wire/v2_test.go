@@ -1,4 +1,4 @@
-// Tests and fuzz targets for the v2 pipelined envelope: the request-ID
+// Tests and fuzz targets for the pipelined envelope: the request-ID
 // framing must round-trip byte-identically, reject oversized lengths, and
 // the Hello negotiation payload must reject malformed or downlevel input —
 // never panic, never over-read.
@@ -118,6 +118,12 @@ func FuzzDecodeHello(f *testing.F) {
 		}
 		if !bytes.Equal(got.Encode(), payload) {
 			t.Fatalf("re-encode differs from accepted payload")
+		}
+		// Uplevel versions decode (the peer may speak more than we do);
+		// downlevel ones never do. The client's exact-version check on the
+		// ack sits on top of this.
+		if got.Version < ProtocolV2 {
+			t.Fatalf("accepted downlevel hello version %d", got.Version)
 		}
 	})
 }

@@ -5,8 +5,9 @@
 // queries Qq = <q, t, IDv>, matching results Rq = <q, t, ID1, ciph1, ...>,
 // and RSA-OPRF evaluation rounds for key generation.
 //
-// Frame layout: 4-byte big-endian payload length, 1-byte message type,
-// payload. Payload encodings are fixed-layout binary with explicit length
+// A connection opens with a two-frame hello exchange and then carries
+// request-ID-tagged frames in both directions; v2.go has the frame
+// layouts. Payload encodings are fixed-layout binary with explicit length
 // prefixes; every decoder rejects malformed input rather than guessing.
 package wire
 
@@ -392,17 +393,17 @@ type ErrorMsg struct {
 	Text string
 }
 
-// WriteFrame writes one frame. Header and payload go out as one vectored
-// write (net.Buffers), so a *net.TCPConn gets a single writev instead of
-// two syscalls; writers without writev support (TLS conns, pipes) fall
-// back to sequential writes. The server's hot paths avoid even the
-// fallback's second write by building whole frames with BeginFrame/
-// FinishFrame and issuing one Write.
+// WriteFrame writes one frame in the hello framing: 4-byte big-endian
+// payload length, 1-byte message type, payload. Only the hello exchange
+// (and a server's refusal of a connection that skips it) uses this
+// framing; everything after travels in the v2 envelope. Header and
+// payload go out as one vectored write (net.Buffers); writers without
+// writev support (TLS conns, pipes) fall back to sequential writes.
 func WriteFrame(w io.Writer, t MsgType, payload []byte) error {
 	if len(payload) > MaxFrameSize {
 		return ErrFrameTooLarge
 	}
-	var hdr [FrameHeaderLen]byte
+	var hdr [5]byte
 	binary.BigEndian.PutUint32(hdr[:4], uint32(len(payload)))
 	hdr[4] = byte(t)
 	bufs := net.Buffers{hdr[:], payload}
@@ -412,7 +413,7 @@ func WriteFrame(w io.Writer, t MsgType, payload []byte) error {
 	return nil
 }
 
-// ReadFrame reads one frame.
+// ReadFrame reads one frame in the hello framing.
 func ReadFrame(r io.Reader) (MsgType, []byte, error) {
 	var hdr [5]byte
 	if _, err := io.ReadFull(r, hdr[:]); err != nil {
