@@ -128,30 +128,52 @@ func Generate(bits int, rng io.Reader) (*Group, error) {
 	}
 }
 
+// builtinPrimes holds the RFC 3526 moduli above, parsed once and never
+// handed out: Validate compares against them by value.
+var builtinPrimes = []*big.Int{
+	mustFromHex(rfc3526Prime1536).P,
+	mustFromHex(rfc3526Prime2048).P,
+	mustFromHex(rfc3526Prime3072).P,
+}
+
 // Validate checks the group invariants: p and q prime, p = 2q+1, and G a
-// non-identity element of order q.
+// non-identity element of order q. The primality tests are skipped when P
+// equals one of the built-in moduli, whose primality
+// TestBuiltinGroupsAreSafePrimes establishes once instead of every start.
 func (g *Group) Validate() error {
 	if g.P == nil || g.Q == nil || g.G == nil {
 		return errors.New("group: nil parameter")
-	}
-	if !g.P.ProbablyPrime(32) {
-		return errors.New("group: P is not prime")
-	}
-	if !g.Q.ProbablyPrime(32) {
-		return errors.New("group: Q is not prime")
 	}
 	check := new(big.Int).Lsh(g.Q, 1)
 	check.Add(check, one)
 	if check.Cmp(g.P) != 0 {
 		return errors.New("group: P != 2Q + 1")
 	}
+	if !isBuiltinPrime(g.P) {
+		if !g.P.ProbablyPrime(32) {
+			return errors.New("group: P is not prime")
+		}
+		if !g.Q.ProbablyPrime(32) {
+			return errors.New("group: Q is not prime")
+		}
+	}
 	if g.G.Cmp(two) < 0 || g.G.Cmp(g.P) >= 0 {
 		return errors.New("group: generator out of range")
 	}
-	if new(big.Int).Exp(g.G, g.Q, g.P).Cmp(one) != 0 {
+	// Q is prime, so a subgroup element other than 1 has order exactly Q.
+	if !g.IsElement(g.G) {
 		return errors.New("group: generator order does not divide Q")
 	}
 	return nil
+}
+
+func isBuiltinPrime(p *big.Int) bool {
+	for _, b := range builtinPrimes {
+		if p.Cmp(b) == 0 {
+			return true
+		}
+	}
+	return false
 }
 
 // Exp returns base^exp mod P.
@@ -184,12 +206,13 @@ func (g *Group) RandScalar(rng io.Reader) (*big.Int, error) {
 }
 
 // IsElement reports whether x is in the order-Q subgroup (a quadratic
-// residue mod P other than 0).
+// residue mod P other than 0). P is prime, so the Legendre symbol decides
+// it: by Euler's criterion (x/P) == 1 exactly when x^Q == 1 mod P.
 func (g *Group) IsElement(x *big.Int) bool {
 	if x == nil || x.Sign() <= 0 || x.Cmp(g.P) >= 0 {
 		return false
 	}
-	return new(big.Int).Exp(x, g.Q, g.P).Cmp(one) == 0
+	return legendre(x, g.P) == 1
 }
 
 // ElementLen returns the byte length of a serialized group element.

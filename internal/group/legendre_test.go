@@ -1,0 +1,194 @@
+package group
+
+import (
+	"crypto/rand"
+	"math/big"
+	"testing"
+)
+
+// eulerIsResidue is the test the kernel replaced: x^((p-1)/2) == 1 mod p.
+// For an odd prime p it equals legendre(x, p) == 1.
+func eulerIsResidue(x, p *big.Int) bool {
+	q := new(big.Int).Rsh(new(big.Int).Sub(p, one), 1)
+	return new(big.Int).Exp(x, q, p).Cmp(one) == 0
+}
+
+func TestBuiltinGroupsAreSafePrimes(t *testing.T) {
+	groups := map[string]*Group{"1536": Default1536(), "2048": Default2048(), "3072": Default3072()}
+	for name, g := range groups {
+		t.Run(name, func(t *testing.T) {
+			t.Parallel()
+			if !isBuiltinPrime(g.P) {
+				t.Fatal("built-in modulus not recognised: Validate takes the slow path")
+			}
+			if !g.P.ProbablyPrime(32) || !g.Q.ProbablyPrime(32) {
+				t.Fatal("built-in modulus is not a safe prime")
+			}
+			if g.G.Cmp(big.NewInt(4)) != 0 || new(big.Int).Exp(g.G, g.Q, g.P).Cmp(one) != 0 {
+				t.Fatal("built-in generator is not 4 of order Q")
+			}
+		})
+	}
+	if len(groups) != len(builtinPrimes) {
+		t.Errorf("%d built-in moduli, %d tested", len(builtinPrimes), len(groups))
+	}
+}
+
+// TestValidateBuiltinModulusStillChecksTheRest: the shortcut covers the
+// primality of P only.
+func TestValidateBuiltinModulusStillChecksTheRest(t *testing.T) {
+	g := Default2048()
+	g.G = new(big.Int).Sub(g.P, one) // order 2
+	if g.Validate() == nil {
+		t.Error("generator P-1 validated")
+	}
+	g = Default2048()
+	for g.G = big.NewInt(2); eulerIsResidue(g.G, g.P); g.G.Add(g.G, one) {
+	}
+	if g.Validate() == nil {
+		t.Errorf("non-residue generator %v validated", g.G)
+	}
+	g = Default2048()
+	g.Q = new(big.Int).Sub(g.Q, two)
+	if g.Validate() == nil {
+		t.Error("wrong Q validated")
+	}
+}
+
+// legendreEdgeInputs returns the values the issue names, for an odd p > 4.
+func legendreEdgeInputs(p *big.Int) []*big.Int {
+	xs := []*big.Int{
+		big.NewInt(0), big.NewInt(1), big.NewInt(2), big.NewInt(4),
+		new(big.Int).Sub(p, one), new(big.Int).Sub(p, big.NewInt(4)),
+	}
+	// Short-limb values: one word, and exact powers of the word base, whose
+	// low words are all zero.
+	for _, sh := range []uint{31, 63, 64, 65, 128, 191, 192} {
+		if x := new(big.Int).Lsh(one, sh); x.Cmp(p) < 0 {
+			xs = append(xs, x, new(big.Int).Sub(x, one), new(big.Int).Add(x, one))
+		}
+	}
+	return xs
+}
+
+func TestLegendreDifferential(t *testing.T) {
+	groups := map[string]*Group{
+		"1536": Default1536(), "2048": Default2048(), "3072": Default3072(), "generated256": smallGroup(t),
+	}
+	for name, g := range groups {
+		t.Run(name, func(t *testing.T) {
+			t.Parallel()
+			xs := legendreEdgeInputs(g.P)
+			n := 40
+			if testing.Short() {
+				n = 8
+			}
+			for i := 0; i < n; i++ {
+				x, err := rand.Int(rand.Reader, g.P)
+				if err != nil {
+					t.Fatal(err)
+				}
+				// Every fourth value is short, so operand lengths differ.
+				if i%4 == 3 {
+					x.Rsh(x, uint(i*g.P.BitLen()/n))
+				}
+				xs = append(xs, x)
+			}
+			for _, x := range xs {
+				got := legendre(x, g.P)
+				if want := big.Jacobi(x, g.P); got != want {
+					t.Fatalf("legendre(%x) = %d, big.Jacobi says %d", x, got, want)
+				}
+				euler := eulerIsResidue(x, g.P)
+				if (got == 1) != euler {
+					t.Fatalf("legendre(%x) = %d, Euler's criterion says residue=%v", x, got, euler)
+				}
+				if g.IsElement(x) != euler {
+					t.Fatalf("IsElement(%x) = %v, want %v", x, !euler, euler)
+				}
+			}
+		})
+	}
+}
+
+// TestLegendreExhaustiveSmall covers every odd modulus below 200,
+// composite ones included (the kernel computes the Jacobi symbol), with
+// arguments above the modulus too.
+func TestLegendreExhaustiveSmall(t *testing.T) {
+	for n := int64(1); n < 200; n += 2 {
+		for a := int64(0); a < 2*n+2; a++ {
+			x, y := big.NewInt(a), big.NewInt(n)
+			if got, want := legendre(x, y), big.Jacobi(x, y); got != want {
+				t.Fatalf("legendre(%d, %d) = %d, want %d", a, n, got, want)
+			}
+		}
+	}
+	for _, n := range []int64{0, 2, 4, 198} {
+		if got := legendre(big.NewInt(3), big.NewInt(n)); got != 0 {
+			t.Errorf("legendre(3, %d) = %d, want 0 for an even modulus", n, got)
+		}
+	}
+}
+
+func TestLegendreLeavesOperandsAlone(t *testing.T) {
+	g := Default2048()
+	x := g.Pow(big.NewInt(12345))
+	x0, p0 := new(big.Int).Set(x), new(big.Int).Set(g.P)
+	legendre(x, g.P)
+	if x.Cmp(x0) != 0 || g.P.Cmp(p0) != 0 {
+		t.Error("legendre modified an operand")
+	}
+}
+
+func TestIsElementAllocs(t *testing.T) {
+	g := Default2048()
+	x := g.Pow(big.NewInt(987654321))
+	if allocs := testing.AllocsPerRun(50, func() { g.IsElement(x) }); allocs > 2 {
+		t.Errorf("IsElement allocates %.0f times per call, want <= 2", allocs)
+	}
+}
+
+// FuzzLegendre checks the kernel against big.Jacobi on arbitrary operands
+// and against Euler's criterion whenever the modulus is prime.
+func FuzzLegendre(f *testing.F) {
+	p := Default1536().P
+	f.Add([]byte{0}, []byte{1})
+	f.Add([]byte{2}, []byte{7})
+	f.Add([]byte{0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff}, []byte{1, 0, 0, 0, 0, 0, 0, 0, 1})
+	f.Add(new(big.Int).Sub(p, one).Bytes(), p.Bytes())
+	f.Add(new(big.Int).Lsh(one, 1024).Bytes(), p.Bytes())
+	f.Fuzz(func(t *testing.T, xb, yb []byte) {
+		if len(xb) > 512 || len(yb) > 512 {
+			return
+		}
+		x, y := new(big.Int).SetBytes(xb), new(big.Int).SetBytes(yb)
+		if y.Bit(0) == 0 {
+			if got := legendre(x, y); got != 0 {
+				t.Fatalf("legendre(%x, %x) = %d for an even modulus", x, y, got)
+			}
+			return
+		}
+		got := legendre(x, y)
+		if want := big.Jacobi(x, y); got != want {
+			t.Fatalf("legendre(%x, %x) = %d, want %d", x, y, got, want)
+		}
+		if y.BitLen() <= 256 && y.Cmp(two) > 0 && y.ProbablyPrime(16) {
+			if euler := eulerIsResidue(new(big.Int).Mod(x, y), y); (got == 1) != euler {
+				t.Fatalf("legendre(%x, %x) = %d, Euler's criterion says residue=%v", x, y, got, euler)
+			}
+		}
+	})
+}
+
+func BenchmarkIsElement2048(b *testing.B) {
+	g := Default2048()
+	s, _ := g.RandScalar(nil)
+	x := g.Pow(s)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if !g.IsElement(x) {
+			b.Fatal("subgroup element rejected")
+		}
+	}
+}

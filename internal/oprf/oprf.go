@@ -27,10 +27,15 @@ import (
 
 // Common protocol errors.
 var (
-	ErrBadElement    = errors.New("oprf: element outside Z_N")
-	ErrVerifyFailed  = errors.New("oprf: server response failed blind-signature verification")
-	ErrNotInvertible = errors.New("oprf: blinding factor not invertible mod N")
+	ErrBadElement   = errors.New("oprf: element outside Z_N")
+	ErrVerifyFailed = errors.New("oprf: server response failed blind-signature verification")
+	// ErrFault reports that the server's own CRT result failed the
+	// public-key check; the faulty value is withheld because it would
+	// factor N.
+	ErrFault = errors.New("oprf: evaluation failed its consistency check")
 )
+
+var two = big.NewInt(2)
 
 // PublicKey is the client's view of the OPRF key: the RSA modulus and
 // public exponent.
@@ -60,7 +65,8 @@ func bitLen(n *big.Int) int {
 // Server holds the RSA secret key and answers blind evaluation requests.
 // It is safe for concurrent use.
 type Server struct {
-	key *rsa.PrivateKey
+	key *rsa.PrivateKey // two primes, validated, CRT values precomputed
+	e   *big.Int
 }
 
 // NewServer generates a fresh RSA-OPRF server key of the given modulus size.
@@ -72,15 +78,27 @@ func NewServer(bits int) (*Server, error) {
 	if err != nil {
 		return nil, fmt.Errorf("oprf: generating RSA key: %w", err)
 	}
-	return &Server{key: key}, nil
+	return NewServerFromKey(key)
 }
 
-// NewServerFromKey wraps an existing RSA private key.
+// NewServerFromKey wraps an existing RSA private key after validating it
+// and filling in its CRT values (key.Precompute). Evaluate is a two-prime
+// CRT, so multi-prime keys are refused.
 func NewServerFromKey(key *rsa.PrivateKey) (*Server, error) {
 	if key == nil {
 		return nil, errors.New("oprf: nil key")
 	}
-	return &Server{key: key}, nil
+	if len(key.Primes) != 2 {
+		return nil, fmt.Errorf("oprf: key has %d primes, want 2", len(key.Primes))
+	}
+	if err := key.Validate(); err != nil {
+		return nil, fmt.Errorf("oprf: invalid key: %w", err)
+	}
+	key.Precompute()
+	if pc := key.Precomputed; pc.Dp == nil || pc.Dq == nil || pc.Qinv == nil {
+		return nil, errors.New("oprf: key has no CRT values after Precompute")
+	}
+	return &Server{key: key, e: big.NewInt(int64(key.E))}, nil
 }
 
 // PublicKey returns the key material clients need.
@@ -90,11 +108,56 @@ func (s *Server) PublicKey() PublicKey {
 
 // Evaluate computes x^d mod N on a blinded element. The server cannot tell
 // which input the client is evaluating.
+//
+// The exponentiation runs mod p and mod q (CRT) on r^e * x for a fresh
+// random r, and the result is unblinded by r^-1. math/big is not constant
+// time, and CRT with inputs the client chooses is the setting of Brumley
+// and Boneh's remote timing attack on p and q; the server-side blinding
+// makes the exponentiated base unknown to the client. Before unblinding,
+// y^e == r^e * x is checked: a CRT result that is wrong modulo only one
+// prime reveals the other through a gcd, so a mismatch returns ErrFault and
+// never the value.
 func (s *Server) Evaluate(x *big.Int) (*big.Int, error) {
-	if x == nil || x.Sign() <= 0 || x.Cmp(s.key.N) >= 0 {
+	n := s.key.N
+	if x == nil || x.Sign() <= 0 || x.Cmp(n) >= 0 {
 		return nil, ErrBadElement
 	}
-	return new(big.Int).Exp(x, s.key.D, s.key.N), nil
+	r, rInv, err := randomUnit(rand.Reader, n)
+	if err != nil {
+		return nil, fmt.Errorf("oprf: server blinding: %w", err)
+	}
+	bx := r.Exp(r, s.e, n)
+	bx.Mul(bx, x).Mod(bx, n)
+
+	// Garner's recombination: y = yq + q * (qInv * (yp - yq) mod p).
+	p, q, pc := s.key.Primes[0], s.key.Primes[1], &s.key.Precomputed
+	y := new(big.Int).Exp(bx, pc.Dp, p)
+	yq := new(big.Int).Exp(bx, pc.Dq, q)
+	y.Sub(y, yq)
+	y.Mul(y, pc.Qinv).Mod(y, p) // Mod is Euclidean: the result is in [0, p)
+	y.Mul(y, q).Add(y, yq)
+
+	if new(big.Int).Exp(y, s.e, n).Cmp(bx) != 0 {
+		return nil, ErrFault
+	}
+	y.Mul(y, rInv)
+	return y.Mod(y, n), nil
+}
+
+// randomUnit draws a uniform v in [2, N) that is invertible mod N, and
+// returns it with its inverse. ModInverse returning nil is the coprimality
+// test.
+func randomUnit(rng io.Reader, n *big.Int) (v, vInv *big.Int, err error) {
+	vInv = new(big.Int)
+	for {
+		v, err = rand.Int(rng, n)
+		if err != nil {
+			return nil, nil, err
+		}
+		if v.Cmp(two) >= 0 && vInv.ModInverse(v, n) != nil {
+			return v, vInv, nil
+		}
+	}
 }
 
 // Evaluator abstracts where the OPRF server lives: in-process (the *Server
@@ -123,24 +186,9 @@ func Blind(pk PublicKey, input []byte, rng io.Reader) (*Request, error) {
 		rng = rand.Reader
 	}
 	h := hashToGroup(input, pk.N)
-	// Sample s uniformly in [2, N) with gcd(s, N) = 1.
-	var s *big.Int
-	for {
-		v, err := rand.Int(rng, pk.N)
-		if err != nil {
-			return nil, fmt.Errorf("oprf: sampling blind: %w", err)
-		}
-		if v.Cmp(big.NewInt(2)) < 0 {
-			continue
-		}
-		if new(big.Int).GCD(nil, nil, v, pk.N).Cmp(big.NewInt(1)) == 0 {
-			s = v
-			break
-		}
-	}
-	sInv := new(big.Int).ModInverse(s, pk.N)
-	if sInv == nil {
-		return nil, ErrNotInvertible
+	s, sInv, err := randomUnit(rng, pk.N)
+	if err != nil {
+		return nil, fmt.Errorf("oprf: sampling blind: %w", err)
 	}
 	se := new(big.Int).Exp(s, big.NewInt(int64(pk.E)), pk.N)
 	x := new(big.Int).Mul(h, se)

@@ -80,6 +80,10 @@ func (v *Verifier) Auth(key []byte, id profile.ID, rng io.Reader) ([]byte, error
 	if len(key) == 0 {
 		return nil, errors.New("verify: empty profile key")
 	}
+	if id == 0 {
+		// t1^0 = 1 for every secret: the tag would bind neither s nor the ID.
+		return nil, errors.New("verify: zero user ID")
+	}
 	if rng == nil {
 		rng = rand.Reader
 	}
@@ -104,6 +108,9 @@ func (v *Verifier) Verify(key []byte, id profile.ID, ciph []byte) (bool, error) 
 	}
 	if len(ciph) != v.AuthLen() {
 		return false, ErrMalformed
+	}
+	if id == 0 {
+		return false, nil // no user has ID 0, and H(t1^0) = H(1) proves nothing
 	}
 	payload, ok := v.open(key, ciph)
 	if !ok {

@@ -1,7 +1,9 @@
 package verify
 
 import (
+	"crypto/rand"
 	"errors"
+	"math/big"
 	"sync"
 	"testing"
 
@@ -196,6 +198,73 @@ func TestManyIDs(t *testing.T) {
 		ok, err := v.Verify(keyAlice, id, ciph)
 		if err != nil || !ok {
 			t.Errorf("round trip failed for ID %d", id)
+		}
+	}
+}
+
+// forge seals t1 with its matching tag under key, as a party holding the
+// profile key could.
+func forge(t *testing.T, v *Verifier, key []byte, t1 *big.Int, id profile.ID) []byte {
+	t.Helper()
+	payload := append(v.grp.EncodeElement(t1), v.tag(t1, id)...)
+	ciph, err := v.seal(key, payload, rand.Reader)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return ciph
+}
+
+func TestZeroIDRejected(t *testing.T) {
+	v := testVerifier(t)
+	if _, err := v.Auth(keyAlice, 0, nil); err == nil {
+		t.Error("Auth accepted ID 0")
+	}
+	// For ID 0 the tag is H(t1^0) = H(1) whatever the commitment: anyone
+	// with the profile key can make a blob that "verifies".
+	ciph := forge(t, v, keyAlice, v.grp.Pow(big.NewInt(7)), 0)
+	ok, err := v.Verify(keyAlice, 0, ciph)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ok {
+		t.Error("blob verified for ID 0")
+	}
+}
+
+// TestVerifyRejectsNonSubgroupCommitment: a blob sealed under the right
+// key whose tag matches its commitment must still fail when the commitment
+// is outside the order-Q subgroup. P-1 has order 2, so its tag takes only
+// two values over all IDs.
+func TestVerifyRejectsNonSubgroupCommitment(t *testing.T) {
+	def, err := New(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, v := range []*Verifier{testVerifier(t), def} {
+		grp := v.grp
+		nonResidue := big.NewInt(2)
+		for new(big.Int).Exp(nonResidue, grp.Q, grp.P).Cmp(big.NewInt(1)) == 0 {
+			nonResidue.Add(nonResidue, big.NewInt(1))
+		}
+		bad := map[string]*big.Int{
+			"P-1":         new(big.Int).Sub(grp.P, big.NewInt(1)),
+			"non-residue": nonResidue,
+			"zero":        new(big.Int),
+		}
+		for name, t1 := range bad {
+			ok, err := v.Verify(keyAlice, 42, forge(t, v, keyAlice, t1, 42))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if ok {
+				t.Errorf("%d-bit group: commitment %s verified", grp.P.BitLen(), name)
+			}
+		}
+		// The same construction with a subgroup element does verify, so the
+		// rejections above are the subgroup check and nothing else.
+		ok, err := v.Verify(keyAlice, 42, forge(t, v, keyAlice, grp.Pow(big.NewInt(3)), 42))
+		if err != nil || !ok {
+			t.Errorf("%d-bit group: forged subgroup commitment: ok=%v err=%v", grp.P.BitLen(), ok, err)
 		}
 	}
 }
