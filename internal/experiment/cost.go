@@ -3,6 +3,7 @@ package experiment
 import (
 	"fmt"
 	"math/big"
+	"runtime"
 	"sync"
 	"time"
 
@@ -87,6 +88,8 @@ func measureClient(ds *dataset.Dataset, users []profile.Profile, params core.Par
 	if err != nil {
 		return 0, err
 	}
+	// Collect the set-up's garbage now, not concurrently with the timing.
+	runtime.GC()
 	var total time.Duration
 	for _, p := range users {
 		dev, err := dep.device(p.ID)
@@ -126,6 +129,7 @@ func measureHomoClient(ds *dataset.Dataset, users []profile.Profile, k uint) (ti
 	if err != nil {
 		return 0, err
 	}
+	runtime.GC()
 	var total time.Duration
 	for i, p := range users {
 		start := time.Now()

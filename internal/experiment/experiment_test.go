@@ -1,6 +1,7 @@
 package experiment
 
 import (
+	"sort"
 	"strconv"
 	"strings"
 	"testing"
@@ -142,23 +143,41 @@ func TestFig4ClientShape(t *testing.T) {
 	if testing.Short() {
 		t.Skip("cost measurement; skipped with -short")
 	}
-	tab, err := Fig4Client(dataset.Infocom06(), quickOpts())
-	if err != nil {
-		t.Fatal(err)
+	// One run times each series once, back to back, so a burst of CPU
+	// contention lands on a single cell. Repeated runs interleave the
+	// series; the shape is asserted on medians over the repeats.
+	const reps = 9
+	tabs := make([]*Table, reps)
+	for r := range tabs {
+		tab, err := Fig4Client(dataset.Infocom06(), quickOpts())
+		if err != nil {
+			t.Fatal(err)
+		}
+		tabs[r] = tab
+	}
+	median := func(f func(tab *Table) float64) float64 {
+		vals := make([]float64, reps)
+		for r, tab := range tabs {
+			vals[r] = f(tab)
+		}
+		sort.Float64s(vals)
+		return vals[reps/2]
 	}
 	// PM and PM+V well below homoPM at every k; PM+V above PM.
-	for row := range tab.Rows {
-		pm := cellFloat(t, tab, row, 1)
-		pmv := cellFloat(t, tab, row, 2)
-		homo := cellFloat(t, tab, row, 4)
+	for row := range tabs[0].Rows {
+		k := cell(t, tabs[0], row, 0)
+		pm := median(func(tab *Table) float64 { return cellFloat(t, tab, row, 1) })
+		homo := median(func(tab *Table) float64 { return cellFloat(t, tab, row, 4) })
+		// Paired within a run, where the two series are adjacent in time.
+		auth := median(func(tab *Table) float64 { return cellFloat(t, tab, row, 2) - cellFloat(t, tab, row, 1) })
 		if pm >= homo {
-			t.Errorf("k=%s: PM %.3fms not below homoPM %.3fms", cell(t, tab, row, 0), pm, homo)
+			t.Errorf("k=%s: PM %.3fms not below homoPM %.3fms", k, pm, homo)
 		}
-		if pmv <= pm {
-			t.Errorf("k=%s: PM+V %.3fms not above PM %.3fms", cell(t, tab, row, 0), pmv, pm)
+		if auth <= 0 {
+			t.Errorf("k=%s: PM+V not above PM: median difference %.3fms", k, auth)
 		}
 		if homo/pm < 3 {
-			t.Errorf("k=%s: client gap %.1fx below the paper's order-of-magnitude band", cell(t, tab, row, 0), homo/pm)
+			t.Errorf("k=%s: client gap %.1fx below the paper's order-of-magnitude band", k, homo/pm)
 		}
 	}
 }

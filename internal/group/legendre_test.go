@@ -37,18 +37,23 @@ func TestBuiltinGroupsAreSafePrimes(t *testing.T) {
 // TestValidateBuiltinModulusStillChecksTheRest: the shortcut covers the
 // primality of P only.
 func TestValidateBuiltinModulusStillChecksTheRest(t *testing.T) {
-	g := Default2048()
+	// The built-ins are shared: corrupt a copy.
+	fresh := func() *Group {
+		d := Default2048()
+		return &Group{P: d.P, Q: d.Q, G: d.G}
+	}
+	g := fresh()
 	g.G = new(big.Int).Sub(g.P, one) // order 2
 	if g.Validate() == nil {
 		t.Error("generator P-1 validated")
 	}
-	g = Default2048()
+	g = fresh()
 	for g.G = big.NewInt(2); eulerIsResidue(g.G, g.P); g.G.Add(g.G, one) {
 	}
 	if g.Validate() == nil {
 		t.Errorf("non-residue generator %v validated", g.G)
 	}
-	g = Default2048()
+	g = fresh()
 	g.Q = new(big.Int).Sub(g.Q, two)
 	if g.Validate() == nil {
 		t.Error("wrong Q validated")

@@ -188,6 +188,32 @@ func TestVerifierRejectsBadGroup(t *testing.T) {
 	}
 }
 
+// TestAuthFirstUseConcurrent: a group builds its Pow table on the first
+// Auth. Many goroutines reach a fresh group at once; run under -race.
+func TestAuthFirstUseConcurrent(t *testing.T) {
+	base := testVerifier(t).grp
+	v, err := New(&group.Group{P: base.P, Q: base.Q, G: base.G})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var wg sync.WaitGroup
+	for i := 1; i <= 32; i++ {
+		wg.Add(1)
+		go func(id profile.ID) {
+			defer wg.Done()
+			ciph, err := v.Auth(keyAlice, id, nil)
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			if ok, err := v.Verify(keyAlice, id, ciph); err != nil || !ok {
+				t.Errorf("ID %d: ok=%v err=%v", id, ok, err)
+			}
+		}(profile.ID(i))
+	}
+	wg.Wait()
+}
+
 func TestManyIDs(t *testing.T) {
 	v := testVerifier(t)
 	for _, id := range []profile.ID{1, 2, 255, 65535, 1 << 31} {
@@ -271,6 +297,21 @@ func TestVerifyRejectsNonSubgroupCommitment(t *testing.T) {
 
 func BenchmarkAuth(b *testing.B) {
 	v := testVerifier(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := v.Auth(keyAlice, 42, nil); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkAuth2048 is Auth as a device runs it, on the default group.
+func BenchmarkAuth2048(b *testing.B) {
+	v, err := New(nil)
+	if err != nil {
+		b.Fatal(err)
+	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
