@@ -50,6 +50,17 @@ func TestRunOneDatasetVariants(t *testing.T) {
 	}
 }
 
+// TestExperimentsDispatch checks that every name -exp advertises, and that
+// -exp all runs, resolves to an experiment. It only resolves them: the
+// expensive ones run in the experiment package's own tests.
+func TestExperimentsDispatch(t *testing.T) {
+	for _, name := range experiments {
+		if _, err := lookup(name, quickOpts()); err != nil {
+			t.Errorf("%s: %v", name, err)
+		}
+	}
+}
+
 func TestRunOneUnknown(t *testing.T) {
 	if _, err := runOne("fig9z", quickOpts()); err == nil {
 		t.Error("unknown experiment accepted")

@@ -46,7 +46,7 @@ func churnStormWith(t *testing.T, seed int64, steps int, keys []string,
 	t.Helper()
 	rng := rand.New(rand.NewSource(seed))
 	inconsistenciesBefore := IndexInconsistencies()
-	sharded := NewServerShards(8)
+	sharded := newServerShards(8)
 	reference := NewUnsharded()
 	const maxID = 200
 	live := map[profile.ID]bool{}

@@ -16,7 +16,7 @@ import (
 // every query flavor returns byte-identical results on both. This pins the
 // sharded rewrite to the seed store's observable behavior.
 func TestShardedEquivalentToSingleLock(t *testing.T) {
-	sharded := NewServerShards(16)
+	sharded := newServerShards(16)
 	single := NewUnsharded()
 	apply := func(op func(Store) error) {
 		t.Helper()
@@ -94,7 +94,7 @@ func TestShardedEquivalentToSingleLock(t *testing.T) {
 // shards: shard geometry must be invisible to callers.
 func TestShardCountDoesNotChangeResults(t *testing.T) {
 	build := func(shards int) *Server {
-		s := NewServerShards(shards)
+		s := newServerShards(shards)
 		for i := 1; i <= 100; i++ {
 			must(t, s.Upload(entry(profile.ID(i), fmt.Sprintf("b%d", i%5), int64(i%13))))
 		}

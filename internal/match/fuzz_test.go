@@ -36,7 +36,7 @@ func FuzzEntryUpload(f *testing.F) {
 		if err != nil {
 			return // rejected at the parse boundary: fine
 		}
-		s := NewServerShards(4)
+		s := newServerShards(4)
 		e := Entry{ID: profile.ID(id), KeyHash: keyHash, Chain: ch, Auth: auth}
 		if err := s.Upload(e); err != nil {
 			// Rejected at validation (zero ID, empty key hash): the store

@@ -34,10 +34,9 @@
 // MatchMaxDistance seeks [sum-d, sum+d] and walks, and MatchProbe merges
 // per-bucket bounded kNN walks through a k-way heap. Order sums live as
 // flat uint64 limbs (ordsum.go); no big.Int is touched past the chain
-// boundary. The slice-based Unsharded store remains the reference
-// implementation the equivalence suites pin the index against; both order
-// ties by ascending user ID, so identical queries return identical
-// orderings on either store.
+// boundary. Ties order by ascending user ID, so identical queries return
+// identical orderings; the package tests pin the index against a
+// slice-based reference store that orders the same way.
 package match
 
 import (
@@ -122,7 +121,7 @@ func (e Entry) Validate() error {
 }
 
 // stored is an Entry with its cached order sum: limb form for the ordered
-// index's comparisons, big.Int form for the slice-based reference store.
+// index's comparisons, big.Int form for MatchFresh's slice expansion.
 type stored struct {
 	Entry
 	orderSum *big.Int
@@ -139,20 +138,6 @@ func newStored(e Entry) *stored {
 type Result struct {
 	ID   profile.ID
 	Auth []byte
-}
-
-// Store is the matching interface satisfied by both the production
-// sharded Server and the single-lock Unsharded reference; equivalence
-// tests and benchmarks run the same workload against either.
-type Store interface {
-	Upload(Entry) error
-	Remove(profile.ID) error
-	Match(id profile.ID, k int) ([]Result, error)
-	MatchProbe(id profile.ID, altKeyHashes [][]byte, k int) ([]Result, error)
-	MatchMaxDistance(id profile.ID, maxDist *big.Int) ([]Result, error)
-	NumUsers() int
-	NumBuckets() int
-	BucketSize(keyHash []byte) int
 }
 
 // bucketShard owns a disjoint subset of the key-hash buckets.
@@ -177,11 +162,11 @@ type Server struct {
 
 // NewServer returns an empty matching server with the default shard count:
 // the smallest power of two >= max(16, GOMAXPROCS).
-func NewServer() *Server { return NewServerShards(0) }
+func NewServer() *Server { return newServerShards(0) }
 
-// NewServerShards returns an empty matching server with n shards, rounded
+// newServerShards returns an empty matching server with n shards, rounded
 // up to a power of two; n <= 0 selects the default.
-func NewServerShards(n int) *Server {
+func newServerShards(n int) *Server {
 	if n <= 0 {
 		n = runtime.GOMAXPROCS(0)
 		if n < 16 {
@@ -411,10 +396,10 @@ func indexNearest(ix *ordIndex, me *stored, k int) ([]Result, error) {
 	return results, nil
 }
 
-// nearest is the slice-based reference expansion (Unsharded, MatchFresh):
-// same contract as indexNearest over a (sum, ID)-sorted bucket slice. The
-// querier is located by exact binary search and verified by pointer; a
-// mismatch is surfaced as ErrInconsistent.
+// nearest is the slice-based expansion behind MatchFresh and the tests'
+// reference store: same contract as indexNearest over a (sum, ID)-sorted
+// bucket slice. The querier is located by exact binary search and verified
+// by pointer; a mismatch is surfaced as ErrInconsistent.
 func nearest(bucket []*stored, me *stored, k int) ([]Result, error) {
 	pos := sort.Search(len(bucket), func(i int) bool {
 		c := bucket[i].orderSum.Cmp(me.orderSum)
@@ -675,52 +660,6 @@ func mergeProbeStreams(streams [][]probeCand, k int) []Result {
 			h.pos = h.pos[:last]
 		}
 		h.down(0)
-	}
-	return results
-}
-
-// scored is a candidate with its absolute order-sum distance (the
-// slice-based reference store's full-scan ranking).
-type scored struct {
-	rec  *stored
-	dist *big.Int
-}
-
-func appendScored(pool []scored, bucket []*stored, me *stored) []scored {
-	// One backing array for every distance in this bucket instead of one
-	// heap allocation per candidate. Capacity is exact and indexed, never
-	// append-grown: a realloc would orphan the *big.Int pointers already
-	// stored in pool.
-	dists := make([]big.Int, len(bucket))
-	n := 0
-	for _, rec := range bucket {
-		if rec == me {
-			continue
-		}
-		d := &dists[n]
-		n++
-		d.Sub(rec.orderSum, me.orderSum)
-		pool = append(pool, scored{rec: rec, dist: d.Abs(d)})
-	}
-	return pool
-}
-
-// rankScored sorts candidates by (distance, ID) — the ID tie-break makes
-// probe results deterministic even though candidates are gathered from an
-// unordered map of buckets — and returns the top k.
-func rankScored(pool []scored, k int) []Result {
-	sort.Slice(pool, func(i, j int) bool {
-		if c := pool[i].dist.Cmp(pool[j].dist); c != 0 {
-			return c < 0
-		}
-		return pool[i].rec.ID < pool[j].rec.ID
-	})
-	if k > len(pool) {
-		k = len(pool)
-	}
-	results := make([]Result, k)
-	for i := 0; i < k; i++ {
-		results[i] = Result{ID: pool[i].rec.ID, Auth: pool[i].rec.Auth}
 	}
 	return results
 }

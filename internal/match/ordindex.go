@@ -121,11 +121,9 @@ func (ix *ordIndex) insert(rec *stored) {
 }
 
 // remove unfiles rec, reporting whether it was present (pointer identity,
-// not just key equality — the same care removeSorted takes). The unlinked
-// node's references are nilled so a dead node reachable from a stale
-// pointer cannot keep pinning the record's Chain/Auth (the slice store's
-// vacated-tail-slot leak, carried over as node-compaction hygiene).
-// Caller holds the shard write lock.
+// not just key equality). The unlinked node's references are nilled so a
+// dead node reachable from a stale pointer cannot keep pinning the
+// record's Chain/Auth. Caller holds the shard write lock.
 func (ix *ordIndex) remove(rec *stored) bool {
 	var update [ordMaxHeight]*ordNode
 	n := ix.head

@@ -24,7 +24,7 @@ func TestShardedStoreStress(t *testing.T) {
 		idSpace   = 64 // small: forces ID collisions across workers
 		bucketFan = 8  // small: forces bucket collisions across shards
 	)
-	s := NewServerShards(8) // fewer shards than buckets: shards are shared
+	s := newServerShards(8) // fewer shards than buckets: shards are shared
 	bucketName := func(n int) string { return fmt.Sprintf("bucket-%d", n%bucketFan) }
 
 	// Seed so queries have someone to find.
@@ -105,7 +105,7 @@ func TestShardedStoreStress(t *testing.T) {
 // contended bucket and checks the store drains to empty — the bucket
 // cleanup path under contention.
 func TestStressRemoveAllThenEmpty(t *testing.T) {
-	s := NewServerShards(4)
+	s := newServerShards(4)
 	const n = 200
 	var wg sync.WaitGroup
 	for g := 0; g < 4; g++ {

@@ -126,9 +126,9 @@ func quantile(counts []uint64, total uint64, q float64) float64 {
 // the per-level SHA-256 coin derivations entirely), node insertions and
 // budget rejections (the tree is bounded; a reject means the descent fell
 // off the cached prefix and kept computing without growing the tree), and
-// the plaintext→ciphertext LRU's hits, misses and evictions. An ope.Scheme
-// built with CacheConfig.Counters pointing here records into these fields;
-// the zero value is ready to use.
+// the plaintext→ciphertext LRU's hits, misses and evictions. Every
+// ope.Scheme owns a private set, read through Scheme.CacheCounters; the
+// zero value is ready to use.
 type OPECacheCounters struct {
 	NodeHits     atomic.Uint64
 	NodeMisses   atomic.Uint64
@@ -137,19 +137,6 @@ type OPECacheCounters struct {
 	LRUHits      atomic.Uint64
 	LRUMisses    atomic.Uint64
 	LRUEvictions atomic.Uint64
-}
-
-// Snapshot renders the cache counters as a JSON-ready map.
-func (c *OPECacheCounters) Snapshot() map[string]uint64 {
-	return map[string]uint64{
-		"node_hits":     c.NodeHits.Load(),
-		"node_misses":   c.NodeMisses.Load(),
-		"node_inserts":  c.NodeInserts.Load(),
-		"node_rejects":  c.NodeRejects.Load(),
-		"lru_hits":      c.LRUHits.Load(),
-		"lru_misses":    c.LRUMisses.Load(),
-		"lru_evictions": c.LRUEvictions.Load(),
-	}
 }
 
 // Registry aggregates the server's counters, histograms and gauges.
@@ -231,11 +218,6 @@ type Registry struct {
 	RemoveLatency   Histogram
 	OPRFLatency     Histogram
 	UploadBatchSize Histogram
-
-	// OPECache holds the client-side OPE encryption engine's memoization
-	// counters (populated when an ope.Scheme is built with these counters —
-	// e.g. a load generator exporting its own /metrics).
-	OPECache OPECacheCounters
 
 	// Write-ahead log durability counters (populated when the server runs
 	// with -wal). Appends and fsyncs diverge under group commit: one
@@ -324,7 +306,6 @@ func (r *Registry) Snapshot() map[string]any {
 		"remove_latency":      r.RemoveLatency.Snapshot(),
 		"oprf_latency":        r.OPRFLatency.Snapshot(),
 		"upload_batch_size":   r.UploadBatchSize.ValueSnapshot(),
-		"ope_cache":           r.OPECache.Snapshot(),
 
 		"wal_appends":        r.WALAppends.Load(),
 		"wal_appended_bytes": r.WALAppendedBytes.Load(),

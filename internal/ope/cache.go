@@ -45,7 +45,7 @@ const (
 )
 
 // CacheConfig tunes the per-scheme memoization. The zero value selects the
-// defaults (cache enabled, private counters).
+// defaults (cache enabled).
 type CacheConfig struct {
 	// Disable turns all memoization off; the scheme then recomputes every
 	// descent from scratch (the reference path the differential tests and
@@ -57,9 +57,6 @@ type CacheConfig struct {
 	// LRUSize bounds the plaintext→ciphertext LRU; 0 selects
 	// DefaultLRUSize, negative disables the LRU only.
 	LRUSize int
-	// Counters receives hit/miss/eviction counts; nil allocates a private
-	// set. Point several schemes at one registry's OPECache to aggregate.
-	Counters *metrics.OPECacheCounters
 }
 
 // memoNode is one cached recursion-tree node. The seed is immutable; the
@@ -137,8 +134,8 @@ func (s *Scheme) CachedNodes() int {
 	return int(s.memo.count.Load())
 }
 
-// CacheCounters exposes the scheme's memoization counters (never nil; a
-// scheme built without explicit counters records into a private set).
+// CacheCounters exposes the scheme's private memoization counters (never
+// nil).
 func (s *Scheme) CacheCounters() *metrics.OPECacheCounters { return s.counters }
 
 // ctLRU is a mutex-guarded LRU of exact plaintext→ciphertext repeats.

@@ -113,7 +113,7 @@ func NewSchemeWithCache(key []byte, params Params, cfg CacheConfig) (*Scheme, er
 		params:     params,
 		domainSize: new(big.Int).Lsh(bigOne, params.PlaintextBits),
 		rangeSize:  new(big.Int).Lsh(bigOne, params.CiphertextBits),
-		counters:   cfg.Counters,
+		counters:   new(metrics.OPECacheCounters),
 	}
 	h := sha256.New()
 	h.Write([]byte("smatch/ope/root/"))
@@ -121,9 +121,6 @@ func NewSchemeWithCache(key []byte, params Params, cfg CacheConfig) (*Scheme, er
 		byte(params.CiphertextBits >> 8), byte(params.CiphertextBits)})
 	h.Write(key)
 	h.Sum(s.rootSeed[:0])
-	if s.counters == nil {
-		s.counters = new(metrics.OPECacheCounters)
-	}
 	if !cfg.Disable {
 		budget := cfg.NodeBudget
 		if budget == 0 {

@@ -311,17 +311,44 @@ func TestCiphertextSpread(t *testing.T) {
 	}
 }
 
+// benchEncrypt times Encrypt at one width in three cache regimes, each
+// over plaintexts drawn up front (seed 17):
+//
+//	cold  cache off, 2^16 distinct plaintexts: the full descent every time
+//	memo  default cache, 2^16 distinct plaintexts: the LRU misses, so only
+//	      the memo tree's shared prefix helps
+//	lru   default cache, 256 plaintexts cycled: the ciphertext-LRU hit path
 func benchEncrypt(b *testing.B, bits uint) {
-	s := mustScheme(b, "bench", Params{PlaintextBits: bits, CiphertextBits: bits + DefaultExpansion})
-	rng := rand.New(rand.NewSource(1))
+	params := Params{PlaintextBits: bits, CiphertextBits: bits + DefaultExpansion}
+	rng := rand.New(rand.NewSource(17))
 	limit := new(big.Int).Lsh(big.NewInt(1), bits)
-	m := new(big.Int).Rand(rng, limit)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := s.Encrypt(m); err != nil {
-			b.Fatal(err)
-		}
+	distinct := make([]*big.Int, 1<<16)
+	for i := range distinct {
+		distinct[i] = new(big.Int).Rand(rng, limit)
+	}
+	repeat := distinct[:256]
+	for _, c := range []struct {
+		name string
+		cfg  CacheConfig
+		pts  []*big.Int
+	}{
+		{"cold", CacheConfig{Disable: true}, distinct},
+		{"memo", CacheConfig{}, distinct},
+		{"lru", CacheConfig{}, repeat},
+	} {
+		b.Run(c.name, func(b *testing.B) {
+			s, err := NewSchemeWithCache([]byte("bench"), params, c.cfg)
+			if err != nil {
+				b.Fatal(err)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := s.Encrypt(c.pts[i%len(c.pts)]); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
 

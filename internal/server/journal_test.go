@@ -162,7 +162,7 @@ func recoverStore(t *testing.T, dir string) *match.Server {
 func TestCrashRecoveryEquivalenceAtEveryCut(t *testing.T) {
 	ops := mixedWorkload()
 	master := t.TempDir()
-	j, store, recovered, err := OpenJournal(wal.Options{Dir: master, NoSync: true, DisableGroupCommit: true})
+	j, store, recovered, err := OpenJournal(wal.Options{Dir: master, NoSync: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -214,7 +214,7 @@ func TestCrashRecoveryWithCheckpointAndTail(t *testing.T) {
 	ops := mixedWorkload()
 	split := 7 // checkpoint after this many ops
 	master := t.TempDir()
-	j, store, _, err := OpenJournal(wal.Options{Dir: master, NoSync: true, DisableGroupCommit: true, SegmentSize: 1 << 20})
+	j, store, _, err := OpenJournal(wal.Options{Dir: master, NoSync: true, SegmentSize: 1 << 20})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -389,7 +389,7 @@ func TestJournalRejectsCorruptReplay(t *testing.T) {
 func TestShippedStreamEquivalence(t *testing.T) {
 	ops := mixedWorkload()
 	dir := t.TempDir()
-	j, store, _, err := OpenJournal(wal.Options{Dir: dir, NoSync: true, DisableGroupCommit: true})
+	j, store, _, err := OpenJournal(wal.Options{Dir: dir, NoSync: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -449,7 +449,7 @@ func TestShippedStreamAfterCheckpoint(t *testing.T) {
 	ops := mixedWorkload()
 	split := 7
 	dir := t.TempDir()
-	j, store, _, err := OpenJournal(wal.Options{Dir: dir, NoSync: true, DisableGroupCommit: true})
+	j, store, _, err := OpenJournal(wal.Options{Dir: dir, NoSync: true})
 	if err != nil {
 		t.Fatal(err)
 	}

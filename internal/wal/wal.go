@@ -110,10 +110,6 @@ type Options struct {
 	// overshoot by at most one commit batch. Zero selects
 	// DefaultSegmentSize.
 	SegmentSize int64
-	// DisableGroupCommit makes every Append write and fsync on its own
-	// (one fsync per record). The default batches concurrent appends into
-	// a single fsync.
-	DisableGroupCommit bool
 	// NoSync skips every fsync. Tests and benchmarks only: a NoSync log
 	// is not durable across power loss, exactly the failure mode this
 	// package exists to close.
@@ -208,11 +204,7 @@ func Open(opts Options) (*WAL, error) {
 		dir.Close()
 		return nil, err
 	}
-	if !opts.DisableGroupCommit {
-		go w.committer()
-	} else {
-		close(w.done)
-	}
+	go w.committer()
 	return w, nil
 }
 
@@ -432,21 +424,11 @@ func scanSegment(path string) (first, count uint64, validEnd int64, hdrOK bool, 
 }
 
 // Append writes one record, returning its LSN once the record is durable
-// (written and fsynced, batched with concurrent appenders unless group
-// commit is disabled). An error means the record must be treated as not
+// (written and fsynced, batched with concurrent appenders). An error means the record must be treated as not
 // logged: the caller must not apply the operation it encodes.
 func (w *WAL) Append(data []byte) (uint64, error) {
 	if len(data) > MaxRecordSize {
 		return 0, ErrRecordTooLarge
-	}
-	if w.opts.DisableGroupCommit {
-		w.mu.Lock()
-		defer w.mu.Unlock()
-		if w.closed {
-			return 0, ErrClosed
-		}
-		res := w.commitLocked([]*pending{{data: data}})
-		return res[0].lsn, res[0].err
 	}
 	p := &pending{data: data, ch: make(chan appendResult, 1)}
 	w.closeMu.RLock()
@@ -476,26 +458,6 @@ func (w *WAL) AppendBatch(records [][]byte) ([]uint64, error) {
 		if len(data) > MaxRecordSize {
 			return nil, ErrRecordTooLarge
 		}
-	}
-	if w.opts.DisableGroupCommit {
-		w.mu.Lock()
-		defer w.mu.Unlock()
-		if w.closed {
-			return nil, ErrClosed
-		}
-		batch := make([]*pending, len(records))
-		for i, data := range records {
-			batch[i] = &pending{data: data}
-		}
-		results := w.commitLocked(batch)
-		lsns := make([]uint64, len(results))
-		for i, r := range results {
-			if r.err != nil {
-				return nil, r.err
-			}
-			lsns[i] = r.lsn
-		}
-		return lsns, nil
 	}
 	ps := make([]*pending, len(records))
 	w.closeMu.RLock()
@@ -833,7 +795,7 @@ func (w *WAL) Close() error {
 	w.closed = true
 	w.mu.Unlock()
 	close(w.closeCh)
-	<-w.done // committer has drained and exited (or never ran)
+	<-w.done // committer has drained and exited
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	// Wake tail-followers so WaitFor observes the close promptly.

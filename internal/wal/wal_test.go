@@ -403,20 +403,18 @@ func TestGroupCommitBatchesOneFsync(t *testing.T) {
 }
 
 func TestAppendAfterCloseFails(t *testing.T) {
-	for _, disable := range []bool{false, true} {
-		w := testOpen(t, t.TempDir(), func(o *Options) { o.DisableGroupCommit = disable })
-		if _, err := w.Append([]byte("x")); err != nil {
-			t.Fatal(err)
-		}
-		if err := w.Close(); err != nil {
-			t.Fatal(err)
-		}
-		if _, err := w.Append([]byte("y")); err != ErrClosed {
-			t.Fatalf("disable=%v: append after close: %v, want ErrClosed", disable, err)
-		}
-		if err := w.Close(); err != nil {
-			t.Fatalf("double close: %v", err)
-		}
+	w := testOpen(t, t.TempDir())
+	if _, err := w.Append([]byte("x")); err != nil {
+		t.Fatal(err)
+	}
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := w.Append([]byte("y")); err != ErrClosed {
+		t.Fatalf("append after close: %v, want ErrClosed", err)
+	}
+	if err := w.Close(); err != nil {
+		t.Fatalf("double close: %v", err)
 	}
 }
 
