@@ -13,11 +13,10 @@
 // With -wal DIR, every upload and remove is journaled (and fsynced,
 // group-committed under load) to a write-ahead log before it is
 // acknowledged, so a crash loses nothing: startup restores the newest
-// checkpoint in DIR and replays the log tail. Without -wal, only -store's
-// periodic snapshot survives a crash — up to 5 minutes of acknowledged
-// uploads do not. -wal and -store compose: checkpoints are mirrored to the
-// -store snapshot path, and a pre-existing -store snapshot seeds a fresh
-// WAL directory.
+// checkpoint in DIR and replays the log tail. The WAL is the only thing
+// kept on disk; without -wal a restart starts empty. -store FILE imports
+// FILE into an empty -wal directory, once: each snapshot entry is
+// journaled as an ordinary upload, after which -store is dropped.
 //
 // Connection lifecycle: every response write runs under -write-timeout so
 // a stalled reader can't park a goroutine, -max-conns caps concurrent
@@ -68,7 +67,6 @@ import (
 	"net/http/pprof"
 	"os"
 	"os/signal"
-	"path/filepath"
 	"strings"
 	"syscall"
 	"time"
@@ -80,6 +78,7 @@ import (
 	"smatch/internal/oprf"
 	"smatch/internal/server"
 	"smatch/internal/wal"
+	"smatch/internal/wire"
 )
 
 // options collects every flag; one struct so the role runners share it.
@@ -117,7 +116,7 @@ func main() {
 	flag.DurationVar(&o.drainTimeout, "drain-timeout", 5*time.Second, "graceful-shutdown budget for in-flight requests before force-close")
 	flag.IntVar(&o.notifyQueue, "notify-queue", 0, "per-subscription bound on queued push notifications (0 = default); overflow drops the oldest, counted in /metrics")
 	flag.IntVar(&o.maxSubs, "max-subs", 0, "per-connection cap on standing push subscriptions (0 = default)")
-	flag.StringVar(&o.storePath, "store", "", "snapshot file: restored at startup, saved on shutdown and every 5 minutes")
+	flag.StringVar(&o.storePath, "store", "", "import `FILE` into an empty -wal directory, once (a match snapshot; requires -wal)")
 	flag.StringVar(&o.walDir, "wal", "", "write-ahead log directory: journal every mutation before acknowledging it, recover checkpoint+log at startup")
 	flag.StringVar(&o.metricsAddr, "metrics", "", "serve GET /metrics (JSON) on this address; empty disables the endpoint")
 	flag.StringVar(&o.pprofAddr, "pprof", "", "serve net/http/pprof on this address (debug only — keep it on localhost, e.g. 127.0.0.1:6060); empty disables the endpoint")
@@ -129,16 +128,40 @@ func main() {
 	flag.BoolVar(&o.syncRepl, "sync-repl", false, "leader only: hold each write's ack until a follower confirms replication (requires -wal)")
 	flag.Parse()
 
-	var err error
-	if o.router {
-		err = runRouter(o)
-	} else {
-		err = run(o)
+	err := validate(o)
+	if err == nil {
+		if o.router {
+			err = runRouter(o)
+		} else {
+			err = run(o)
+		}
 	}
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "smatch-server:", err)
 		os.Exit(1)
 	}
+}
+
+// validate checks every rule that involves two or more flags, before any
+// key is generated or file is touched.
+func validate(o options) error {
+	switch {
+	case o.router && o.peers == "":
+		return errors.New("-router requires -peers id=addr,...")
+	case o.router && (o.walDir != "" || o.storePath != "" || o.replicaOf != "" || o.syncRepl):
+		return errors.New("-router stores nothing: -wal, -store, -replica-of and -sync-repl are not allowed with it")
+	case !o.router && o.peers != "":
+		return errors.New("-peers requires -router")
+	case o.syncRepl && o.walDir == "":
+		return errors.New("-sync-repl requires -wal")
+	case o.replicaOf != "" && (o.walDir == "" || o.nodeID == ""):
+		return errors.New("-replica-of requires -wal and -node-id")
+	case o.storePath != "" && o.walDir == "":
+		return errors.New("-store requires -wal: it imports FILE into the -wal directory")
+	case o.storePath != "" && o.replicaOf != "":
+		return errors.New("-store is not allowed with -replica-of: a follower's state comes only from its leader")
+	}
+	return nil
 }
 
 // parsePeers turns "id=addr,id=addr" into cluster nodes.
@@ -156,7 +179,7 @@ func parsePeers(s string) ([]cluster.Node, error) {
 		nodes = append(nodes, cluster.Node{ID: id, Addr: addr})
 	}
 	if len(nodes) == 0 {
-		return nil, errors.New("-router requires -peers id=addr,...")
+		return nil, errors.New("-peers lists no nodes (want id=addr,...)")
 	}
 	return nodes, nil
 }
@@ -235,10 +258,6 @@ func runRouter(o options) error {
 
 // run is the storage role: single node, partition leader, or follower.
 func run(o options) error {
-	oprfSrv, err := newOPRF(o.oprfBits)
-	if err != nil {
-		return err
-	}
 	reg := metrics.New()
 	store, journal, err := openState(o.walDir, o.storePath, reg)
 	if err != nil {
@@ -246,6 +265,10 @@ func run(o options) error {
 	}
 	if journal != nil {
 		defer journal.Close()
+	}
+	oprfSrv, err := newOPRF(o.oprfBits)
+	if err != nil {
+		return err
 	}
 	acks := cluster.NewAckTracker()
 	cfg := server.Config{
@@ -265,9 +288,6 @@ func run(o options) error {
 		Journal:        journal,
 	}
 	if o.syncRepl {
-		if journal == nil {
-			return errors.New("-sync-repl requires -wal")
-		}
 		cfg.ServiceJournal = &cluster.SyncJournal{J: journal, Acks: acks}
 		log.Printf("semi-synchronous replication: each write's ack waits for a follower")
 	}
@@ -282,9 +302,6 @@ func run(o options) error {
 		ldr.Register(srv.Service())
 	}
 	if o.replicaOf != "" {
-		if journal == nil || o.nodeID == "" {
-			return errors.New("-replica-of requires -wal and -node-id")
-		}
 		rep, err := cluster.StartReplicator(cluster.ReplicatorConfig{
 			NodeID:        o.nodeID,
 			LeaderAddr:    o.replicaOf,
@@ -326,7 +343,8 @@ func run(o options) error {
 			}
 		}
 	}()
-	if o.storePath != "" || journal != nil {
+	if journal != nil {
+		// Periodic checkpoints bound recovery time and prune WAL segments.
 		go func() {
 			ticker := time.NewTicker(5 * time.Minute)
 			defer ticker.Stop()
@@ -335,7 +353,7 @@ func run(o options) error {
 				case <-ctx.Done():
 					return
 				case <-ticker.C:
-					if err := checkpointState(srv.Store(), journal, o.storePath); err != nil {
+					if err := journal.Checkpoint(srv.Store()); err != nil {
 						log.Printf("periodic checkpoint: %v", err)
 					}
 				}
@@ -344,8 +362,8 @@ func run(o options) error {
 	}
 
 	err = srv.Serve(ctx)
-	if o.storePath != "" || journal != nil {
-		if serr := checkpointState(srv.Store(), journal, o.storePath); serr != nil {
+	if journal != nil {
+		if serr := journal.Checkpoint(srv.Store()); serr != nil {
 			log.Printf("final checkpoint: %v", serr)
 		} else {
 			log.Printf("final checkpoint written (%d users)", srv.Store().NumUsers())
@@ -402,119 +420,88 @@ func startDebugEndpoints(ctx context.Context, reg *metrics.Registry, metricsAddr
 	}
 }
 
-// openState assembles the store and (optionally) its write-ahead log from
-// the -wal and -store flags.
+// openState assembles the store and its write-ahead log from the -wal and
+// -store flags. The WAL directory is the only durable state: recovery
+// restores its newest checkpoint and replays the log tail.
 //
-// With -wal, the WAL directory is the source of truth: recovery restores
-// the newest checkpoint and replays the log tail. A -store snapshot is
-// consulted only when the WAL directory holds no prior state (first boot
-// after enabling -wal): the snapshot seeds the store and is immediately
-// checkpointed into the WAL so the directory is self-contained from then
-// on. Without -wal, the legacy snapshot-only path is unchanged.
+// -store FILE is a one-shot import into an empty WAL. Each snapshot entry
+// is journaled as an ordinary upload record, LSNs 1..n, rather than
+// checkpointed at LSN 0: a checkpoint at LSN 0 is invisible to
+// wal.ReadFrom, so followers would never receive the imported users,
+// whereas upload records reach them like any other write and replay
+// through the crash-recovery path. FILE is read in full before the WAL is
+// opened, so a missing or corrupt FILE leaves the WAL untouched; a WAL
+// that already holds state refuses the import.
 func openState(walDir, storePath string, reg *metrics.Registry) (*match.Server, *server.Journal, error) {
 	if walDir == "" {
-		store, err := loadStore(storePath)
-		return store, nil, err
+		log.Printf("no -wal: nothing is kept on disk, a restart starts empty")
+		return nil, nil, nil
+	}
+	var imported *match.Server
+	if storePath != "" {
+		var err error
+		if imported, err = loadStore(storePath); err != nil {
+			return nil, nil, err
+		}
 	}
 	journal, store, recovered, err := server.OpenJournal(wal.Options{Dir: walDir, Metrics: reg})
 	if err != nil {
 		return nil, nil, err
 	}
 	switch {
+	case recovered && imported != nil:
+		last := journal.WAL().LastLSN()
+		journal.Close()
+		return nil, nil, fmt.Errorf("-store %s: -wal %s already holds state (last LSN %d); the import runs once, into an empty WAL, so drop -store",
+			storePath, walDir, last)
 	case recovered:
 		log.Printf("recovered %d users from WAL %s (checkpoint LSN %d, last LSN %d)",
 			store.NumUsers(), walDir, journal.WAL().CheckpointLSN(), journal.WAL().LastLSN())
-	case storePath != "":
-		seed, err := loadStore(storePath)
-		if err != nil {
+	case imported != nil:
+		if err := importStore(journal, imported); err != nil {
 			journal.Close()
-			return nil, nil, err
+			return nil, nil, fmt.Errorf("-store %s: importing into -wal %s: %w", storePath, walDir, err)
 		}
-		if seed != nil {
-			store = seed
-			if err := journal.Checkpoint(store); err != nil {
-				journal.Close()
-				return nil, nil, fmt.Errorf("seeding WAL from %s: %w", storePath, err)
-			}
-			log.Printf("seeded WAL %s from snapshot %s (%d users)", walDir, storePath, store.NumUsers())
-		}
+		store = imported
+		log.Printf("imported %d users from %s into WAL %s (LSNs 1..%d); restart without -store",
+			store.NumUsers(), storePath, walDir, journal.WAL().LastLSN())
 	}
 	return store, journal, nil
 }
 
-// checkpointState makes the current store state durable: a WAL checkpoint
-// (which also prunes covered segments) when the journal is enabled, and a
-// -store snapshot when that path is configured. With both flags set the
-// WAL checkpoint is mirrored to the store path, keeping the legacy
-// snapshot loadable by older tooling.
-func checkpointState(store *match.Server, journal *server.Journal, storePath string) error {
-	if journal != nil {
-		if err := journal.Checkpoint(store); err != nil {
-			return err
-		}
-	}
-	if storePath != "" {
-		return saveStore(store, storePath)
-	}
-	return nil
-}
-
-// loadStore restores a snapshot if the file exists; a missing (or
-// unconfigured) file starts an empty store (first run).
+// loadStore restores the -store snapshot; a missing file is an error.
 func loadStore(path string) (*match.Server, error) {
-	if path == "" {
-		return nil, nil
-	}
 	f, err := os.Open(path)
-	if errors.Is(err, os.ErrNotExist) {
-		log.Printf("no snapshot at %s; starting empty", path)
-		return nil, nil
-	}
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("-store: %w", err)
 	}
 	defer f.Close()
 	store, err := match.Restore(f)
 	if err != nil {
-		return nil, fmt.Errorf("restoring %s: %w", path, err)
+		return nil, fmt.Errorf("-store: restoring %s: %w", path, err)
 	}
-	log.Printf("restored %d users from %s", store.NumUsers(), path)
 	return store, nil
 }
 
-// saveStore writes a snapshot atomically AND durably: the rename is only
-// crash-atomic if the bytes it publishes are on disk first, so the temp
-// file is fsynced before the rename and the parent directory after it
-// (otherwise power loss can leave the new name pointing at a hole, or the
-// old name pointing at nothing).
-func saveStore(store *match.Server, path string) error {
-	tmp := path + ".tmp"
-	f, err := os.Create(tmp)
-	if err != nil {
+// importStore journals every entry of store as an upload record, one
+// group commit per wire.MaxUploadBatch entries.
+func importStore(journal *server.Journal, store *match.Server) error {
+	batch := make([]*wire.UploadReq, 0, wire.MaxUploadBatch)
+	flush := func() error {
+		err := journal.AppendUploadBatch(batch)
+		batch = batch[:0]
 		return err
 	}
-	if err := store.Snapshot(f); err != nil {
-		f.Close()
-		os.Remove(tmp)
-		return err
+	err := store.ForEachEntry(func(e match.Entry) error {
+		req := wire.UploadReqOf(e)
+		batch = append(batch, &req)
+		if len(batch) < wire.MaxUploadBatch {
+			return nil
+		}
+		return flush()
+	})
+	if err == nil && len(batch) > 0 {
+		err = flush()
 	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		os.Remove(tmp)
-		return err
-	}
-	if err := f.Close(); err != nil {
-		os.Remove(tmp)
-		return err
-	}
-	if err := os.Rename(tmp, path); err != nil {
-		os.Remove(tmp)
-		return err
-	}
-	dir, err := os.Open(filepath.Dir(path))
-	if err != nil {
-		return err
-	}
-	defer dir.Close()
-	return dir.Sync()
+	return err
 }

@@ -2,9 +2,12 @@ package main
 
 import (
 	"bytes"
+	"fmt"
+	"maps"
 	"math/big"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"smatch/internal/chain"
@@ -21,7 +24,7 @@ func testStore(t *testing.T, users int) *match.Server {
 	for i := 1; i <= users; i++ {
 		err := s.Upload(match.Entry{
 			ID:      profile.ID(i),
-			KeyHash: []byte("bucket"),
+			KeyHash: []byte(fmt.Sprintf("bucket-%d", i%7)),
 			Chain:   &chain.Chain{Cts: []*big.Int{big.NewInt(int64(i))}, CtBits: 48},
 			Auth:    []byte{byte(i)},
 		})
@@ -32,33 +35,46 @@ func testStore(t *testing.T, users int) *match.Server {
 	return s
 }
 
-func TestSaveLoadStoreRoundTrip(t *testing.T) {
+// writeSnapshot writes s's snapshot to a fresh file and returns its path.
+func writeSnapshot(t *testing.T, s *match.Server) string {
+	t.Helper()
 	path := filepath.Join(t.TempDir(), "store.bin")
-	orig := testStore(t, 7)
-	if err := saveStore(orig, path); err != nil {
-		t.Fatal(err)
-	}
-	got, err := loadStore(path)
+	f, err := os.Create(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got.NumUsers() != 7 {
-		t.Errorf("restored %d users, want 7", got.NumUsers())
+	defer f.Close()
+	if err := s.Snapshot(f); err != nil {
+		t.Fatal(err)
 	}
-	// No stray temp file.
-	if _, err := os.Stat(path + ".tmp"); !os.IsNotExist(err) {
-		t.Error("temp file left behind")
-	}
+	return path
 }
 
-func TestLoadStoreMissingFileStartsEmpty(t *testing.T) {
-	got, err := loadStore(filepath.Join(t.TempDir(), "absent.bin"))
+func snapshotBytes(t *testing.T, s *match.Server) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := s.Snapshot(&buf); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+// dirContents maps each file in dir to its bytes.
+func dirContents(t *testing.T, dir string) map[string]string {
+	t.Helper()
+	entries, err := os.ReadDir(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got != nil {
-		t.Error("missing snapshot should return a nil store (empty start)")
+	files := make(map[string]string, len(entries))
+	for _, e := range entries {
+		data, err := os.ReadFile(filepath.Join(dir, e.Name()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		files[e.Name()] = string(data)
 	}
+	return files
 }
 
 func TestLoadStoreCorruptFile(t *testing.T) {
@@ -68,18 +84,6 @@ func TestLoadStoreCorruptFile(t *testing.T) {
 	}
 	if _, err := loadStore(path); err == nil {
 		t.Error("corrupt snapshot accepted")
-	}
-}
-
-func TestSaveStoreAtomicOnError(t *testing.T) {
-	// Saving into a nonexistent directory fails cleanly without a partial
-	// target file.
-	path := filepath.Join(t.TempDir(), "no-such-dir", "store.bin")
-	if err := saveStore(testStore(t, 1), path); err == nil {
-		t.Error("save into missing directory succeeded")
-	}
-	if _, err := os.Stat(path); !os.IsNotExist(err) {
-		t.Error("partial target file created")
 	}
 }
 
@@ -150,7 +154,7 @@ func TestOpenStateRecoversCheckpointPlusTail(t *testing.T) {
 	}
 	journalUpload(t, journal, store, 1, 10)
 	journalUpload(t, journal, store, 2, 20)
-	if err := checkpointState(store, journal, ""); err != nil {
+	if err := journal.Checkpoint(store); err != nil {
 		t.Fatal(err)
 	}
 	journalUpload(t, journal, store, 3, 30)
@@ -169,67 +173,66 @@ func TestOpenStateRecoversCheckpointPlusTail(t *testing.T) {
 	}
 }
 
-func TestCheckpointStateMirrorsToStorePath(t *testing.T) {
-	// -wal and -store together: a checkpoint lands in the WAL directory
-	// AND refreshes the legacy snapshot file.
-	walDir := t.TempDir()
-	storePath := filepath.Join(t.TempDir(), "store.bin")
-	store, journal, err := openState(walDir, storePath, metrics.New())
+func TestOpenStateImportJournalsEveryEntry(t *testing.T) {
+	// The import writes one ordinary upload record per user at LSNs 1..n,
+	// so a follower pulling from LSN 1 receives every imported user, and
+	// replaying those records rebuilds exactly the imported snapshot.
+	storePath := writeSnapshot(t, testStore(t, 300))
+	_, journal, err := openState(t.TempDir(), storePath, metrics.New())
 	if err != nil {
 		t.Fatal(err)
 	}
-	journalUpload(t, journal, store, 1, 10)
-	journalUpload(t, journal, store, 2, 20)
-	if err := checkpointState(store, journal, storePath); err != nil {
-		t.Fatal(err)
-	}
-	journal.Close()
-
-	mirrored, err := loadStore(storePath)
+	defer journal.Close()
+	recs, err := journal.WAL().ReadFrom(1, 1000)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if mirrored == nil || mirrored.NumUsers() != 2 {
-		t.Fatalf("mirrored snapshot missing or wrong size: %v", mirrored)
+	if len(recs) != 300 {
+		t.Fatalf("ReadFrom(1) returned %d records, want 300", len(recs))
 	}
-	ckpts, err := filepath.Glob(filepath.Join(walDir, "checkpoint-*.ckpt"))
-	if err != nil || len(ckpts) == 0 {
-		t.Fatalf("no checkpoint in WAL dir (err=%v)", err)
+	replayed := match.NewServer()
+	for _, rec := range recs {
+		if err := server.ApplyRecord(replayed, rec); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want, err := loadStore(storePath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(snapshotBytes(t, replayed), snapshotBytes(t, want)) {
+		t.Fatal("replaying the imported records does not rebuild the imported snapshot")
 	}
 }
 
 func TestOpenStateSeedsFreshWALFromSnapshot(t *testing.T) {
-	// First boot after enabling -wal next to an existing -store snapshot:
-	// the snapshot seeds the store and is checkpointed into the WAL, which
-	// is self-contained from then on.
-	storePath := filepath.Join(t.TempDir(), "store.bin")
-	if err := saveStore(testStore(t, 5), storePath); err != nil {
-		t.Fatal(err)
-	}
+	// First boot with -wal next to an existing -store snapshot imports it;
+	// the WAL alone then reproduces the imported state.
+	seed := testStore(t, 300)
+	storePath := writeSnapshot(t, seed)
 	walDir := t.TempDir()
 	store, journal, err := openState(walDir, storePath, metrics.New())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if store.NumUsers() != 5 {
-		t.Fatalf("seeded store has %d users, want 5", store.NumUsers())
+	if store.NumUsers() != 300 {
+		t.Fatalf("imported store has %d users, want 300", store.NumUsers())
 	}
 	journal.Close()
 
-	// The WAL alone (no -store) must now reproduce the seeded state.
 	store2, journal2, err := openState(walDir, "", metrics.New())
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer journal2.Close()
-	if store2.NumUsers() != 5 {
-		t.Fatalf("WAL not self-contained after seeding: %d users, want 5", store2.NumUsers())
+	if !bytes.Equal(snapshotBytes(t, store2), snapshotBytes(t, seed)) {
+		t.Fatalf("WAL not self-contained after the import: %d users, want the 300 imported", store2.NumUsers())
 	}
 }
 
 func TestOpenStateWALStateWinsOverSnapshot(t *testing.T) {
-	// Once the WAL directory holds state, it is the source of truth; a
-	// (possibly stale) -store snapshot must not override it.
+	// Once the WAL directory holds state it is the source of truth: -store
+	// against it is refused, and the WAL is left exactly as it was.
 	walDir := t.TempDir()
 	store, journal, err := openState(walDir, "", metrics.New())
 	if err != nil {
@@ -239,18 +242,34 @@ func TestOpenStateWALStateWinsOverSnapshot(t *testing.T) {
 		journalUpload(t, journal, store, profile.ID(i), int64(i))
 	}
 	journal.Close()
+	before := dirContents(t, walDir)
 
-	storePath := filepath.Join(t.TempDir(), "stale.bin")
-	if err := saveStore(testStore(t, 7), storePath); err != nil {
-		t.Fatal(err)
+	storePath := writeSnapshot(t, testStore(t, 7))
+	if _, _, err := openState(walDir, storePath, metrics.New()); err == nil ||
+		!strings.Contains(err.Error(), "-store") || !strings.Contains(err.Error(), "-wal") {
+		t.Fatalf("import into a non-empty WAL: err = %v, want a refusal naming -store and -wal", err)
 	}
-	store2, journal2, err := openState(walDir, storePath, metrics.New())
+	if !maps.Equal(dirContents(t, walDir), before) {
+		t.Fatal("refused import changed the WAL directory")
+	}
+	store2, journal2, err := openState(walDir, "", metrics.New())
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer journal2.Close()
-	if store2.NumUsers() != 3 {
-		t.Fatalf("recovered %d users, want 3 (WAL must win over the stale snapshot)", store2.NumUsers())
+	if store2.NumUsers() != 3 || journal2.WAL().LastLSN() != 3 {
+		t.Fatalf("after refusal: %d users, last LSN %d; want 3 and 3", store2.NumUsers(), journal2.WAL().LastLSN())
+	}
+}
+
+func TestOpenStateImportMissingFileRefused(t *testing.T) {
+	walDir := filepath.Join(t.TempDir(), "wal")
+	_, _, err := openState(walDir, filepath.Join(t.TempDir(), "absent.bin"), metrics.New())
+	if err == nil || !strings.Contains(err.Error(), "-store") {
+		t.Fatalf("missing -store file: err = %v, want a refusal naming -store", err)
+	}
+	if _, err := os.Stat(walDir); !os.IsNotExist(err) {
+		t.Error("refused import created the WAL directory")
 	}
 }
 
@@ -258,23 +277,60 @@ func TestSnapshotBytesStable(t *testing.T) {
 	// Two snapshots of the same store decode to equivalent stores (the
 	// byte stream may reorder map iteration, so compare semantically).
 	s := testStore(t, 5)
-	var a, b bytes.Buffer
-	if err := s.Snapshot(&a); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.Snapshot(&b); err != nil {
-		t.Fatal(err)
-	}
-	ra, err := match.Restore(&a)
+	ra, err := match.Restore(bytes.NewReader(snapshotBytes(t, s)))
 	if err != nil {
 		t.Fatal(err)
 	}
-	rb, err := match.Restore(&b)
+	rb, err := match.Restore(bytes.NewReader(snapshotBytes(t, s)))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if ra.NumUsers() != rb.NumUsers() || ra.NumBuckets() != rb.NumBuckets() {
 		t.Error("two snapshots of the same store restore differently")
+	}
+}
+
+func TestValidate(t *testing.T) {
+	for _, tc := range []struct {
+		name  string
+		o     options
+		flags []string // nil: valid; otherwise each must appear in the error
+	}{
+		{"single node, memory only", options{}, nil},
+		{"single node, wal", options{walDir: "w"}, nil},
+		{"single node, one-time import", options{walDir: "w", storePath: "s"}, nil},
+		{"semi-sync leader", options{walDir: "w", syncRepl: true}, nil},
+		{"follower", options{walDir: "w", replicaOf: "l:1", nodeID: "n"}, nil},
+		{"router", options{router: true, peers: "a=h:1"}, nil},
+
+		{"router without peers", options{router: true}, []string{"-router", "-peers"}},
+		{"router with wal", options{router: true, peers: "a=h:1", walDir: "w"}, []string{"-router", "-wal"}},
+		{"router with store", options{router: true, peers: "a=h:1", storePath: "s"}, []string{"-router", "-store"}},
+		{"router with replica-of", options{router: true, peers: "a=h:1", replicaOf: "l:1"}, []string{"-router", "-replica-of"}},
+		{"router with sync-repl", options{router: true, peers: "a=h:1", syncRepl: true}, []string{"-router", "-sync-repl"}},
+		{"peers without router", options{peers: "a=h:1"}, []string{"-peers", "-router"}},
+		{"sync-repl without wal", options{syncRepl: true}, []string{"-sync-repl", "-wal"}},
+		{"replica-of without wal", options{replicaOf: "l:1", nodeID: "n"}, []string{"-replica-of", "-wal"}},
+		{"replica-of without node-id", options{replicaOf: "l:1", walDir: "w"}, []string{"-replica-of", "-node-id"}},
+		{"store without wal", options{storePath: "s"}, []string{"-store", "-wal"}},
+		{"store on a follower", options{storePath: "s", walDir: "w", replicaOf: "l:1", nodeID: "n"}, []string{"-store", "-replica-of"}},
+	} {
+		err := validate(tc.o)
+		if tc.flags == nil {
+			if err != nil {
+				t.Errorf("%s: rejected: %v", tc.name, err)
+			}
+			continue
+		}
+		if err == nil {
+			t.Errorf("%s: accepted", tc.name)
+			continue
+		}
+		for _, f := range tc.flags {
+			if !strings.Contains(err.Error(), f) {
+				t.Errorf("%s: error %q does not name %s", tc.name, err, f)
+			}
+		}
 	}
 }
 

@@ -659,7 +659,7 @@ func (s *muxSession) close() {
 // applied the mutation, so the error is surfaced to the caller (the
 // connection itself recovers — the next request redials).
 func (c *Conn) Upload(e match.Entry) error {
-	req := uploadReqOf(e)
+	req := wire.UploadReqOf(e)
 	_, err := c.roundTrip(wire.TypeUploadReq, req.Encode(), wire.TypeUploadResp, false)
 	return err
 }
@@ -667,18 +667,6 @@ func (c *Conn) Upload(e match.Entry) error {
 // ErrBatchRejected reports a batch upload where the server rejected at
 // least one entry; the per-entry reasons are in UploadBatchResult.
 var ErrBatchRejected = errors.New("client: batch entries rejected")
-
-// uploadReqOf converts a store entry to its wire request.
-func uploadReqOf(e match.Entry) wire.UploadReq {
-	return wire.UploadReq{
-		ID:       e.ID,
-		KeyHash:  e.KeyHash,
-		CtBits:   uint32(e.Chain.CtBits),
-		NumAttrs: uint16(e.Chain.NumAttrs()),
-		Chain:    e.Chain.Bytes(),
-		Auth:     e.Auth,
-	}
-}
 
 // UploadBatch sends up to wire.MaxUploadBatch encrypted profile records in
 // one frame: one round trip and, on a WAL-backed server, one
@@ -696,7 +684,7 @@ func (c *Conn) UploadBatch(entries []match.Entry) ([]string, error) {
 	}
 	req := wire.UploadBatchReq{Entries: make([]wire.UploadReq, len(entries))}
 	for i, e := range entries {
-		req.Entries[i] = uploadReqOf(e)
+		req.Entries[i] = wire.UploadReqOf(e)
 	}
 	payload, err := c.roundTrip(wire.TypeUploadBatchReq, req.Encode(), wire.TypeUploadBatchResp, false)
 	if err != nil {

@@ -330,7 +330,7 @@ func (l *Leader) handleDump(payload, respBuf []byte) (wire.MsgType, []byte, erro
 			resp.NextCursor = uint32(e.ID)
 			return errStopDump
 		}
-		u := uploadReqOf(e)
+		u := wire.UploadReqOf(e)
 		resp.Entries = append(resp.Entries, u.Encode())
 		return nil
 	})
@@ -341,16 +341,3 @@ func (l *Leader) handleDump(payload, respBuf []byte) (wire.MsgType, []byte, erro
 }
 
 var errStopDump = fmt.Errorf("cluster: dump page full")
-
-// uploadReqOf converts a stored entry back into the upload request that
-// would recreate it.
-func uploadReqOf(e match.Entry) wire.UploadReq {
-	return wire.UploadReq{
-		ID:       e.ID,
-		KeyHash:  e.KeyHash,
-		CtBits:   uint32(e.Chain.CtBits),
-		NumAttrs: uint16(e.Chain.NumAttrs()),
-		Chain:    e.Chain.Bytes(),
-		Auth:     e.Auth,
-	}
-}

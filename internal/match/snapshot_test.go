@@ -26,9 +26,18 @@ func TestSnapshotRestoreRoundTrip(t *testing.T) {
 	if err := orig.Snapshot(&buf); err != nil {
 		t.Fatal(err)
 	}
+	snap := bytes.Clone(buf.Bytes())
 	got, err := Restore(&buf)
 	if err != nil {
 		t.Fatal(err)
+	}
+	// Snapshot output is byte-identical for equal stores (ascending ID).
+	var again bytes.Buffer
+	if err := got.Snapshot(&again); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(snap, again.Bytes()) {
+		t.Fatal("re-snapshot after Restore differs from the original snapshot")
 	}
 	if got.NumUsers() != orig.NumUsers() {
 		t.Fatalf("restored %d users, want %d", got.NumUsers(), orig.NumUsers())

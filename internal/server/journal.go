@@ -71,7 +71,7 @@ func OpenJournal(opts wal.Options) (j *Journal, store *match.Server, recovered b
 	}
 	err = w.Replay(func(lsn uint64, data []byte) error {
 		recovered = true
-		if aerr := applyOp(store, data, true); aerr != nil {
+		if aerr := applyOp(store, data); aerr != nil {
 			return fmt.Errorf("server: replaying LSN %d: %w", lsn, aerr)
 		}
 		return nil
@@ -164,13 +164,13 @@ func (j *Journal) Close() error { return j.wal.Close() }
 // same bytes the journal writes, so replicating IS replaying — the
 // follower exercises exactly the code crash recovery does.
 func ApplyRecord(store *match.Server, rec []byte) error {
-	return applyOp(store, rec, true)
+	return applyOp(store, rec)
 }
 
-// applyOp decodes one journaled operation and applies it to the store.
-// During replay a remove of an unknown user is ignored: the checkpoint
-// the replay runs on top of may already reflect the removal.
-func applyOp(store *match.Server, rec []byte, replay bool) error {
+// applyOp decodes one journaled operation and applies it to the store. A
+// remove of an unknown user is ignored: the checkpoint the replay runs on
+// top of may already reflect the removal.
+func applyOp(store *match.Server, rec []byte) error {
 	if len(rec) == 0 {
 		return errors.New("server: empty journal record")
 	}
@@ -190,7 +190,7 @@ func applyOp(store *match.Server, rec []byte, replay bool) error {
 			return fmt.Errorf("server: remove record of %d bytes", len(rec))
 		}
 		err := store.Remove(profile.ID(binary.BigEndian.Uint32(rec[1:])))
-		if replay && errors.Is(err, match.ErrUnknownUser) {
+		if errors.Is(err, match.ErrUnknownUser) {
 			return nil
 		}
 		return err

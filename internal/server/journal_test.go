@@ -256,6 +256,46 @@ func TestCrashRecoveryWithCheckpointAndTail(t *testing.T) {
 	}
 }
 
+func TestJournalRecoveredReportsPriorState(t *testing.T) {
+	// recovered is false exactly when the directory holds neither a
+	// checkpoint nor a committed record; reopening an empty log keeps it so.
+	dir := t.TempDir()
+	open := func() (*Journal, *match.Server, bool) {
+		t.Helper()
+		j, store, recovered, err := OpenJournal(wal.Options{Dir: dir, NoSync: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return j, store, recovered
+	}
+	j, store, recovered := open()
+	if recovered {
+		t.Fatal("fresh dir reported recovered state")
+	}
+	j.Close()
+	j, store, recovered = open()
+	if recovered {
+		t.Fatal("reopened empty dir reported recovered state")
+	}
+	journalOp{id: 1, bucket: "alpha", sum: 10}.journalAndApply(t, j, store)
+	j.Close()
+	j, store, recovered = open()
+	if !recovered {
+		t.Fatal("dir with one record did not report recovered state")
+	}
+	// A checkpoint prunes the record's segment; the checkpoint alone is
+	// still prior state.
+	if err := j.Checkpoint(store); err != nil {
+		t.Fatal(err)
+	}
+	j.Close()
+	j, _, recovered = open()
+	defer j.Close()
+	if !recovered {
+		t.Fatal("dir with only a checkpoint did not report recovered state")
+	}
+}
+
 func TestJournalRecoveryIsIdempotentAcrossRestarts(t *testing.T) {
 	// Recover, append more, recover again: double-replay of the overlap
 	// (checkpoint content + tail records) must not duplicate or lose

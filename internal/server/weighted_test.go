@@ -78,17 +78,6 @@ func weightedEntries(t *testing.T, w scoring.Weights, profiles []profile.Profile
 	return entries
 }
 
-func uploadReqOf(e match.Entry) *wire.UploadReq {
-	return &wire.UploadReq{
-		ID:       e.ID,
-		KeyHash:  e.KeyHash,
-		CtBits:   uint32(e.Chain.CtBits),
-		NumAttrs: uint16(e.Chain.NumAttrs()),
-		Chain:    e.Chain.Bytes(),
-		Auth:     e.Auth,
-	}
-}
-
 // walBytes journals the entries into a fresh WAL and returns the
 // concatenated segment files.
 func walBytes(t *testing.T, dir string, entries []match.Entry) []byte {
@@ -99,7 +88,8 @@ func walBytes(t *testing.T, dir string, entries []match.Entry) []byte {
 	}
 	j := NewJournal(w)
 	for _, e := range entries {
-		if err := j.AppendUpload(uploadReqOf(e)); err != nil {
+		req := wire.UploadReqOf(e)
+		if err := j.AppendUpload(&req); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -156,7 +146,8 @@ func TestUnitWeightsPersistenceByteIdentical(t *testing.T) {
 	unit := weightedEntries(t, scoring.Unit(3), profiles)
 
 	for i := range legacy {
-		if !bytes.Equal(uploadReqOf(legacy[i]).Encode(), uploadReqOf(unit[i]).Encode()) {
+		a, b := wire.UploadReqOf(legacy[i]), wire.UploadReqOf(unit[i])
+		if !bytes.Equal(a.Encode(), b.Encode()) {
 			t.Fatalf("user %d: all-ones upload record differs from legacy", legacy[i].ID)
 		}
 	}

@@ -1,8 +1,7 @@
 // Package wal is the server's durability layer: an append-only write-ahead
 // log of opaque records in rotating segment files. A mutating operation is
 // appended (and fsynced) here before it is applied to the in-memory match
-// store, so an acknowledged upload survives a crash — the store's periodic
-// snapshot alone loses everything since the last save.
+// store, so an acknowledged upload survives a crash.
 //
 // # Record and segment format
 //
@@ -612,22 +611,6 @@ func (w *WAL) CheckpointLSN() uint64 {
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	return w.ckptLSN
-}
-
-// Empty reports whether the directory held no prior state at Open: no
-// checkpoint and no committed records.
-func (w *WAL) Empty() bool {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	if w.ckptPath != "" {
-		return false
-	}
-	for _, seg := range w.replaySegs {
-		if seg.count > 0 {
-			return false
-		}
-	}
-	return true
 }
 
 // LatestCheckpoint opens the newest checkpoint for reading. ok is false

@@ -89,17 +89,11 @@ func TestAppendReplayRoundTrip(t *testing.T) {
 func TestEmptyAndZeroLengthRecords(t *testing.T) {
 	dir := t.TempDir()
 	w := testOpen(t, dir)
-	if !w.Empty() {
-		t.Fatal("fresh dir not Empty")
-	}
 	if _, err := w.Append(nil); err != nil {
 		t.Fatal(err)
 	}
 	w.Close()
 	w2 := testOpen(t, dir)
-	if w2.Empty() {
-		t.Fatal("dir with one record reports Empty")
-	}
 	_, payloads := replayAll(t, w2)
 	if len(payloads) != 1 || len(payloads[0]) != 0 {
 		t.Fatalf("zero-length record did not round-trip: %v", payloads)

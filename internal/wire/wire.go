@@ -94,6 +94,19 @@ func (u *UploadReq) Entry() (match.Entry, error) {
 	return match.Entry{ID: u.ID, KeyHash: bytes.Clone(u.KeyHash), Chain: ch, Auth: bytes.Clone(u.Auth)}, nil
 }
 
+// UploadReqOf converts a store entry to the upload request that recreates
+// it; the inverse of Entry.
+func UploadReqOf(e match.Entry) UploadReq {
+	return UploadReq{
+		ID:       e.ID,
+		KeyHash:  e.KeyHash,
+		CtBits:   uint32(e.Chain.CtBits),
+		NumAttrs: uint16(e.Chain.NumAttrs()),
+		Chain:    e.Chain.Bytes(),
+		Auth:     e.Auth,
+	}
+}
+
 // MaxUploadBatch caps the entries one batch frame may carry: large enough
 // to amortize the per-frame round trip and the WAL fsync across hundreds
 // of profiles, small enough that a frame stays well under MaxFrameSize

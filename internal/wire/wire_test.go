@@ -99,6 +99,16 @@ func TestUploadReqToEntry(t *testing.T) {
 	if entry.Chain.NumAttrs() != 2 {
 		t.Errorf("entry chain attrs = %d", entry.Chain.NumAttrs())
 	}
+	// UploadReqOf is Entry's inverse: UploadReqOf(e).Entry() equals e.
+	back := UploadReqOf(entry)
+	again, err := back.Entry()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if again.ID != entry.ID || !bytes.Equal(again.KeyHash, entry.KeyHash) || !bytes.Equal(again.Auth, entry.Auth) ||
+		again.Chain.CtBits != entry.Chain.CtBits || !bytes.Equal(again.Chain.Bytes(), entry.Chain.Bytes()) {
+		t.Errorf("UploadReqOf(e).Entry() = %+v, want %+v", again, entry)
+	}
 	// Chain length mismatch is rejected.
 	req.NumAttrs = 3
 	if _, err := req.Entry(); err == nil {
