@@ -7,6 +7,7 @@ package match
 
 import (
 	"bytes"
+	"math/big"
 	"testing"
 
 	"smatch/internal/chain"
@@ -15,17 +16,21 @@ import (
 
 func FuzzEntryUpload(f *testing.F) {
 	// Seeds: a valid 2-attribute 48-bit chain, a zero ID, an empty key
-	// hash, a chain length that disagrees with numAttrs, and an oversized
-	// ciphertext-width claim.
+	// hash, a chain length that disagrees with numAttrs, an oversized
+	// ciphertext-width claim, and overrides of the first ciphertext that
+	// are negative, one bit too wide, and exactly full width.
 	valid := make([]byte, 12)
 	valid[5] = 1
-	f.Add(uint32(1), []byte("kh"), uint16(2), uint32(48), valid, []byte("auth"))
-	f.Add(uint32(0), []byte("kh"), uint16(2), uint32(48), valid, []byte{})
-	f.Add(uint32(1), []byte{}, uint16(2), uint32(48), valid, []byte{})
-	f.Add(uint32(1), []byte("kh"), uint16(3), uint32(48), valid, []byte{})
-	f.Add(uint32(1), []byte("kh"), uint16(1), uint32(1<<20), valid, []byte{})
+	f.Add(uint32(1), []byte("kh"), uint16(2), uint32(48), valid, []byte("auth"), int16(0))
+	f.Add(uint32(0), []byte("kh"), uint16(2), uint32(48), valid, []byte{}, int16(0))
+	f.Add(uint32(1), []byte{}, uint16(2), uint32(48), valid, []byte{}, int16(0))
+	f.Add(uint32(1), []byte("kh"), uint16(3), uint32(48), valid, []byte{}, int16(0))
+	f.Add(uint32(1), []byte("kh"), uint16(1), uint32(1<<20), valid, []byte{}, int16(0))
+	f.Add(uint32(1), []byte("kh"), uint16(2), uint32(48), valid, []byte("auth"), int16(-3))
+	f.Add(uint32(1), []byte("kh"), uint16(2), uint32(48), valid, []byte("auth"), int16(49))
+	f.Add(uint32(1), []byte("kh"), uint16(2), uint32(48), valid, []byte("auth"), int16(48))
 
-	f.Fuzz(func(t *testing.T, id uint32, keyHash []byte, numAttrs uint16, ctBits uint32, chainBytes []byte, auth []byte) {
+	f.Fuzz(func(t *testing.T, id uint32, keyHash []byte, numAttrs uint16, ctBits uint32, chainBytes []byte, auth []byte, override int16) {
 		// Bound the claimed geometry the way the wire format does (uint16
 		// attrs, uint32 bits) without letting the fuzzer allocate
 		// gigabytes inside chain.Parse's comparison limit.
@@ -36,11 +41,27 @@ func FuzzEntryUpload(f *testing.F) {
 		if err != nil {
 			return // rejected at the parse boundary: fine
 		}
+		if override != 0 {
+			// In-process callers hand Upload big.Ints no wire chain can
+			// carry: replace the first ciphertext with ±2^(|override|-1),
+			// exactly |override| bits wide.
+			width := int(override)
+			if width < 0 {
+				width = -width
+			}
+			ct := new(big.Int).Lsh(big.NewInt(1), uint(width-1))
+			if override < 0 {
+				ct.Neg(ct)
+			}
+			ch.Cts[0] = ct
+		}
 		s := newServerShards(4)
 		e := Entry{ID: profile.ID(id), KeyHash: keyHash, Chain: ch, Auth: auth}
 		if err := s.Upload(e); err != nil {
-			// Rejected at validation (zero ID, empty key hash): the store
-			// must be untouched.
+			// Rejected at validation: the store must be untouched.
+			if e.Validate() == nil {
+				t.Fatalf("Upload rejected an entry Validate accepts: %v", err)
+			}
 			if s.NumUsers() != 0 || s.NumBuckets() != 0 {
 				t.Fatalf("rejected upload left state behind")
 			}
@@ -70,6 +91,16 @@ func FuzzEntryUpload(f *testing.F) {
 		}
 		if restored.NumUsers() != 1 {
 			t.Fatalf("restored %d users, want 1", restored.NumUsers())
+		}
+		if err := restored.ForEachEntry(func(got Entry) error {
+			for i, ct := range got.Chain.Cts {
+				if ct.Cmp(ch.Cts[i]) != 0 {
+					t.Fatalf("ciphertext %d restored as %v, uploaded %v", i, ct, ch.Cts[i])
+				}
+			}
+			return nil
+		}); err != nil {
+			t.Fatal(err)
 		}
 		if err := s.Remove(e.ID); err != nil {
 			t.Fatalf("remove: %v", err)

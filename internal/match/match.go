@@ -37,12 +37,23 @@
 // boundary. Ties order by ascending user ID, so identical queries return
 // identical orderings; the package tests pin the index against a
 // slice-based reference store that orders the same way.
+//
+// # Records
+//
+// The store owns its records. Upload copies the chain, as its fixed-width
+// big-endian bytes, and the auth blob into one immutable byte slice per
+// user, beside the order sum in limbs; no big.Int and no caller memory is
+// reachable from a record, so mutating an Entry after Upload changes
+// nothing stored. Results alias the stored auth bytes and must not be
+// written. ForEachEntry decodes records back into fresh Entry copies.
 package match
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"hash/maphash"
+	"math"
 	"math/big"
 	"runtime"
 	"sort"
@@ -97,40 +108,149 @@ type Entry struct {
 // Validate checks the entry against the store's invariants and size
 // limits. Upload runs it internally; the server also runs it before
 // journaling an upload to its write-ahead log, so every journaled record
-// is one the store is guaranteed to accept on replay.
+// is one the store is guaranteed to accept on replay. Every ciphertext
+// must be non-nil, nonnegative and at most CtBits wide: the store keeps
+// the chain as fixed-width bytes, and anything else would not survive
+// the round trip.
 func (e Entry) Validate() error {
-	if e.ID == 0 {
-		return errors.New("match: zero user ID")
+	if err := checkFields(e.ID, e.KeyHash, len(e.Auth)); err != nil {
+		return err
 	}
-	if len(e.KeyHash) == 0 {
-		return errors.New("match: empty key hash")
-	}
-	if len(e.KeyHash) > MaxKeyHashLen {
-		return fmt.Errorf("match: key hash of %d bytes exceeds limit %d", len(e.KeyHash), MaxKeyHashLen)
-	}
-	if len(e.Auth) > MaxAuthLen {
-		return fmt.Errorf("match: auth blob of %d bytes exceeds limit %d", len(e.Auth), MaxAuthLen)
-	}
-	if e.Chain == nil || e.Chain.NumAttrs() == 0 {
+	if e.Chain == nil {
 		return errors.New("match: empty chain")
 	}
-	if size := e.Chain.NumAttrs() * int(e.Chain.CtBits+7) / 8; size > MaxChainBytes {
-		return fmt.Errorf("match: chain of %d bytes exceeds limit %d", size, MaxChainBytes)
+	if _, err := chainSize(e.Chain.NumAttrs(), e.Chain.CtBits); err != nil {
+		return err
+	}
+	for i, ct := range e.Chain.Cts {
+		if ct == nil || ct.Sign() < 0 || ct.BitLen() > int(e.Chain.CtBits) {
+			return fmt.Errorf("match: ciphertext %d is nil, negative or wider than %d bits", i, e.Chain.CtBits)
+		}
 	}
 	return nil
 }
 
-// stored is an Entry with its cached order sum: limb form for the ordered
-// index's comparisons, big.Int form for MatchFresh's slice expansion.
-type stored struct {
-	Entry
-	orderSum *big.Int
-	sumLimbs ordSum
+// checkFields enforces the limits on a record's fields around its chain.
+// Validate and Restore share it, so every snapshot the store can write is
+// a snapshot it can read back.
+func checkFields(id profile.ID, keyHash []byte, authLen int) error {
+	if id == 0 {
+		return errors.New("match: zero user ID")
+	}
+	if len(keyHash) == 0 {
+		return errors.New("match: empty key hash")
+	}
+	if len(keyHash) > MaxKeyHashLen {
+		return fmt.Errorf("match: key hash of %d bytes exceeds limit %d", len(keyHash), MaxKeyHashLen)
+	}
+	if authLen > MaxAuthLen {
+		return fmt.Errorf("match: auth blob of %d bytes exceeds limit %d", authLen, MaxAuthLen)
+	}
+	return nil
 }
 
-func newStored(e Entry) *stored {
-	sum := e.Chain.OrderSum()
-	return &stored{Entry: e, orderSum: sum, sumLimbs: limbsFromBig(sum)}
+// ctWidth is the serialized width of one ctBits-bit ciphertext; callers
+// bound ctBits first (chainSize).
+func ctWidth(ctBits uint) int { return int((ctBits + 7) / 8) }
+
+// chainSize checks a chain's geometry and returns its serialized size.
+// The attribute count must fit the snapshot's uint16 field.
+func chainSize(d int, ctBits uint) (int, error) {
+	if d <= 0 {
+		return 0, errors.New("match: empty chain")
+	}
+	if d > math.MaxUint16 {
+		return 0, fmt.Errorf("match: chain of %d attributes exceeds limit %d", d, math.MaxUint16)
+	}
+	if ctBits > 8*MaxChainBytes || d*ctWidth(ctBits) > MaxChainBytes {
+		return 0, fmt.Errorf("match: chain of %d %d-bit ciphertexts exceeds limit %d bytes", d, ctBits, MaxChainBytes)
+	}
+	return d * ctWidth(ctBits), nil
+}
+
+// stored is the store's own record of one user. blob holds the chain's d
+// fixed-width big-endian ciphertexts followed by the auth blob and is
+// never written after construction, so results can alias its tail. key is
+// the bucket's own map key string, shared by every record in the bucket.
+type stored struct {
+	ID       profile.ID
+	ctBits   uint32
+	nAttrs   uint16
+	key      string
+	sumLimbs ordSum
+	blob     []byte
+}
+
+// newStored is the one record constructor. blob holds d ciphertexts of
+// ctBits bits each in fixed-width big-endian form, then the auth blob; the
+// record takes ownership of it. Each ciphertext is range-checked on its
+// bytes, the rule chain.Parse applies, and summed into limbs without a
+// per-ciphertext allocation.
+func newStored(id profile.ID, ctBits uint, d int, blob []byte) (*stored, error) {
+	n, err := chainSize(d, ctBits)
+	if err != nil {
+		return nil, err
+	}
+	if len(blob) < n {
+		return nil, fmt.Errorf("match: %d-byte record cannot hold a %d-byte chain", len(blob), n)
+	}
+	w := ctWidth(ctBits)
+	var excess byte // the top byte's bits above ctBits
+	if r := ctBits % 8; r != 0 {
+		excess = 0xFF << r
+	}
+	sum := make(ordSum, limbsFor(ctBits, d))
+	for i := 0; i < n; i += w {
+		ct := blob[i : i+w]
+		if ct[0]&excess != 0 {
+			return nil, fmt.Errorf("match: ciphertext %d exceeds %d bits", i/w, ctBits)
+		}
+		for limb, end := 0, w; end > 0; limb, end = limb+1, end-8 {
+			var word uint64
+			if end >= 8 {
+				word = binary.BigEndian.Uint64(ct[end-8 : end])
+			} else {
+				for _, b := range ct[:end] {
+					word = word<<8 | uint64(b)
+				}
+			}
+			addWordAt(sum, limb, word)
+		}
+	}
+	return &stored{ID: id, ctBits: uint32(ctBits), nAttrs: uint16(d), sumLimbs: trimLimbs(sum), blob: blob}, nil
+}
+
+// record serializes a validated entry's chain and auth into one blob and
+// builds the store's record from it.
+func (e Entry) record() (*stored, error) {
+	w := ctWidth(e.Chain.CtBits)
+	n := w * e.Chain.NumAttrs()
+	blob := make([]byte, n+len(e.Auth))
+	for i, ct := range e.Chain.Cts {
+		ct.FillBytes(blob[i*w : (i+1)*w])
+	}
+	copy(blob[n:], e.Auth)
+	return newStored(e.ID, e.Chain.CtBits, e.Chain.NumAttrs(), blob)
+}
+
+func (r *stored) chainLen() int { return int(r.nAttrs) * ctWidth(uint(r.ctBits)) }
+
+// auth returns the stored auth bytes; the slice's capacity ends at the
+// blob's end, so an append by a caller copies rather than overwrites.
+func (r *stored) auth() []byte { return r.blob[r.chainLen():] }
+
+func (r *stored) result() Result { return Result{ID: r.ID, Auth: r.auth()} }
+
+// entry decodes the record into a fresh Entry that shares no memory with
+// the store.
+func (r *stored) entry() (Entry, error) {
+	ch, err := chain.Parse(r.blob[:r.chainLen()], int(r.nAttrs), uint(r.ctBits))
+	if err != nil {
+		return Entry{}, fmt.Errorf("match: decoding user %d: %w", r.ID, err)
+	}
+	auth := make([]byte, len(r.blob)-r.chainLen())
+	copy(auth, r.auth())
+	return Entry{ID: r.ID, KeyHash: []byte(r.key), Chain: ch, Auth: auth}, nil
 }
 
 // Result is one matched user as returned to the querier: ID plus the auth
@@ -203,19 +323,27 @@ func (s *Server) shardIndex(keyHash []byte) uint64 {
 	return maphash.Bytes(s.seed, keyHash) & s.mask
 }
 
+// shardOf is shardIndex for a stored key string; maphash.String and
+// maphash.Bytes agree on equal content.
+func (s *Server) shardOf(key string) uint64 {
+	return maphash.String(s.seed, key) & s.mask
+}
+
 func (s *Server) stripe(id profile.ID) *idStripe {
 	return &s.ids[uint64(id)&s.mask]
 }
 
-// bucketInsert files rec into its bucket's ordered index, creating the
-// index on first use. Caller holds the shard write lock.
-func bucketInsert(buckets map[string]*ordIndex, rec *stored) {
-	key := string(rec.KeyHash)
-	ix := buckets[key]
+// bucketInsert files rec into the ordered index of the bucket under
+// keyHash, creating the index on first use, and points rec.key at the
+// bucket's own key string. Caller holds the shard write lock.
+func bucketInsert(buckets map[string]*ordIndex, rec *stored, keyHash []byte) {
+	ix := buckets[string(keyHash)]
 	if ix == nil {
 		ix = newOrdIndex()
-		buckets[key] = ix
+		ix.key = string(keyHash)
+		buckets[ix.key] = ix
 	}
+	rec.key = ix.key
 	ix.insert(rec)
 }
 
@@ -224,14 +352,13 @@ func bucketInsert(buckets map[string]*ordIndex, rec *stored) {
 // directory pointed at was not in its index — corruption, counted by the
 // caller. Caller holds the shard write lock.
 func bucketRemove(buckets map[string]*ordIndex, rec *stored) bool {
-	key := string(rec.KeyHash)
-	ix := buckets[key]
+	ix := buckets[rec.key]
 	if ix == nil {
 		return false
 	}
 	ok := ix.remove(rec)
 	if ix.length == 0 {
-		delete(buckets, key)
+		delete(buckets, rec.key)
 	}
 	return ok
 }
@@ -242,23 +369,32 @@ func (s *Server) Upload(e Entry) error {
 	if err := e.Validate(); err != nil {
 		return err
 	}
-	rec := newStored(e)
-	newIdx := s.shardIndex(e.KeyHash)
+	rec, err := e.record()
+	if err != nil {
+		return err
+	}
+	s.put(rec, e.KeyHash)
+	return nil
+}
 
-	st := s.stripe(e.ID)
+// put files rec under keyHash, replacing any record with the same ID.
+func (s *Server) put(rec *stored, keyHash []byte) {
+	newIdx := s.shardIndex(keyHash)
+
+	st := s.stripe(rec.ID)
 	st.mu.Lock()
 	defer st.mu.Unlock()
-	old := st.m[e.ID]
-	st.m[e.ID] = rec
+	old := st.m[rec.ID]
+	st.m[rec.ID] = rec
 
 	if old == nil {
 		sh := &s.shards[newIdx]
 		sh.mu.Lock()
-		bucketInsert(sh.buckets, rec)
+		bucketInsert(sh.buckets, rec, keyHash)
 		sh.mu.Unlock()
-		return nil
+		return
 	}
-	oldIdx := s.shardIndex(old.KeyHash)
+	oldIdx := s.shardOf(old.key)
 	// Ascending-index acquisition when the re-upload moves buckets across
 	// shards (the lock-ordering rule).
 	lo, hi := oldIdx, newIdx
@@ -272,12 +408,11 @@ func (s *Server) Upload(e Entry) error {
 	if !bucketRemove(s.shards[oldIdx].buckets, old) {
 		inconsistencies.Add(1)
 	}
-	bucketInsert(s.shards[newIdx].buckets, rec)
+	bucketInsert(s.shards[newIdx].buckets, rec, keyHash)
 	if hi != lo {
 		s.shards[hi].mu.Unlock()
 	}
 	s.shards[lo].mu.Unlock()
-	return nil
 }
 
 // Remove deletes a user's record.
@@ -289,7 +424,7 @@ func (s *Server) Remove(id profile.ID) error {
 	if !ok {
 		return fmt.Errorf("%w: %d", ErrUnknownUser, id)
 	}
-	sh := &s.shards[s.shardIndex(rec.KeyHash)]
+	sh := &s.shards[s.shardOf(rec.key)]
 	sh.mu.Lock()
 	if !bucketRemove(sh.buckets, rec) {
 		inconsistencies.Add(1)
@@ -339,10 +474,10 @@ func (s *Server) Match(id profile.ID, k int) ([]Result, error) {
 		return nil, err
 	}
 	defer release()
-	sh := &s.shards[s.shardIndex(me.KeyHash)]
+	sh := &s.shards[s.shardOf(me.key)]
 	sh.mu.RLock()
 	defer sh.mu.RUnlock()
-	return indexNearest(sh.buckets[string(me.KeyHash)], me, k)
+	return indexNearest(sh.buckets[me.key], me, k)
 }
 
 // indexNearest seeks the querier's node in its bucket index and expands
@@ -391,27 +526,25 @@ func indexNearest(ix *ordIndex, me *stored, k int) ([]Result, error) {
 				pick, hi = hi.rec, hi.next[0]
 			}
 		}
-		results = append(results, Result{ID: pick.ID, Auth: pick.Auth})
+		results = append(results, pick.result())
 	}
 	return results, nil
 }
 
-// nearest is the slice-based expansion behind MatchFresh and the tests'
-// reference store: same contract as indexNearest over a (sum, ID)-sorted
-// bucket slice. The querier is located by exact binary search and verified
-// by pointer; a mismatch is surfaced as ErrInconsistent.
+// nearest is the slice-based expansion behind MatchFresh: same contract
+// as indexNearest over a (sum, ID)-sorted bucket slice. The querier is
+// located by exact binary search and verified by pointer; a mismatch is
+// surfaced as ErrInconsistent.
 func nearest(bucket []*stored, me *stored, k int) ([]Result, error) {
-	pos := sort.Search(len(bucket), func(i int) bool {
-		c := bucket[i].orderSum.Cmp(me.orderSum)
-		return c > 0 || (c == 0 && bucket[i].ID >= me.ID)
-	})
+	pos := sort.Search(len(bucket), func(i int) bool { return !keyLess(bucket[i], me) })
 	if pos >= len(bucket) || bucket[pos] != me {
 		inconsistencies.Add(1)
 		return nil, fmt.Errorf("%w: user %d missing from its bucket slot", ErrInconsistent, me.ID)
 	}
 	results := make([]Result, 0, k)
 	lo, hi := pos-1, pos+1
-	var dLo, dHi big.Int // scratch: reused across every expansion step
+	dLo := make(ordSum, 0, len(me.sumLimbs)+1)
+	dHi := make(ordSum, 0, len(me.sumLimbs)+1)
 	for len(results) < k && (lo >= 0 || hi < len(bucket)) {
 		var pick *stored
 		switch {
@@ -420,15 +553,15 @@ func nearest(bucket []*stored, me *stored, k int) ([]Result, error) {
 		case hi >= len(bucket):
 			pick, lo = bucket[lo], lo-1
 		default:
-			dLo.Sub(me.orderSum, bucket[lo].orderSum)
-			dHi.Sub(bucket[hi].orderSum, me.orderSum)
-			if dLo.CmpAbs(&dHi) <= 0 {
+			dLo = subLimbs(dLo, me.sumLimbs, bucket[lo].sumLimbs)
+			dHi = subLimbs(dHi, bucket[hi].sumLimbs, me.sumLimbs)
+			if cmpLimbs(dLo, dHi) <= 0 {
 				pick, lo = bucket[lo], lo-1
 			} else {
 				pick, hi = bucket[hi], hi+1
 			}
 		}
-		results = append(results, Result{ID: pick.ID, Auth: pick.Auth})
+		results = append(results, pick.result())
 	}
 	return results, nil
 }
@@ -447,11 +580,11 @@ func (s *Server) MatchFresh(id profile.ID, k int) ([]Result, error) {
 		return nil, err
 	}
 	defer release()
-	sh := &s.shards[s.shardIndex(me.KeyHash)]
+	sh := &s.shards[s.shardOf(me.key)]
 	sh.mu.RLock()
 	// EXTRA: copy the bucket out of the index (the nodes are shared state).
 	var bucket []*stored
-	if ix := sh.buckets[string(me.KeyHash)]; ix != nil {
+	if ix := sh.buckets[me.key]; ix != nil {
 		bucket = make([]*stored, 0, ix.length)
 		for n := ix.head.next[0]; n != nil; n = n.next[0] {
 			bucket = append(bucket, n.rec)
@@ -496,13 +629,13 @@ func (s *Server) MatchProbe(id profile.ID, altKeyHashes [][]byte, k int) ([]Resu
 	// Deduplicate probed key hashes, then the shards that own them; lock
 	// the shards in ascending index (the lock-ordering rule for
 	// multi-bucket probes).
-	keys := map[string]struct{}{string(me.KeyHash): {}}
+	keys := map[string]struct{}{me.key: {}}
 	for _, kh := range altKeyHashes {
 		keys[string(kh)] = struct{}{}
 	}
 	shardSet := map[uint64]struct{}{}
 	for key := range keys {
-		shardSet[s.shardIndex([]byte(key))] = struct{}{}
+		shardSet[s.shardOf(key)] = struct{}{}
 	}
 	shardIdx := make([]uint64, 0, len(shardSet))
 	for idx := range shardSet {
@@ -520,7 +653,7 @@ func (s *Server) MatchProbe(id profile.ID, altKeyHashes [][]byte, k int) ([]Resu
 
 	streams := make([][]probeCand, 0, len(keys))
 	for key := range keys {
-		ix := s.shards[s.shardIndex([]byte(key))].buckets[key]
+		ix := s.shards[s.shardOf(key)].buckets[key]
 		if cands := boundedNearest(ix, me, k); len(cands) > 0 {
 			streams = append(streams, cands)
 		}
@@ -651,7 +784,7 @@ func mergeProbeStreams(streams [][]probeCand, k int) []Result {
 	results := make([]Result, 0, k)
 	for len(h.streams) > 0 && len(results) < k {
 		top := h.streams[0][h.pos[0]]
-		results = append(results, Result{ID: top.rec.ID, Auth: top.rec.Auth})
+		results = append(results, top.rec.result())
 		h.pos[0]++
 		if h.pos[0] == len(h.streams[0]) {
 			last := len(h.streams) - 1
@@ -678,10 +811,10 @@ func (s *Server) MatchMaxDistance(id profile.ID, maxDist *big.Int) ([]Result, er
 		return nil, err
 	}
 	defer release()
-	sh := &s.shards[s.shardIndex(me.KeyHash)]
+	sh := &s.shards[s.shardOf(me.key)]
 	sh.mu.RLock()
 	defer sh.mu.RUnlock()
-	ix := sh.buckets[string(me.KeyHash)]
+	ix := sh.buckets[me.key]
 	if ix == nil {
 		inconsistencies.Add(1)
 		return nil, fmt.Errorf("%w: user %d has no bucket index", ErrInconsistent, me.ID)
@@ -701,7 +834,7 @@ func (s *Server) MatchMaxDistance(id profile.ID, maxDist *big.Int) ([]Result, er
 		if node.rec == me {
 			continue
 		}
-		results = append(results, Result{ID: node.rec.ID, Auth: node.rec.Auth})
+		results = append(results, node.rec.result())
 	}
 	return results, nil
 }

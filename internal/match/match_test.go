@@ -36,6 +36,8 @@ func TestUploadValidation(t *testing.T) {
 		{"empty key hash", Entry{ID: 1, Chain: fakeChain(1)}},
 		{"nil chain", Entry{ID: 1, KeyHash: []byte("k")}},
 		{"empty chain", Entry{ID: 1, KeyHash: []byte("k"), Chain: &chain.Chain{}}},
+		// One more than the snapshot's uint16 attribute count holds.
+		{"65536 attributes", Entry{ID: 1, KeyHash: []byte("k"), Chain: zeroChain(1<<16, 8)}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -44,6 +46,14 @@ func TestUploadValidation(t *testing.T) {
 			}
 		})
 	}
+}
+
+func zeroChain(d int, ctBits uint) *chain.Chain {
+	cts := make([]*big.Int, d)
+	for i := range cts {
+		cts[i] = new(big.Int)
+	}
+	return &chain.Chain{Cts: cts, CtBits: ctBits}
 }
 
 func TestUploadAndCounts(t *testing.T) {

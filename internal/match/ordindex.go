@@ -33,8 +33,10 @@ type ordNode struct {
 	next []*ordNode
 }
 
-// ordIndex is one bucket's ordered index.
+// ordIndex is one bucket's ordered index. key is the bucket's map key,
+// which every record filed here shares.
 type ordIndex struct {
+	key    string
 	head   *ordNode
 	height int // levels currently in use, >= 1
 	length int
@@ -123,7 +125,7 @@ func (ix *ordIndex) insert(rec *stored) {
 // remove unfiles rec, reporting whether it was present (pointer identity,
 // not just key equality). The unlinked node's references are nilled so a
 // dead node reachable from a stale pointer cannot keep pinning the
-// record's Chain/Auth. Caller holds the shard write lock.
+// record. Caller holds the shard write lock.
 func (ix *ordIndex) remove(rec *stored) bool {
 	var update [ordMaxHeight]*ordNode
 	n := ix.head

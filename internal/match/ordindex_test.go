@@ -10,7 +10,11 @@ import (
 
 // rec builds a bare stored record for direct index tests.
 func rec(id profile.ID, sum int64) *stored {
-	return newStored(entry(id, "bucket", sum))
+	r, err := entry(id, "bucket", sum).record()
+	if err != nil {
+		panic(err)
+	}
+	return r
 }
 
 // checkIndex walks the index at level 0 and verifies the structural
@@ -124,7 +128,6 @@ func TestOrdIndexRemove(t *testing.T) {
 	// member and must not knock out the real one.
 	impostor := rec(recs[7].ID, 0)
 	impostor.sumLimbs = recs[7].sumLimbs
-	impostor.orderSum = recs[7].orderSum
 	if ix.remove(impostor) {
 		t.Fatal("remove accepted an impostor with an equal key")
 	}

@@ -4,8 +4,9 @@
 // *big.Int and allocated a fresh big.Int per candidate on the scan paths.
 // This file gives the store a flat representation — little-endian uint64
 // limbs, normalized (no high zero limbs) — with allocation-free compare,
-// add and subtract, so the hot paths touch no big.Int at all. big.Int
-// survives only at the wire/chain boundary, where ciphertexts arrive.
+// add and subtract, so the hot paths touch no big.Int at all. Chains are
+// summed word by word into limbs (addWordAt), from stored bytes or from a
+// big.Int's words, with no big.Int arithmetic.
 package match
 
 import (
@@ -37,6 +38,23 @@ func limbsFromBig(x *big.Int) ordSum {
 		out[i/2] |= uint64(w) << (32 * uint(i%2))
 	}
 	return trimLimbs(out)
+}
+
+// limbsFor is the limb count that holds the sum of d values below
+// 2^ctBits: the sum is below d·2^ctBits <= 2^(ctBits+bits.Len(d)).
+func limbsFor(ctBits uint, d int) int { return (int(ctBits) + bits.Len(uint(d)) + 63) / 64 }
+
+// addWordAt adds w into acc at limb i and ripples the carry upward. acc
+// must be wide enough for the final sum, which bounds every partial sum.
+// It is the one chain-summing kernel: newStored feeds it words read from
+// a record's bytes, SumOfChain the words of big.Int ciphertexts.
+func addWordAt(acc ordSum, i int, w uint64) {
+	var c uint64
+	acc[i], c = bits.Add64(acc[i], w, 0)
+	for c != 0 {
+		i++
+		acc[i], c = bits.Add64(acc[i], 0, c)
+	}
 }
 
 // trimLimbs drops high zero limbs, returning the normalized slice.
@@ -114,10 +132,23 @@ func addLimbs(dst ordSum, a, b ordSum) ordSum {
 // into big.Int.
 type Sum struct{ w ordSum }
 
-// SumOfChain computes a chain's order sum in limb form. The chain is the
-// wire boundary, so the one big.Int summation happens here and nowhere
-// downstream.
-func SumOfChain(ch *chain.Chain) Sum { return Sum{w: limbsFromBig(ch.OrderSum())} }
+// SumOfChain computes a validated chain's order sum (Entry.Validate) in
+// limb form, allocating only the limbs: each ciphertext's words are added
+// in place with the kernel the store's records are summed with.
+func SumOfChain(ch *chain.Chain) Sum {
+	width := ch.CtBits
+	for _, ct := range ch.Cts {
+		width = max(width, uint(ct.BitLen())) // wider than CtBits only if unvalidated
+	}
+	acc := make(ordSum, limbsFor(width, len(ch.Cts)))
+	for _, ct := range ch.Cts {
+		for i, w := range ct.Bits() {
+			// Two words per limb on 32-bit platforms, one on 64-bit.
+			addWordAt(acc, i*bits.UintSize/64, uint64(w)<<(i*bits.UintSize%64))
+		}
+	}
+	return Sum{w: trimLimbs(acc)}
+}
 
 // SumFromBig converts a nonnegative big.Int (e.g. a decoded wire
 // threshold) into limb form. The magnitude is taken; callers validate the

@@ -17,8 +17,6 @@
 // that justifies maphash's seed does not apply here.
 package match
 
-import "sort"
-
 // FNV-1a 64-bit parameters (FNV is public domain; see RFC draft
 // draft-eastlake-fnv). Fixed forever: changing them is a cluster-wide
 // incompatible change and would need a partition-map version bump plus a
@@ -45,23 +43,19 @@ func PartitionHash(keyHash []byte) uint64 {
 // ForEachEntry calls fn with every stored record in ascending user-ID
 // order — the same deterministic order Snapshot writes, under the same
 // all-stripes read lock, so the walk is a globally consistent view. Used
-// by cluster rebalancing to stream a partition's entries off a node. fn
-// must not call back into the store (every ID-stripe read lock is held);
-// a non-nil error aborts the walk.
+// by cluster rebalancing to stream a partition's entries off a node. Each
+// Entry is decoded afresh and shares no memory with the store. fn must
+// not call back into the store (every ID-stripe read lock is held); a
+// non-nil error aborts the walk.
 func (s *Server) ForEachEntry(fn func(Entry) error) error {
-	for i := range s.ids {
-		s.ids[i].mu.RLock()
-		defer s.ids[i].mu.RUnlock()
-	}
-	var recs []*stored
-	for i := range s.ids {
-		for _, rec := range s.ids[i].m {
-			recs = append(recs, rec)
-		}
-	}
-	sort.Slice(recs, func(i, j int) bool { return recs[i].ID < recs[j].ID })
+	recs, unlock := s.sortedRecords()
+	defer unlock()
 	for _, rec := range recs {
-		if err := fn(rec.Entry); err != nil {
+		e, err := rec.entry()
+		if err != nil {
+			return err
+		}
+		if err := fn(e); err != nil {
 			return err
 		}
 	}

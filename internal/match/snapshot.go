@@ -2,13 +2,13 @@ package match
 
 import (
 	"bufio"
+	"cmp"
 	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
-	"sort"
+	"slices"
 
-	"smatch/internal/chain"
 	"smatch/internal/profile"
 )
 
@@ -26,58 +26,41 @@ const maxSnapshotEntries = 1 << 24 // backstop against corrupted counts
 // Entries are written in ascending user-ID order, so two snapshots of the
 // same state are byte-identical. Every ID stripe is read-locked (in
 // ascending index, per the package lock-ordering rule) for the duration,
-// giving a globally consistent snapshot.
+// giving a globally consistent snapshot. A record's chain and auth bytes
+// are written as stored.
 func (s *Server) Snapshot(w io.Writer) error {
-	for i := range s.ids {
-		s.ids[i].mu.RLock()
-		defer s.ids[i].mu.RUnlock()
-	}
-	var recs []*stored
-	for i := range s.ids {
-		for _, rec := range s.ids[i].m {
-			recs = append(recs, rec)
-		}
-	}
-	sort.Slice(recs, func(i, j int) bool { return recs[i].ID < recs[j].ID })
+	recs, unlock := s.sortedRecords()
+	defer unlock()
 
+	// bufio.Writer's error is sticky: a failed write makes every later
+	// write and the final Flush return it, so only Flush is checked.
 	bw := bufio.NewWriter(w)
-	if _, err := bw.Write(snapshotMagic[:]); err != nil {
-		return fmt.Errorf("match: writing snapshot magic: %w", err)
-	}
-	if err := binary.Write(bw, binary.BigEndian, uint32(len(recs))); err != nil {
-		return fmt.Errorf("match: writing snapshot count: %w", err)
-	}
-	writeBytes := func(b []byte) error {
-		if err := binary.Write(bw, binary.BigEndian, uint32(len(b))); err != nil {
-			return err
-		}
-		_, err := bw.Write(b)
-		return err
-	}
+	hdr := append(make([]byte, 0, 16), snapshotMagic[:]...)
+	hdr = binary.BigEndian.AppendUint32(hdr, uint32(len(recs)))
+	bw.Write(hdr)
 	for _, rec := range recs {
-		if err := binary.Write(bw, binary.BigEndian, uint32(rec.ID)); err != nil {
-			return fmt.Errorf("match: writing entry: %w", err)
-		}
-		if err := writeBytes(rec.KeyHash); err != nil {
-			return fmt.Errorf("match: writing key hash: %w", err)
-		}
-		if err := binary.Write(bw, binary.BigEndian, uint32(rec.Chain.CtBits)); err != nil {
-			return fmt.Errorf("match: writing chain header: %w", err)
-		}
-		if err := binary.Write(bw, binary.BigEndian, uint16(rec.Chain.NumAttrs())); err != nil {
-			return fmt.Errorf("match: writing chain header: %w", err)
-		}
-		if err := writeBytes(rec.Chain.Bytes()); err != nil {
-			return fmt.Errorf("match: writing chain: %w", err)
-		}
-		if err := writeBytes(rec.Auth); err != nil {
-			return fmt.Errorf("match: writing auth: %w", err)
-		}
+		n := rec.chainLen()
+		hdr = binary.BigEndian.AppendUint32(hdr[:0], uint32(rec.ID))
+		hdr = binary.BigEndian.AppendUint32(hdr, uint32(len(rec.key)))
+		bw.Write(hdr)
+		bw.WriteString(rec.key)
+		hdr = binary.BigEndian.AppendUint32(hdr[:0], rec.ctBits)
+		hdr = binary.BigEndian.AppendUint16(hdr, rec.nAttrs)
+		hdr = binary.BigEndian.AppendUint32(hdr, uint32(n))
+		bw.Write(hdr)
+		bw.Write(rec.blob[:n])
+		hdr = binary.BigEndian.AppendUint32(hdr[:0], uint32(len(rec.blob)-n))
+		bw.Write(hdr)
+		bw.Write(rec.blob[n:])
 	}
-	return bw.Flush()
+	if err := bw.Flush(); err != nil {
+		return fmt.Errorf("match: writing snapshot: %w", err)
+	}
+	return nil
 }
 
-// Restore rebuilds a server from a snapshot.
+// Restore rebuilds a server from a snapshot. Each record is built
+// straight from its snapshot bytes; restore does no big.Int work.
 func Restore(r io.Reader) (*Server, error) {
 	br := bufio.NewReader(r)
 	var magic [8]byte
@@ -87,65 +70,104 @@ func Restore(r io.Reader) (*Server, error) {
 	if magic != snapshotMagic {
 		return nil, errors.New("match: not a smatch snapshot (bad magic)")
 	}
-	var count uint32
-	if err := binary.Read(br, binary.BigEndian, &count); err != nil {
+	var hdr [10]byte
+	if _, err := io.ReadFull(br, hdr[:4]); err != nil {
 		return nil, fmt.Errorf("match: reading snapshot count: %w", err)
 	}
+	count := binary.BigEndian.Uint32(hdr[:4])
 	if count > maxSnapshotEntries {
 		return nil, fmt.Errorf("match: snapshot claims %d entries (max %d)", count, maxSnapshotEntries)
 	}
-	readBytes := func(limit uint32) ([]byte, error) {
-		var n uint32
-		if err := binary.Read(br, binary.BigEndian, &n); err != nil {
-			return nil, err
+	// readLen reads a field's uint32 length prefix and checks it.
+	readLen := func(limit int) (int, error) {
+		if _, err := io.ReadFull(br, hdr[:4]); err != nil {
+			return 0, err
 		}
-		if n > limit {
-			return nil, fmt.Errorf("field of %d bytes exceeds limit %d", n, limit)
+		n := binary.BigEndian.Uint32(hdr[:4])
+		if n > uint32(limit) {
+			return 0, fmt.Errorf("field of %d bytes exceeds limit %d", n, limit)
 		}
-		b := make([]byte, n)
-		if _, err := io.ReadFull(br, b); err != nil {
-			return nil, err
-		}
-		return b, nil
+		return int(n), nil
 	}
 
 	s := NewServer()
+	var keyHash, chainBytes []byte // reused: put copies the key it keeps
 	for i := uint32(0); i < count; i++ {
-		var id uint32
-		if err := binary.Read(br, binary.BigEndian, &id); err != nil {
+		if _, err := io.ReadFull(br, hdr[:4]); err != nil {
 			return nil, fmt.Errorf("match: entry %d: %w", i, err)
 		}
-		keyHash, err := readBytes(MaxKeyHashLen)
+		id := profile.ID(binary.BigEndian.Uint32(hdr[:4]))
+		n, err := readLen(MaxKeyHashLen)
 		if err != nil {
 			return nil, fmt.Errorf("match: entry %d key hash: %w", i, err)
 		}
-		var ctBits uint32
-		if err := binary.Read(br, binary.BigEndian, &ctBits); err != nil {
+		keyHash = slices.Grow(keyHash[:0], n)[:n]
+		if _, err := io.ReadFull(br, keyHash); err != nil {
+			return nil, fmt.Errorf("match: entry %d key hash: %w", i, err)
+		}
+		if _, err := io.ReadFull(br, hdr[:6]); err != nil {
 			return nil, fmt.Errorf("match: entry %d: %w", i, err)
 		}
-		var numAttrs uint16
-		if err := binary.Read(br, binary.BigEndian, &numAttrs); err != nil {
-			return nil, fmt.Errorf("match: entry %d: %w", i, err)
-		}
-		chainBytes, err := readBytes(MaxChainBytes)
+		ctBits := uint(binary.BigEndian.Uint32(hdr[:4]))
+		numAttrs := int(binary.BigEndian.Uint16(hdr[4:6]))
+		want, err := chainSize(numAttrs, ctBits)
 		if err != nil {
+			return nil, fmt.Errorf("match: entry %d: %w", i, err)
+		}
+		if n, err = readLen(MaxChainBytes); err != nil {
 			return nil, fmt.Errorf("match: entry %d chain: %w", i, err)
 		}
-		auth, err := readBytes(MaxAuthLen)
+		if n != want {
+			return nil, fmt.Errorf("match: entry %d: chain of %d bytes, want %d (d=%d, %d bits per ciphertext)", i, n, want, numAttrs, ctBits)
+		}
+		chainBytes = slices.Grow(chainBytes[:0], n)[:n]
+		if _, err := io.ReadFull(br, chainBytes); err != nil {
+			return nil, fmt.Errorf("match: entry %d chain: %w", i, err)
+		}
+		authLen, err := readLen(MaxAuthLen)
 		if err != nil {
 			return nil, fmt.Errorf("match: entry %d auth: %w", i, err)
 		}
-		ch, err := chain.Parse(chainBytes, int(numAttrs), uint(ctBits))
+		blob := make([]byte, n+authLen)
+		copy(blob, chainBytes)
+		if _, err := io.ReadFull(br, blob[n:]); err != nil {
+			return nil, fmt.Errorf("match: entry %d auth: %w", i, err)
+		}
+		if err := checkFields(id, keyHash, authLen); err != nil {
+			return nil, fmt.Errorf("match: entry %d: %w", i, err)
+		}
+		rec, err := newStored(id, ctBits, numAttrs, blob)
 		if err != nil {
 			return nil, fmt.Errorf("match: entry %d: %w", i, err)
 		}
-		if err := s.Upload(Entry{ID: profile.ID(id), KeyHash: keyHash, Chain: ch, Auth: auth}); err != nil {
-			return nil, fmt.Errorf("match: entry %d: %w", i, err)
-		}
+		s.put(rec, keyHash)
 	}
 	// The snapshot must end exactly here.
 	if _, err := br.ReadByte(); err != io.EOF {
 		return nil, errors.New("match: trailing bytes after snapshot")
 	}
 	return s, nil
+}
+
+// sortedRecords read-locks every ID stripe in ascending index (the
+// package lock-ordering rule) and returns every record in ascending ID
+// order, plus the function that releases the locks.
+func (s *Server) sortedRecords() ([]*stored, func()) {
+	n := 0
+	for i := range s.ids {
+		s.ids[i].mu.RLock()
+		n += len(s.ids[i].m)
+	}
+	recs := make([]*stored, 0, n)
+	for i := range s.ids {
+		for _, rec := range s.ids[i].m {
+			recs = append(recs, rec)
+		}
+	}
+	slices.SortFunc(recs, func(a, b *stored) int { return cmp.Compare(a.ID, b.ID) })
+	return recs, func() {
+		for i := range s.ids {
+			s.ids[i].mu.RUnlock()
+		}
+	}
 }

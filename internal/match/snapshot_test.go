@@ -2,8 +2,10 @@ package match
 
 import (
 	"bytes"
+	"math/big"
 	"testing"
 
+	"smatch/internal/chain"
 	"smatch/internal/profile"
 )
 
@@ -118,6 +120,30 @@ func TestRestoreRejectsTrailingBytes(t *testing.T) {
 	data := append(buf.Bytes(), 0x00)
 	if _, err := Restore(bytes.NewReader(data)); err == nil {
 		t.Error("snapshot with trailing bytes accepted")
+	}
+}
+
+// TestRestoreRejectsOutOfRangeCiphertext sets the excess top bits of a
+// 44-bit ciphertext in a snapshot; Restore builds records from the bytes
+// and must apply chain.Parse's range rule itself.
+func TestRestoreRejectsOutOfRangeCiphertext(t *testing.T) {
+	orig := NewServer()
+	must(t, orig.Upload(Entry{ID: 1, KeyHash: []byte("b"),
+		Chain: &chain.Chain{Cts: []*big.Int{big.NewInt(10)}, CtBits: 44}}))
+	var buf bytes.Buffer
+	if err := orig.Snapshot(&buf); err != nil {
+		t.Fatal(err)
+	}
+	data := buf.Bytes()
+	// The chain follows magic(8)+count(4)+id(4)+key(4+1)+ctBits(4)+
+	// attrs(2)+chain length(4).
+	data[31] = 0x10
+	if _, err := Restore(bytes.NewReader(data)); err == nil {
+		t.Error("ciphertext wider than its ctBits accepted")
+	}
+	data[31] = 0x0F
+	if _, err := Restore(bytes.NewReader(data)); err != nil {
+		t.Errorf("full-width ciphertext rejected: %v", err)
 	}
 }
 

@@ -28,25 +28,33 @@ type Store interface {
 // byID map, one bucket map of sorted slices. It is the tests' reference
 // implementation — the equivalence, churn and probe suites assert the
 // sharded, skiplist-indexed Server returns identical results — and the
-// single-lock baseline BenchmarkStore* measures the Server against.
+// single-lock baseline BenchmarkStore* measures the Server against. It
+// shares no record code with the Server: its order sums are big.Ints
+// computed from the entries it is given.
 type Unsharded struct {
 	mu      sync.RWMutex
-	byID    map[profile.ID]*stored
-	buckets map[string][]*stored // key hash -> entries sorted by (order sum, ID)
+	byID    map[profile.ID]*refRec
+	buckets map[string][]*refRec // key hash -> entries sorted by (order sum, ID)
+}
+
+// refRec is an uploaded Entry with its big.Int order sum.
+type refRec struct {
+	Entry
+	orderSum *big.Int
 }
 
 // NewUnsharded returns an empty single-lock matching store.
 func NewUnsharded() *Unsharded {
 	return &Unsharded{
-		byID:    make(map[profile.ID]*stored),
-		buckets: make(map[string][]*stored),
+		byID:    make(map[profile.ID]*refRec),
+		buckets: make(map[string][]*refRec),
 	}
 }
 
 // sliceSearch returns the position of the first entry whose (order sum,
 // ID) key is >= rec's. Keys are unique per bucket (IDs are unique), so
 // this is rec's exact slot when rec is filed.
-func sliceSearch(bucket []*stored, rec *stored) int {
+func sliceSearch(bucket []*refRec, rec *refRec) int {
 	return sort.Search(len(bucket), func(i int) bool {
 		c := bucket[i].orderSum.Cmp(rec.orderSum)
 		return c > 0 || (c == 0 && bucket[i].ID >= rec.ID)
@@ -56,7 +64,7 @@ func sliceSearch(bucket []*stored, rec *stored) int {
 // insertSorted files rec into its bucket, keeping the bucket sorted by
 // (order sum, ID) — the same total order the Server's skiplist index uses,
 // so the two implementations return identical result orderings.
-func insertSorted(buckets map[string][]*stored, rec *stored) {
+func insertSorted(buckets map[string][]*refRec, rec *refRec) {
 	key := string(rec.KeyHash)
 	bucket := buckets[key]
 	pos := sliceSearch(bucket, rec)
@@ -73,7 +81,7 @@ func insertSorted(buckets map[string][]*stored, rec *stored) {
 // Chain and Auth against GC under re-upload/remove churn. A pointer
 // mismatch at the computed slot means the directory and the bucket
 // disagree; it is counted rather than silently ignored.
-func removeSorted(buckets map[string][]*stored, rec *stored) {
+func removeSorted(buckets map[string][]*refRec, rec *refRec) {
 	key := string(rec.KeyHash)
 	bucket := buckets[key]
 	i := sliceSearch(bucket, rec)
@@ -96,7 +104,7 @@ func (s *Unsharded) Upload(e Entry) error {
 	if err := e.Validate(); err != nil {
 		return err
 	}
-	rec := newStored(e)
+	rec := &refRec{Entry: e, orderSum: e.Chain.OrderSum()}
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if old, ok := s.byID[e.ID]; ok {
@@ -139,7 +147,40 @@ func (s *Unsharded) Match(id profile.ID, k int) ([]Result, error) {
 	if !ok {
 		return nil, fmt.Errorf("%w: %d", ErrUnknownUser, id)
 	}
-	return nearest(s.buckets[string(me.KeyHash)], me, k)
+	return refNearest(s.buckets[string(me.KeyHash)], me, k)
+}
+
+// refNearest expands outward from the querier's slot in its sorted bucket,
+// picking the k smallest |order-sum difference|s; ties between the two
+// directions prefer the lower side.
+func refNearest(bucket []*refRec, me *refRec, k int) ([]Result, error) {
+	pos := sliceSearch(bucket, me)
+	if pos >= len(bucket) || bucket[pos] != me {
+		inconsistencies.Add(1)
+		return nil, fmt.Errorf("%w: user %d missing from its bucket slot", ErrInconsistent, me.ID)
+	}
+	results := make([]Result, 0, k)
+	lo, hi := pos-1, pos+1
+	var dLo, dHi big.Int
+	for len(results) < k && (lo >= 0 || hi < len(bucket)) {
+		var pick *refRec
+		switch {
+		case lo < 0:
+			pick, hi = bucket[hi], hi+1
+		case hi >= len(bucket):
+			pick, lo = bucket[lo], lo-1
+		default:
+			dLo.Sub(me.orderSum, bucket[lo].orderSum)
+			dHi.Sub(bucket[hi].orderSum, me.orderSum)
+			if dLo.CmpAbs(&dHi) <= 0 {
+				pick, lo = bucket[lo], lo-1
+			} else {
+				pick, hi = bucket[hi], hi+1
+			}
+		}
+		results = append(results, Result{ID: pick.ID, Auth: pick.Auth})
+	}
+	return results, nil
 }
 
 // MatchProbe unions the querier's bucket with the alternate buckets and
@@ -209,11 +250,11 @@ func (s *Unsharded) NumBuckets() int {
 // scored is a candidate with its absolute order-sum distance (the
 // reference store's full-scan ranking).
 type scored struct {
-	rec  *stored
+	rec  *refRec
 	dist *big.Int
 }
 
-func appendScored(pool []scored, bucket []*stored, me *stored) []scored {
+func appendScored(pool []scored, bucket []*refRec, me *refRec) []scored {
 	// One backing array for every distance in this bucket instead of one
 	// heap allocation per candidate. Capacity is exact and indexed, never
 	// append-grown: a realloc would orphan the *big.Int pointers already

@@ -8,6 +8,7 @@ package match
 
 import (
 	"fmt"
+	"math"
 	"math/big"
 	"math/rand"
 	"testing"
@@ -103,6 +104,45 @@ func TestWeightedSumHeadroom(t *testing.T) {
 	}
 	if got.BitLen() <= 64 {
 		t.Fatal("worst case unexpectedly fits one limb; the test lost its point")
+	}
+}
+
+// TestSumOfChainMatchesOrderSum is a seeded differential of both users of
+// the chain-summing kernel — SumOfChain on big.Int ciphertexts and the
+// record constructor on a chain's bytes — against chain.OrderSum, at
+// widths that end on and off limb and byte boundaries, at the
+// MaxWeight-widened width, and at saturated sums over the largest chain
+// a record can hold.
+func TestSumOfChainMatchesOrderSum(t *testing.T) {
+	check := func(ch *chain.Chain) {
+		t.Helper()
+		want := SumFromBig(ch.OrderSum())
+		if SumOfChain(ch).Cmp(want) != 0 {
+			t.Fatalf("SumOfChain(%d × %d bits) != OrderSum", ch.NumAttrs(), ch.CtBits)
+		}
+		r, err := newStored(1, ch.CtBits, ch.NumAttrs(), ch.Bytes())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if cmpLimbs(r.sumLimbs, want.w) != 0 {
+			t.Fatalf("record sum of %d × %d bits != OrderSum", ch.NumAttrs(), ch.CtBits)
+		}
+	}
+	weighted := uint(64) + scoring.Weights{scoring.MaxWeight}.ExtraBits()
+	rng := rand.New(rand.NewSource(48))
+	for _, ctBits := range []uint{48, 64, 80, 2048, weighted} {
+		for trial := 0; trial < 200; trial++ {
+			check(randChain(rng, 1+rng.Intn(17), ctBits))
+		}
+	}
+	for _, ctBits := range []uint{64, weighted} {
+		top := new(big.Int).Lsh(big.NewInt(1), ctBits)
+		top.Sub(top, big.NewInt(1))
+		cts := make([]*big.Int, math.MaxUint16)
+		for i := range cts {
+			cts[i] = top
+		}
+		check(&chain.Chain{Cts: cts, CtBits: ctBits})
 	}
 }
 
