@@ -812,13 +812,14 @@ func (c *Conn) Evaluate(x *big.Int) (*big.Int, error) {
 }
 
 // EvaluateBatch implements oprf.BatchEvaluator over the network: one round
-// trip for the whole candidate set.
+// trip for up to wire.MaxOPRFBatch elements. A larger batch is refused
+// before anything is sent.
 func (c *Conn) EvaluateBatch(xs []*big.Int) ([]*big.Int, error) {
 	if len(xs) == 0 {
 		return nil, nil
 	}
-	if len(xs) > 65535 {
-		return nil, fmt.Errorf("client: OPRF batch of %d too large", len(xs))
+	if len(xs) > wire.MaxOPRFBatch {
+		return nil, fmt.Errorf("client: OPRF batch of %d exceeds limit %d", len(xs), wire.MaxOPRFBatch)
 	}
 	req := wire.OPRFBatchReq{Xs: xs}
 	payload, err := c.roundTrip(wire.TypeOPRFBatchReq, req.Encode(), wire.TypeOPRFBatchResp, true)

@@ -1,0 +1,44 @@
+//go:build !race
+
+// Allocation ceiling for Enc. Excluded under -race, where sync.Pool drops
+// what it is given and the OPE frame is rebuilt on every call.
+package core
+
+import (
+	"math/big"
+	"testing"
+
+	"smatch/internal/profile"
+)
+
+// TestEncAllocs: sealing the 4-attribute test schema at N == M builds the
+// OPE scheme and codec from the key and encrypts four values through the
+// identity root. Each run seals a different user's InitData, so nothing is
+// an exact repeat. A per-key scheme cache with a ciphertext LRU in front of
+// the descent cost 49.
+func TestEncAllocs(t *testing.T) {
+	sys := testSystem(t, Params{PlaintextBits: 64})
+	c := testClient(t, sys, "allocs")
+	key, err := c.Keygen(profile.Profile{ID: 1, Attrs: []int{1, 2, 30, 40}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const runs = 50
+	mapped := make([][]*big.Int, runs+1) // AllocsPerRun adds a warm-up call
+	for i := range mapped {
+		p := profile.Profile{ID: profile.ID(i + 1), Attrs: []int{i % 4, i % 8, i % 64, (i * 7) % 64}}
+		if mapped[i], err = c.InitData(p); err != nil {
+			t.Fatal(err)
+		}
+	}
+	i := 0
+	allocs := testing.AllocsPerRun(runs, func() {
+		if _, err := c.Enc(key, profile.ID(i+1), mapped[i]); err != nil {
+			t.Fatal(err)
+		}
+		i++
+	})
+	if allocs > 32 {
+		t.Errorf("Enc allocates %.0f times per call, want <= 32", allocs)
+	}
+}

@@ -15,7 +15,6 @@ import (
 	"errors"
 	"fmt"
 	"math/big"
-	"sync"
 
 	"smatch/internal/chain"
 	"smatch/internal/entropy"
@@ -208,73 +207,6 @@ type Client struct {
 	sys    *System
 	gen    *keygen.Generator
 	secret []byte
-
-	// encMu guards encStates, the per-profile-key encryption pipeline
-	// cache. Rebuilding an ope.Scheme per Enc call would discard the
-	// scheme's memoized recursion tree exactly when it pays off — repeated
-	// encryptions under the same key — so the Client keeps the
-	// Scheme+Codec pair alive across Enc/PrepareUpload calls, keyed by
-	// h(Kup). A device only handles a handful of keys (its own profile
-	// plus multi-probe query candidates), so the cache is small and
-	// evicts arbitrarily past its bound.
-	encMu     sync.Mutex
-	encStates map[[32]byte]*encState
-}
-
-// encState is one profile key's ready-to-use encryption pipeline.
-type encState struct {
-	scheme *ope.Scheme
-	codec  *chain.Codec
-}
-
-// maxEncStates bounds the per-key pipeline cache. Each entry holds a memo
-// tree (bounded by ope.DefaultNodeBudget) and an LRU, so the bound also
-// caps the Client's cache memory.
-const maxEncStates = 16
-
-// encFor returns the cached Scheme+Codec for key, building it on first
-// use.
-func (c *Client) encFor(key *keygen.Key) (*encState, error) {
-	var kh [32]byte
-	copy(kh[:], key.Hash())
-	c.encMu.Lock()
-	st, ok := c.encStates[kh]
-	c.encMu.Unlock()
-	if ok {
-		return st, nil
-	}
-	scheme, err := ope.NewScheme(key.Bytes(), c.sys.opeParams)
-	if err != nil {
-		return nil, err
-	}
-	// The unit profile plugs in as a nil Scorer so the unweighted seal
-	// path has no indirection and stays byte-identical to the
-	// pre-scoring pipeline.
-	var scorer chain.Scorer
-	if !c.sys.scorer.IsUnit() {
-		scorer = c.sys.scorer
-	}
-	codec, err := chain.NewScoredCodec(scheme, scorer)
-	if err != nil {
-		return nil, err
-	}
-	st = &encState{scheme: scheme, codec: codec}
-	c.encMu.Lock()
-	if existing, ok := c.encStates[kh]; ok {
-		// Lost a build race; keep the published pipeline so every caller
-		// shares one memo tree.
-		st = existing
-	} else {
-		if len(c.encStates) >= maxEncStates {
-			for k := range c.encStates {
-				delete(c.encStates, k)
-				break
-			}
-		}
-		c.encStates[kh] = st
-	}
-	c.encMu.Unlock()
-	return st, nil
 }
 
 // NewClient binds a device to the system. eval is the OPRF transport (the
@@ -291,10 +223,9 @@ func (s *System) NewClient(eval oprf.Evaluator, secret []byte) (*Client, error) 
 		return nil, err
 	}
 	return &Client{
-		sys:       s,
-		gen:       gen,
-		secret:    append([]byte(nil), secret...),
-		encStates: make(map[[32]byte]*encState),
+		sys:    s,
+		gen:    gen,
+		secret: append([]byte(nil), secret...),
 	}, nil
 }
 
@@ -336,9 +267,21 @@ func (c *Client) InitData(p profile.Profile) ([]*big.Int, error) {
 // (w_i·A'_i; identity for unweighted deployments), chains them in this
 // device's secret random order and OPE-encrypts them under the profile key
 // (Figure 3, Algorithm InitData step 2 + Algorithm Enc, plus the
-// priority-weighting extension).
+// priority-weighting extension). The scheme and codec are built from the
+// key on every call, which costs one SHA-256.
 func (c *Client) Enc(key *keygen.Key, id profile.ID, mapped []*big.Int) (*chain.Chain, error) {
-	st, err := c.encFor(key)
+	scheme, err := ope.NewScheme(key.Bytes(), c.sys.opeParams)
+	if err != nil {
+		return nil, err
+	}
+	// The unit profile plugs in as a nil Scorer so the unweighted seal
+	// path has no indirection and stays byte-identical to the
+	// pre-scoring pipeline.
+	var scorer chain.Scorer
+	if !c.sys.scorer.IsUnit() {
+		scorer = c.sys.scorer
+	}
+	codec, err := chain.NewScoredCodec(scheme, scorer)
 	if err != nil {
 		return nil, err
 	}
@@ -347,7 +290,7 @@ func (c *Client) Enc(key *keygen.Key, id profile.ID, mapped []*big.Int) (*chain.
 	copy(label[:4], "perm")
 	binary.BigEndian.PutUint32(label[4:8], uint32(id))
 	permCoins := prf.New(c.secret, label[:])
-	return st.codec.Seal(mapped, permCoins)
+	return codec.Seal(mapped, permCoins)
 }
 
 // KeygenCandidates derives the primary profile key plus up to maxProbes

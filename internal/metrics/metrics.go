@@ -121,24 +121,6 @@ func quantile(counts []uint64, total uint64, q float64) float64 {
 	return math.Exp2(float64(len(counts)-1)) - 1
 }
 
-// OPECacheCounters aggregates the client-side OPE encryption engine's
-// memoization statistics: recursion-tree node hits and misses (a hit skips
-// the per-level SHA-256 coin derivations entirely), node insertions and
-// budget rejections (the tree is bounded; a reject means the descent fell
-// off the cached prefix and kept computing without growing the tree), and
-// the plaintext→ciphertext LRU's hits, misses and evictions. Every
-// ope.Scheme owns a private set, read through Scheme.CacheCounters; the
-// zero value is ready to use.
-type OPECacheCounters struct {
-	NodeHits     atomic.Uint64
-	NodeMisses   atomic.Uint64
-	NodeInserts  atomic.Uint64
-	NodeRejects  atomic.Uint64
-	LRUHits      atomic.Uint64
-	LRUMisses    atomic.Uint64
-	LRUEvictions atomic.Uint64
-}
-
 // Registry aggregates the server's counters, histograms and gauges.
 type Registry struct {
 	start time.Time

@@ -24,10 +24,12 @@
 // implementations. Per-node coins chain down the recursion tree
 // (seed_child = SHA-256(seed_parent, branch)), so coins depend only on the
 // key and the node — never on the plaintext — which is what makes
-// ciphertexts of different plaintexts mutually consistent, and what makes
-// the memoization in cache.go security-neutral: the cache stores values the
-// key holder could recompute at any time, and cached and uncached descents
-// produce bit-for-bit identical ciphertexts.
+// ciphertexts of different plaintexts mutually consistent.
+//
+// Every Encrypt and Decrypt runs the one descent from the root; nothing is
+// cached across calls. At N == M (the paper's setting and this repository's
+// default) the root is already the identity and a call costs a range check
+// plus one addition.
 package ope
 
 import (
@@ -39,7 +41,6 @@ import (
 	"math/big"
 	"sync"
 
-	"smatch/internal/metrics"
 	"smatch/internal/prf"
 )
 
@@ -78,31 +79,19 @@ func (p Params) Validate() error {
 	return nil
 }
 
-// Scheme is a deterministic OPE instance under a fixed key. It is safe for
-// concurrent use: the parameters are immutable after construction and the
-// memo tree and LRU are concurrency-safe (see cache.go).
+// Scheme is a deterministic OPE instance under a fixed key. It is immutable
+// after construction and safe for concurrent use; each descent works in its
+// own pooled frame. Building one costs a single SHA-256.
 type Scheme struct {
 	params     Params
 	domainSize *big.Int // 2^M
 	rangeSize  *big.Int // 2^N
 	rootSeed   [32]byte
-
-	memo     *memoCache // nil when the node cache is disabled
-	lru      *ctLRU     // nil when the ciphertext LRU is disabled
-	counters *metrics.OPECacheCounters
 }
 
-// NewScheme constructs an OPE instance with default memoization. The key
-// should be 32 bytes of high-entropy material; in S-MATCH it is the
-// OPRF-hardened profile key.
+// NewScheme constructs an OPE instance. The key should be 32 bytes of
+// high-entropy material; in S-MATCH it is the OPRF-hardened profile key.
 func NewScheme(key []byte, params Params) (*Scheme, error) {
-	return NewSchemeWithCache(key, params, CacheConfig{})
-}
-
-// NewSchemeWithCache constructs an OPE instance with explicit cache tuning;
-// see CacheConfig. Cached and uncached schemes under the same key produce
-// bit-for-bit identical ciphertexts.
-func NewSchemeWithCache(key []byte, params Params, cfg CacheConfig) (*Scheme, error) {
 	if err := params.Validate(); err != nil {
 		return nil, err
 	}
@@ -113,7 +102,6 @@ func NewSchemeWithCache(key []byte, params Params, cfg CacheConfig) (*Scheme, er
 		params:     params,
 		domainSize: new(big.Int).Lsh(bigOne, params.PlaintextBits),
 		rangeSize:  new(big.Int).Lsh(bigOne, params.CiphertextBits),
-		counters:   new(metrics.OPECacheCounters),
 	}
 	h := sha256.New()
 	h.Write([]byte("smatch/ope/root/"))
@@ -121,38 +109,36 @@ func NewSchemeWithCache(key []byte, params Params, cfg CacheConfig) (*Scheme, er
 		byte(params.CiphertextBits >> 8), byte(params.CiphertextBits)})
 	h.Write(key)
 	h.Sum(s.rootSeed[:0])
-	if !cfg.Disable {
-		budget := cfg.NodeBudget
-		if budget == 0 {
-			budget = DefaultNodeBudget
-		}
-		if budget > 0 {
-			s.memo = &memoCache{budget: int64(budget)}
-		}
-		lruSize := cfg.LRUSize
-		if lruSize == 0 {
-			lruSize = DefaultLRUSize
-		}
-		if lruSize > 0 {
-			s.lru = newCtLRU(lruSize)
-		}
-	}
 	return s, nil
 }
 
 // Params returns the scheme parameters.
 func (s *Scheme) Params() Params { return s.params }
 
-// frame holds one descent's mutable state plus the scratch big.Ints the
+// frame holds one descent's node state plus the scratch big.Ints the
 // per-level arithmetic works in, pooled so a steady-state Encrypt allocates
-// only its result (and, on memo misses, the cached split points).
+// only its result.
 type frame struct {
 	dlo, d, rlo            big.Int // current domain interval and range start
-	x, t                   big.Int // uncached split point; descend/mid temp
+	rbits                  uint    // the current range is [rlo, rlo+2^rbits)
+	seed                   [32]byte
+	x, t                   big.Int // split point; descend/mid temp
 	half, lo, hi, rd, mask big.Int // computeSplit / sampleLeaf scratch
 }
 
 var framePool = sync.Pool{New: func() any { return new(frame) }}
+
+// root takes a pooled frame and places it at the root node. The caller
+// returns it to framePool.
+func (s *Scheme) root() *frame {
+	fr := framePool.Get().(*frame)
+	fr.dlo.SetInt64(0)
+	fr.d.Set(s.domainSize)
+	fr.rlo.SetInt64(0)
+	fr.rbits = s.params.CiphertextBits
+	fr.seed = s.rootSeed
+	return fr
+}
 
 // childSeed derives the coin seed for one branch.
 func childSeed(parent [32]byte, branch byte) [32]byte {
@@ -167,62 +153,23 @@ func (s *Scheme) Encrypt(m *big.Int) (*big.Int, error) {
 	if m.Sign() < 0 || m.Cmp(s.domainSize) >= 0 {
 		return nil, ErrPlaintextRange
 	}
-	if s.lru != nil {
-		if c, ok := s.lru.get(m); ok {
-			s.counters.LRUHits.Add(1)
-			return c, nil
-		}
-		s.counters.LRUMisses.Add(1)
-	}
-	c := s.encrypt(m)
-	if s.lru != nil {
-		if s.lru.put(m, c) {
-			s.counters.LRUEvictions.Add(1)
-		}
-	}
-	return c, nil
-}
-
-// encrypt runs the binary descent. When the memo tree is enabled the
-// descent follows cached nodes (reusing their split points and seeds) until
-// it falls off the cached prefix, then continues with local seed chaining.
-func (s *Scheme) encrypt(m *big.Int) *big.Int {
-	fr := framePool.Get().(*frame)
+	fr := s.root()
 	defer framePool.Put(fr)
-	dlo := fr.dlo.SetInt64(0)
-	d := fr.d.Set(s.domainSize)
-	rlo := fr.rlo.SetInt64(0)
-	rbits := s.params.CiphertextBits
-	seed := s.rootSeed
-	var cur *memoNode
-	if s.memo != nil {
-		cur = s.memo.root(s.rootSeed)
-	}
 	for {
-		if identity(d, rbits) {
+		if identity(&fr.d, fr.rbits) {
 			// d == r: the map on this node is forced to the identity.
-			off := new(big.Int).Sub(m, dlo)
-			return off.Add(off, rlo)
+			off := new(big.Int).Sub(m, &fr.dlo)
+			return off.Add(off, &fr.rlo), nil
 		}
-		if d.Cmp(bigOne) == 0 {
-			if cur != nil {
-				seed = cur.seed
-			}
-			return sampleLeaf(&seed, rbits, rlo, fr)
+		if fr.d.Cmp(bigOne) == 0 {
+			return sampleLeaf(fr), nil
 		}
-		var x *big.Int
-		if cur != nil {
-			x = cur.split(s, fr, dlo, d, rbits) // shared: must not be mutated
-		} else {
-			computeSplit(&fr.x, fr, &seed, dlo, d, rbits)
-			x = &fr.x
-		}
+		computeSplit(fr)
 		var branch byte
-		if m.Cmp(x) > 0 {
+		if m.Cmp(&fr.x) > 0 {
 			branch = 1
 		}
-		descend(fr, x, branch, dlo, d, rlo, &rbits)
-		cur, seed = advance(s, cur, seed, branch)
+		fr.descend(branch)
 	}
 }
 
@@ -232,53 +179,34 @@ func (s *Scheme) Decrypt(c *big.Int) (*big.Int, error) {
 	if c.Sign() < 0 || c.Cmp(s.rangeSize) >= 0 {
 		return nil, ErrCiphertextRange
 	}
-	fr := framePool.Get().(*frame)
+	fr := s.root()
 	defer framePool.Put(fr)
-	dlo := fr.dlo.SetInt64(0)
-	d := fr.d.Set(s.domainSize)
-	rlo := fr.rlo.SetInt64(0)
-	rbits := s.params.CiphertextBits
-	seed := s.rootSeed
-	var cur *memoNode
-	if s.memo != nil {
-		cur = s.memo.root(s.rootSeed)
-	}
 	for {
-		if d.Sign() == 0 {
+		if fr.d.Sign() == 0 {
 			// The ciphertext landed in a range half holding no domain
 			// points: it cannot have been produced by Encrypt.
 			return nil, ErrNotInImage
 		}
-		if identity(d, rbits) {
-			off := new(big.Int).Sub(c, rlo)
-			return off.Add(off, dlo), nil
+		if identity(&fr.d, fr.rbits) {
+			off := new(big.Int).Sub(c, &fr.rlo)
+			return off.Add(off, &fr.dlo), nil
 		}
-		if d.Cmp(bigOne) == 0 {
-			if cur != nil {
-				seed = cur.seed
-			}
-			if sampleLeaf(&seed, rbits, rlo, fr).Cmp(c) != 0 {
+		if fr.d.Cmp(bigOne) == 0 {
+			if sampleLeaf(fr).Cmp(c) != 0 {
 				return nil, ErrNotInImage
 			}
-			return new(big.Int).Set(dlo), nil
+			return new(big.Int).Set(&fr.dlo), nil
 		}
-		var x *big.Int
-		if cur != nil {
-			x = cur.split(s, fr, dlo, d, rbits)
-		} else {
-			computeSplit(&fr.x, fr, &seed, dlo, d, rbits)
-			x = &fr.x
-		}
+		computeSplit(fr)
 		// mid: the highest range value of the lower half.
-		mid := fr.t.Lsh(bigOne, rbits-1)
+		mid := fr.t.Lsh(bigOne, fr.rbits-1)
 		mid.Sub(mid, bigOne)
-		mid.Add(mid, rlo)
+		mid.Add(mid, &fr.rlo)
 		var branch byte
 		if c.Cmp(mid) > 0 {
 			branch = 1
 		}
-		descend(fr, x, branch, dlo, d, rlo, &rbits)
-		cur, seed = advance(s, cur, seed, branch)
+		fr.descend(branch)
 	}
 }
 
@@ -299,47 +227,32 @@ func isPowerOfTwo(v *big.Int) bool {
 	return v.TrailingZeroBits() == uint(v.BitLen()-1)
 }
 
-// descend narrows the frame's interval state into one half. Left keeps
-// domain [dlo, x] over the lower range half; right keeps [x+1, dhi] over
-// the upper half. x is read-only (it may be a shared cached value).
-func descend(fr *frame, x *big.Int, branch byte, dlo, d, rlo *big.Int, rbits *uint) {
+// descend moves the frame to the branch child of its node, splitting at
+// fr.x. Left keeps domain [dlo, x] over the lower range half; right keeps
+// [x+1, dhi] over the upper half. The child's coins chain from the
+// parent's seed.
+func (fr *frame) descend(branch byte) {
+	fr.rbits--
+	fr.seed = childSeed(fr.seed, branch)
 	if branch == 0 {
-		d.Sub(x, dlo)
-		d.Add(d, bigOne)
-		*rbits -= 1
+		fr.d.Sub(&fr.x, &fr.dlo)
+		fr.d.Add(&fr.d, bigOne)
 		return
 	}
-	fr.t.Sub(x, dlo)
+	fr.t.Sub(&fr.x, &fr.dlo)
 	fr.t.Add(&fr.t, bigOne) // domain points shed to the left: x+1-dlo
-	d.Sub(d, &fr.t)
-	dlo.Add(x, bigOne)
-	*rbits -= 1
-	rlo.Add(rlo, fr.t.Lsh(bigOne, *rbits))
+	fr.d.Sub(&fr.d, &fr.t)
+	fr.dlo.Add(&fr.x, bigOne)
+	fr.rlo.Add(&fr.rlo, fr.t.Lsh(bigOne, fr.rbits))
 }
 
-// advance moves the coin state one level down: along the memo tree while a
-// cached (or insertable) child exists, otherwise by local seed chaining.
-func advance(s *Scheme, cur *memoNode, seed [32]byte, branch byte) (*memoNode, [32]byte) {
-	if cur == nil {
-		return nil, childSeed(seed, branch)
-	}
-	next := cur.kids[branch].Load()
-	if next == nil {
-		next = s.addChild(cur, branch)
-	}
-	if next == nil {
-		// Node budget exhausted: fall off the cached prefix.
-		return nil, childSeed(cur.seed, branch)
-	}
-	return next, seed
-}
-
-// computeSplit draws the hypergeometric count of domain points assigned to
-// the lower half and writes the highest domain value mapped there
-// (dlo + count - 1) into dst. The count respects the support bounds
+// computeSplit draws the hypergeometric count of domain points the frame's
+// node assigns to the lower half and writes the highest domain value mapped
+// there (dlo + count - 1) into fr.x. The count respects the support bounds
 // max(0, d - r/2) <= count <= min(d, r/2). All intermediates live in the
 // frame's scratch integers.
-func computeSplit(dst *big.Int, fr *frame, seed *[32]byte, dlo, d *big.Int, rbits uint) {
+func computeSplit(fr *frame) {
+	dst, dlo, d, rbits := &fr.x, &fr.dlo, &fr.d, fr.rbits
 	half := fr.half.Lsh(bigOne, rbits-1) // g = r/2
 
 	// Support bounds.
@@ -367,7 +280,7 @@ func computeSplit(dst *big.Int, fr *frame, seed *[32]byte, dlo, d *big.Int, rbit
 		} else {
 			sigmaLog2 = math.Inf(-1)
 		}
-		z := seedNormal(seed)
+		z := seedNormal(&fr.seed)
 		dst.Add(dst, scaledOffset(z, sigmaLog2))
 		if dst.Cmp(lo) < 0 {
 			dst.Set(lo)
@@ -397,10 +310,11 @@ func seedNormal(seed *[32]byte) float64 {
 
 var leafLabel = []byte("leaf")
 
-// sampleLeaf deterministically picks the ciphertext for the node's single
+// sampleLeaf deterministically picks the ciphertext for the frame's single
 // domain point uniformly within its 2^rbits-sized range.
-func sampleLeaf(seed *[32]byte, rbits uint, rlo *big.Int, fr *frame) *big.Int {
-	stream := prf.New(seed[:], leafLabel)
+func sampleLeaf(fr *frame) *big.Int {
+	rbits := fr.rbits
+	stream := prf.New(fr.seed[:], leafLabel)
 	nb := int(rbits+7) / 8
 	var stack [512]byte
 	var buf []byte
@@ -416,7 +330,7 @@ func sampleLeaf(seed *[32]byte, rbits uint, rlo *big.Int, fr *frame) *big.Int {
 	mask := fr.mask.Lsh(bigOne, rbits)
 	mask.Sub(mask, bigOne)
 	off.And(off, mask)
-	return off.Add(off, rlo)
+	return off.Add(off, &fr.rlo)
 }
 
 var bigOne = big.NewInt(1)

@@ -311,44 +311,64 @@ func TestCiphertextSpread(t *testing.T) {
 	}
 }
 
-// benchEncrypt times Encrypt at one width in three cache regimes, each
-// over plaintexts drawn up front (seed 17):
-//
-//	cold  cache off, 2^16 distinct plaintexts: the full descent every time
-//	memo  default cache, 2^16 distinct plaintexts: the LRU misses, so only
-//	      the memo tree's shared prefix helps
-//	lru   default cache, 256 plaintexts cycled: the ciphertext-LRU hit path
+// TestEncryptResultNotAliased guards the pooled frame: what Encrypt and
+// Decrypt return must not share memory with the frame the next call reuses,
+// so a later call cannot move an earlier result and a caller mutating a
+// result cannot move a later one.
+func TestEncryptResultNotAliased(t *testing.T) {
+	for _, p := range []Params{
+		{PlaintextBits: 16, CiphertextBits: 16}, // identity at the root
+		{PlaintextBits: 16, CiphertextBits: 32}, // full descent to a leaf
+	} {
+		s := mustScheme(t, "alias-key", p)
+		m := big.NewInt(4242)
+		c1, err := s.Encrypt(m)
+		if err != nil {
+			t.Fatal(err)
+		}
+		saved := new(big.Int).Set(c1)
+		if _, err := s.Encrypt(big.NewInt(17)); err != nil {
+			t.Fatal(err)
+		}
+		if c1.Cmp(saved) != 0 {
+			t.Fatalf("%+v: a later Encrypt moved an earlier result: %v, want %v", p, c1, saved)
+		}
+		c1.SetInt64(-999) // clobber the returned value
+		c2, err := s.Encrypt(m)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if c2.Cmp(saved) != 0 {
+			t.Fatalf("%+v: ciphertext moved by caller mutation: %v, want %v", p, c2, saved)
+		}
+		m1, err := s.Decrypt(c2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		m1.SetInt64(-1)
+		if m2, err := s.Decrypt(c2); err != nil || m2.Cmp(m) != 0 {
+			t.Fatalf("%+v: Decrypt after caller mutation = %v, %v; want %v", p, m2, err, m)
+		}
+	}
+}
+
+// benchEncrypt times Encrypt at one width over 2^16 distinct plaintexts
+// drawn up front (seed 17), so every call runs the full descent.
 func benchEncrypt(b *testing.B, bits uint) {
 	params := Params{PlaintextBits: bits, CiphertextBits: bits + DefaultExpansion}
 	rng := rand.New(rand.NewSource(17))
 	limit := new(big.Int).Lsh(big.NewInt(1), bits)
-	distinct := make([]*big.Int, 1<<16)
-	for i := range distinct {
-		distinct[i] = new(big.Int).Rand(rng, limit)
+	pts := make([]*big.Int, 1<<16)
+	for i := range pts {
+		pts[i] = new(big.Int).Rand(rng, limit)
 	}
-	repeat := distinct[:256]
-	for _, c := range []struct {
-		name string
-		cfg  CacheConfig
-		pts  []*big.Int
-	}{
-		{"cold", CacheConfig{Disable: true}, distinct},
-		{"memo", CacheConfig{}, distinct},
-		{"lru", CacheConfig{}, repeat},
-	} {
-		b.Run(c.name, func(b *testing.B) {
-			s, err := NewSchemeWithCache([]byte("bench"), params, c.cfg)
-			if err != nil {
-				b.Fatal(err)
-			}
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, err := s.Encrypt(c.pts[i%len(c.pts)]); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
+	s := mustScheme(b, "bench", params)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := s.Encrypt(pts[i%len(pts)]); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
 

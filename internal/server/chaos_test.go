@@ -102,21 +102,32 @@ func TestOPRFBatchOverNetwork(t *testing.T) {
 	}
 }
 
+// TestOPRFBatchRejectsOversize checks the client-side guard rail: a batch
+// over wire.MaxOPRFBatch never hits the network, and a max-size batch is
+// evaluated.
 func TestOPRFBatchRejectsOversize(t *testing.T) {
-	addr, _ := startServer(t)
+	addr, srv := startServer(t)
 	conn := dial(t, addr)
-	xs := make([]*big.Int, 65)
+	xs := make([]*big.Int, wire.MaxOPRFBatch+1)
 	for i := range xs {
 		xs[i] = big.NewInt(int64(i + 2))
 	}
 	if _, err := conn.EvaluateBatch(xs); err == nil {
-		t.Error("65-element batch accepted (server cap is 64)")
+		t.Errorf("%d-element batch accepted (cap is %d)", len(xs), wire.MaxOPRFBatch)
 	}
-	// Connection healthy afterwards.
-	if _, err := conn.OPRFPublicKey(); err != nil {
-		t.Errorf("connection dead after rejected batch: %v", err)
+	if n := srv.Metrics().OPRFEvals.Load(); n != 0 {
+		t.Errorf("oversized batch reached the server: %d OPRF frames handled", n)
 	}
-	_ = client.ErrServer
+	ys, err := conn.EvaluateBatch(xs[:wire.MaxOPRFBatch])
+	if err != nil {
+		t.Fatalf("max-size batch: %v", err)
+	}
+	if len(ys) != wire.MaxOPRFBatch {
+		t.Errorf("got %d evaluations, want %d", len(ys), wire.MaxOPRFBatch)
+	}
+	if n := srv.Metrics().OPRFEvals.Load(); n != 1 {
+		t.Errorf("server handled %d OPRF frames, want 1", n)
+	}
 }
 
 func TestConnectionTimeoutReaped(t *testing.T) {

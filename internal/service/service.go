@@ -24,10 +24,6 @@ import (
 	"smatch/internal/wire"
 )
 
-// MaxOPRFBatch caps a single batched OPRF request; multi-probe key
-// generation needs a handful, so the cap only stops abuse.
-const MaxOPRFBatch = 64
-
 // Journal is the durability hook a mutation handler runs before touching
 // the store: Begin pins the journal-then-apply pair against the
 // checkpoint barrier, the Append* methods make the record durable. A nil
@@ -320,14 +316,12 @@ func (r *Registry) oprf(payload, respBuf []byte) (wire.MsgType, []byte, error) {
 	return wire.TypeOPRFResp, resp.AppendEncode(respBuf), nil
 }
 
-// oprfBatch evaluates a bounded batch of blinded elements in one round.
+// oprfBatch evaluates a batch of blinded elements in one round; the decoder
+// enforces wire.MaxOPRFBatch.
 func (r *Registry) oprfBatch(payload, respBuf []byte) (wire.MsgType, []byte, error) {
 	req, err := wire.DecodeOPRFBatchReq(payload)
 	if err != nil {
 		return 0, nil, err
-	}
-	if len(req.Xs) > MaxOPRFBatch {
-		return 0, nil, fmt.Errorf("service: OPRF batch of %d exceeds limit %d", len(req.Xs), MaxOPRFBatch)
 	}
 	ys, err := r.deps.OPRF.EvaluateBatch(req.Xs)
 	if err != nil {

@@ -274,7 +274,7 @@ func TestUploadBatchMixedValidity(t *testing.T) {
 
 func TestOPRFBatchCapped(t *testing.T) {
 	r := testRegistry(t, Deps{})
-	xs := make([]*big.Int, MaxOPRFBatch+1)
+	xs := make([]*big.Int, wire.MaxOPRFBatch+1)
 	for i := range xs {
 		xs[i] = big.NewInt(int64(i + 1))
 	}

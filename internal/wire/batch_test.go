@@ -69,6 +69,27 @@ func TestOPRFBatchLyingCount(t *testing.T) {
 	}
 }
 
+// TestOPRFBatchLimit: both directions decode MaxOPRFBatch elements and
+// refuse one more, before allocating for the claimed count.
+func TestOPRFBatchLimit(t *testing.T) {
+	xs := make([]*big.Int, MaxOPRFBatch+1)
+	for i := range xs {
+		xs[i] = big.NewInt(int64(i + 2))
+	}
+	if _, err := DecodeOPRFBatchReq((&OPRFBatchReq{Xs: xs[:MaxOPRFBatch]}).Encode()); err != nil {
+		t.Errorf("max-size request: %v", err)
+	}
+	if _, err := DecodeOPRFBatchResp((&OPRFBatchResp{Ys: xs[:MaxOPRFBatch]}).Encode()); err != nil {
+		t.Errorf("max-size response: %v", err)
+	}
+	if _, err := DecodeOPRFBatchReq((&OPRFBatchReq{Xs: xs}).Encode()); err == nil {
+		t.Error("oversized request accepted")
+	}
+	if _, err := DecodeOPRFBatchResp((&OPRFBatchResp{Ys: xs}).Encode()); err == nil {
+		t.Error("oversized response accepted")
+	}
+}
+
 func TestQueryReqModeRoundTrip(t *testing.T) {
 	knn := &QueryReq{QueryID: 1, Timestamp: 2, ID: 3, TopK: 4, Mode: ModeKNN}
 	got, err := DecodeQueryReq(knn.Encode())

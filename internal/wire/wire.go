@@ -114,6 +114,11 @@ func UploadReqOf(e match.Entry) UploadReq {
 // can demand.
 const MaxUploadBatch = 256
 
+// MaxOPRFBatch caps the blinded elements one batched OPRF frame may carry.
+// Multi-probe key generation needs a handful, so the cap only bounds the
+// RSA work one frame can demand.
+const MaxOPRFBatch = 64
+
 // UploadBatchReq carries several upload records in one frame. The server
 // validates every entry, journals and applies the valid ones, and answers
 // with per-entry status — one round trip and (with the WAL enabled) one
@@ -318,6 +323,9 @@ func DecodeOPRFBatchReq(payload []byte) (*OPRFBatchReq, error) {
 	if err != nil {
 		return nil, err
 	}
+	if int(n) > MaxOPRFBatch {
+		return nil, fmt.Errorf("wire: OPRF batch of %d exceeds limit %d", n, MaxOPRFBatch)
+	}
 	out := &OPRFBatchReq{Xs: make([]*big.Int, n)}
 	for i := range out.Xs {
 		b, err := d.bytes()
@@ -353,6 +361,9 @@ func DecodeOPRFBatchResp(payload []byte) (*OPRFBatchResp, error) {
 	n, err := d.u16()
 	if err != nil {
 		return nil, err
+	}
+	if int(n) > MaxOPRFBatch {
+		return nil, fmt.Errorf("wire: OPRF batch response of %d exceeds limit %d", n, MaxOPRFBatch)
 	}
 	out := &OPRFBatchResp{Ys: make([]*big.Int, n)}
 	for i := range out.Ys {
