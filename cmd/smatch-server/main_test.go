@@ -91,20 +91,14 @@ func TestLoadStoreCorruptFile(t *testing.T) {
 // apply sequence, so openState tests exercise real WAL records.
 func journalUpload(t *testing.T, j *server.Journal, s *match.Server, id profile.ID, sum int64) {
 	t.Helper()
-	ch := &chain.Chain{Cts: []*big.Int{big.NewInt(sum)}, CtBits: 48}
-	req := &wire.UploadReq{
-		ID:       id,
-		KeyHash:  []byte("bucket"),
-		CtBits:   uint32(ch.CtBits),
-		NumAttrs: uint16(ch.NumAttrs()),
-		Chain:    ch.Bytes(),
-		Auth:     []byte{byte(id)},
+	entry := match.Entry{
+		ID:      id,
+		KeyHash: []byte("bucket"),
+		Chain:   &chain.Chain{Cts: []*big.Int{big.NewInt(sum)}, CtBits: 48},
+		Auth:    []byte{byte(id)},
 	}
-	if err := j.AppendUpload(req); err != nil {
-		t.Fatal(err)
-	}
-	entry, err := req.Entry()
-	if err != nil {
+	req := wire.UploadReqOf(entry)
+	if err := j.AppendUpload(&req); err != nil {
 		t.Fatal(err)
 	}
 	if err := s.Upload(entry); err != nil {

@@ -92,7 +92,7 @@ type Broker struct {
 	nextKey  uint64
 	byBucket map[string]map[uint64]*Sub
 	// distScratch is the reusable limb buffer for threshold evaluation;
-	// guarded by mu like everything else, so steady-state PublishUpsert
+	// guarded by mu like everything else, so steady-state publishing
 	// allocates nothing per subscriber.
 	distScratch []uint64
 	// notifiedBy indexes, per profile ID, the subscriptions currently
@@ -291,54 +291,67 @@ func (s *Sub) Dropped() uint64 {
 	return s.dropped
 }
 
-// PublishUpsert evaluates one applied upload (single or batch entry)
-// against the registry: subscribers in the entry's bucket within
+// PublishRecord evaluates one applied upload (single or batch entry)
+// against the registry: subscribers in the record's bucket within
 // threshold get EventMatch (suppressed when the same ID was already
 // notified at the same order sum — an idempotent re-upload), subscribers
 // that had notified this ID but no longer qualify — it moved out of
-// range, or into a different bucket — get EventGone. Never blocks.
+// range, or into a different bucket — get EventGone. It reads the order
+// sum the store computed, and the queued auth is the record's immutable
+// tail. Never blocks.
+func (b *Broker) PublishRecord(r match.Record) {
+	b.publish(r.ID(), r.KeyHash(), r.Sum(), r.Auth())
+}
+
+// PublishUpsert is PublishRecord for an uploaded Entry: it sums the
+// entry's chain, which must be valid (Entry.Validate), and retains its
+// Auth.
 func (b *Broker) PublishUpsert(e match.Entry) {
+	b.publish(e.ID, e.KeyHash, match.SumOfChain(e.Chain), e.Auth)
+}
+
+// publish is the evaluation behind PublishRecord and PublishUpsert.
+func (b *Broker) publish(id profile.ID, keyHash []byte, sum match.Sum, auth []byte) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	if len(b.subs) == 0 {
 		return
 	}
-	bucket := b.byBucket[string(e.KeyHash)]
-	interested := b.notifiedBy[e.ID]
+	bucket := b.byBucket[string(keyHash)]
+	interested := b.notifiedBy[id]
 	if len(bucket) == 0 && len(interested) == 0 {
 		return
 	}
-	sum := match.SumOfChain(e.Chain)
 	for key, s := range bucket {
 		var within bool
 		within, b.distScratch = s.probe.WithinDist(sum, s.dist, b.distScratch)
 		if within {
-			if prev, ok := s.notified[e.ID]; ok && prev.Cmp(sum) == 0 {
+			if prev, ok := s.notified[id]; ok && prev.Cmp(sum) == 0 {
 				continue // already notified at this exact position
 			}
-			s.notified[e.ID] = sum
-			set := b.notifiedBy[e.ID]
+			s.notified[id] = sum
+			set := b.notifiedBy[id]
 			if set == nil {
 				set = make(map[uint64]*Sub)
-				b.notifiedBy[e.ID] = set
+				b.notifiedBy[id] = set
 			}
 			set[key] = s
-			b.enqueue(s, EventMatch, e.ID, e.Auth)
-		} else if _, ok := s.notified[e.ID]; ok {
-			delete(s.notified, e.ID)
-			b.dropNotifiedIndex(e.ID, key)
-			b.enqueue(s, EventGone, e.ID, nil)
+			b.enqueue(s, EventMatch, id, auth)
+		} else if _, ok := s.notified[id]; ok {
+			delete(s.notified, id)
+			b.dropNotifiedIndex(id, key)
+			b.enqueue(s, EventGone, id, nil)
 		}
 	}
-	// Subscriptions outside the entry's bucket that had notified this ID:
+	// Subscriptions outside the record's bucket that had notified this ID:
 	// the profile re-keyed away from them.
-	for key, s := range b.notifiedBy[e.ID] {
-		if s.bucket == string(e.KeyHash) {
+	for key, s := range b.notifiedBy[id] {
+		if s.bucket == string(keyHash) {
 			continue // handled (or re-confirmed) above
 		}
-		delete(s.notified, e.ID)
-		b.dropNotifiedIndex(e.ID, key)
-		b.enqueue(s, EventGone, e.ID, nil)
+		delete(s.notified, id)
+		b.dropNotifiedIndex(id, key)
+		b.enqueue(s, EventGone, id, nil)
 	}
 }
 

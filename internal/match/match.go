@@ -44,11 +44,15 @@
 // big-endian bytes, and the auth blob into one immutable byte slice per
 // user, beside the order sum in limbs; no big.Int and no caller memory is
 // reachable from a record, so mutating an Entry after Upload changes
-// nothing stored. Results alias the stored auth bytes and must not be
-// written. ForEachEntry decodes records back into fresh Entry copies.
+// nothing stored. NewRecord builds the same record straight from an
+// upload's wire bytes, with no big.Int, and Put files it; the server's
+// write path and WAL replay take that route. Results alias the stored
+// auth bytes and must not be written. ForEachEntry decodes records back
+// into fresh Entry copies.
 package match
 
 import (
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -233,6 +237,55 @@ func (e Entry) record() (*stored, error) {
 	return newStored(e.ID, e.Chain.CtBits, e.Chain.NumAttrs(), blob)
 }
 
+// Record is one user's profile record in the store's own form, built from
+// upload bytes by NewRecord and filed by Put. It owns its memory and is
+// immutable, so the slices and sum its accessors return alias it and must
+// not be written.
+type Record struct {
+	rec     *stored
+	keyHash []byte
+}
+
+// NewRecord builds a record from an upload's wire fields: d ciphertexts of
+// ctBits bits each as fixed-width big-endian bytes in chainBytes, then the
+// auth blob. It accepts exactly what chain.Parse followed by
+// Entry.Validate accepts, without a big.Int: field limits, chain
+// geometry, the exact chain length and each ciphertext's range. keyHash,
+// chainBytes and auth are copied; the record references no caller memory.
+func NewRecord(id profile.ID, keyHash []byte, ctBits uint, d int, chainBytes, auth []byte) (Record, error) {
+	if err := checkFields(id, keyHash, len(auth)); err != nil {
+		return Record{}, err
+	}
+	n, err := chainSize(d, ctBits)
+	if err != nil {
+		return Record{}, err
+	}
+	if len(chainBytes) != n {
+		return Record{}, fmt.Errorf("match: chain of %d bytes, want %d (d=%d, %d bits per ciphertext)", len(chainBytes), n, d, ctBits)
+	}
+	blob := make([]byte, n+len(auth))
+	copy(blob, chainBytes)
+	copy(blob[n:], auth)
+	rec, err := newStored(id, ctBits, d, blob)
+	if err != nil {
+		return Record{}, err
+	}
+	return Record{rec: rec, keyHash: bytes.Clone(keyHash)}, nil
+}
+
+// ID returns the record's user ID.
+func (r Record) ID() profile.ID { return r.rec.ID }
+
+// KeyHash returns the h(Kup) the record is filed under.
+func (r Record) KeyHash() []byte { return r.keyHash }
+
+// Sum returns the record's order sum.
+func (r Record) Sum() Sum { return Sum{w: r.rec.sumLimbs} }
+
+// Auth returns the record's auth blob; like a Result's, an append to it
+// copies rather than overwrites.
+func (r Record) Auth() []byte { return r.rec.auth() }
+
 func (r *stored) chainLen() int { return int(r.nAttrs) * ctWidth(uint(r.ctBits)) }
 
 // auth returns the stored auth bytes; the slice's capacity ends at the
@@ -376,6 +429,10 @@ func (s *Server) Upload(e Entry) error {
 	s.put(rec, e.KeyHash)
 	return nil
 }
+
+// Put stores or replaces a user's profile with a record built by
+// NewRecord, which has already validated it.
+func (s *Server) Put(r Record) { s.put(r.rec, r.keyHash) }
 
 // put files rec under keyHash, replacing any record with the same ID.
 func (s *Server) put(rec *stored, keyHash []byte) {

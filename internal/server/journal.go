@@ -40,6 +40,8 @@ type Journal struct {
 	// side is the Checkpoint barrier guaranteeing every journaled record
 	// up to the chosen LSN has reached the store.
 	applyMu sync.RWMutex
+	// release is applyMu.RUnlock bound once, so Begin allocates nothing.
+	release func()
 }
 
 // OpenJournal opens (or creates) the write-ahead log in opts.Dir and
@@ -79,12 +81,16 @@ func OpenJournal(opts wal.Options) (j *Journal, store *match.Server, recovered b
 	if err != nil {
 		return nil, nil, false, err
 	}
-	return &Journal{wal: w}, store, recovered, nil
+	return NewJournal(w), store, recovered, nil
 }
 
 // NewJournal wraps an already-open WAL (tests; production callers want
 // OpenJournal, which also performs recovery).
-func NewJournal(w *wal.WAL) *Journal { return &Journal{wal: w} }
+func NewJournal(w *wal.WAL) *Journal {
+	j := &Journal{wal: w}
+	j.release = j.applyMu.RUnlock
+	return j
+}
 
 // WAL exposes the underlying log (for checkpoint scheduling and tests).
 func (j *Journal) WAL() *wal.WAL { return j.wal }
@@ -95,34 +101,42 @@ func (j *Journal) WAL() *wal.WAL { return j.wal }
 // around every journal-then-apply sequence.
 func (j *Journal) Begin() func() {
 	j.applyMu.RLock()
-	return j.applyMu.RUnlock
+	return j.release
 }
 
 // AppendUpload journals an upload; when it returns nil the record is
 // durable.
 func (j *Journal) AppendUpload(req *wire.UploadReq) error {
-	payload := req.Encode()
-	rec := make([]byte, 0, 1+len(payload))
-	rec = append(rec, opUpload)
-	rec = append(rec, payload...)
+	rec := appendUploadRecord(make([]byte, 0, 1+req.EncodedLen()), req)
 	if _, err := j.wal.Append(rec); err != nil {
 		return fmt.Errorf("server: journaling upload: %w", err)
 	}
 	return nil
 }
 
+// appendUploadRecord appends req's opUpload record — the op byte, then
+// the request's wire encoding — to buf.
+func appendUploadRecord(buf []byte, req *wire.UploadReq) []byte {
+	return req.AppendEncode(append(buf, opUpload))
+}
+
 // AppendUploadBatch journals several uploads as individual opUpload
 // records committed through one WAL group commit (one fsync for the whole
 // batch). Because the records are byte-identical to the ones AppendUpload
 // writes, recovery replays a batch exactly as it would N single uploads —
-// no separate batch record format to version or test.
+// no separate batch record format to version or test. The records are
+// encoded back to back into one buffer sized for all of them.
 func (j *Journal) AppendUploadBatch(reqs []*wire.UploadReq) error {
+	size := 0
+	for _, req := range reqs {
+		size += 1 + req.EncodedLen()
+	}
+	buf := make([]byte, 0, size)
 	records := make([][]byte, len(reqs))
 	for i, req := range reqs {
-		payload := req.Encode()
-		rec := make([]byte, 0, 1+len(payload))
-		rec = append(rec, opUpload)
-		records[i] = append(rec, payload...)
+		start := len(buf)
+		buf = appendUploadRecord(buf, req)
+		records[i] = buf[start:len(buf):len(buf)]
 	}
 	if _, err := j.wal.AppendBatch(records); err != nil {
 		return fmt.Errorf("server: journaling upload batch: %w", err)
@@ -180,11 +194,12 @@ func applyOp(store *match.Server, rec []byte) error {
 		if err != nil {
 			return err
 		}
-		entry, err := req.Entry()
+		r, err := match.NewRecord(req.ID, req.KeyHash, uint(req.CtBits), int(req.NumAttrs), req.Chain, req.Auth)
 		if err != nil {
 			return err
 		}
-		return store.Upload(entry)
+		store.Put(r)
+		return nil
 	case opRemove:
 		if len(rec) != 5 {
 			return fmt.Errorf("server: remove record of %d bytes", len(rec))

@@ -33,16 +33,19 @@ type journalOp struct {
 	sum    int64
 }
 
-func (op journalOp) uploadReq() *wire.UploadReq {
-	ch := &chain.Chain{Cts: []*big.Int{big.NewInt(op.sum)}, CtBits: 48}
-	return &wire.UploadReq{
-		ID:       op.id,
-		KeyHash:  []byte(op.bucket),
-		CtBits:   uint32(ch.CtBits),
-		NumAttrs: uint16(ch.NumAttrs()),
-		Chain:    ch.Bytes(),
-		Auth:     []byte(fmt.Sprintf("auth-%d-%d", op.id, op.sum)),
+// entry is the upload's store entry.
+func (op journalOp) entry() match.Entry {
+	return match.Entry{
+		ID:      op.id,
+		KeyHash: []byte(op.bucket),
+		Chain:   &chain.Chain{Cts: []*big.Int{big.NewInt(op.sum)}, CtBits: 48},
+		Auth:    []byte(fmt.Sprintf("auth-%d-%d", op.id, op.sum)),
 	}
+}
+
+func (op journalOp) uploadReq() *wire.UploadReq {
+	req := wire.UploadReqOf(op.entry())
+	return &req
 }
 
 // apply performs the op on a bare store (the reference path).
@@ -54,11 +57,7 @@ func (op journalOp) apply(t *testing.T, s *match.Server) {
 		}
 		return
 	}
-	entry, err := op.uploadReq().Entry()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := s.Upload(entry); err != nil {
+	if err := s.Upload(op.entry()); err != nil {
 		t.Fatal(err)
 	}
 }

@@ -16,6 +16,7 @@ import (
 	"testing"
 	"time"
 
+	"smatch/internal/broker"
 	"smatch/internal/profile"
 	"smatch/internal/wire"
 )
@@ -134,6 +135,72 @@ func TestSingleWritePerResponse(t *testing.T) {
 	}
 	if got := wc.writes.Load() - base; got != 3 {
 		t.Fatalf("subscribe ack + upload resp + push took %d writes, want 3", got)
+	}
+}
+
+// TestUploadRetainsNoPayloadBytes pins the payload validity window on the
+// upload path: once the handler has returned, overwriting the request
+// payload changes neither the stored auth a query returns, nor the auth
+// of a notification still queued for a subscriber, nor the order sum the
+// broker retains for the upload (a byte-identical re-upload is still
+// recognized as already notified).
+func TestUploadRetainsNoPayloadBytes(t *testing.T) {
+	srv, err := New(Config{OPRF: testOPRF(t)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sub, err := srv.broker.Subscribe(broker.Probe{KeyHash: []byte("zc-bucket"), OrderSum: big.NewInt(10), MaxDist: big.NewInt(100)}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.broker.Unsubscribe(sub)
+	if err := srv.Store().Upload(matchEntryForTest(2, "zc-bucket", 12)); err != nil {
+		t.Fatal(err)
+	}
+	do := func(jt wire.MsgType, payload []byte) (wire.MsgType, []byte) {
+		t.Helper()
+		resp := srv.processJob(pipelineJob{id: 1, t: jt, payload: payload})
+		defer putBuf(resp.buf)
+		_, rt, body, err := wire.ReadFrameV2(bytes.NewReader(resp.frame))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return rt, body
+	}
+
+	up := uploadReqForTest(1, "zc-bucket", 11)
+	up.Auth = []byte("auth-of-user-1")
+	wantAuth := bytes.Clone(up.Auth)
+	payload := up.Encode()
+	if rt, body := do(wire.TypeUploadReq, payload); rt != wire.TypeUploadResp {
+		t.Fatalf("upload: type %d: %s", rt, body)
+	}
+	for i := range payload {
+		payload[i] = 0xEE
+	}
+
+	q := wire.QueryReq{QueryID: 1, ID: 2, TopK: 1}
+	rt, body := do(wire.TypeQueryReq, q.Encode())
+	if rt != wire.TypeQueryResp {
+		t.Fatalf("query: type %d: %s", rt, body)
+	}
+	qr, err := wire.DecodeQueryResp(body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(qr.Results) != 1 || qr.Results[0].ID != 1 || !bytes.Equal(qr.Results[0].Auth, wantAuth) {
+		t.Fatalf("query after the payload was overwritten: %+v, want user 1 with auth %q", qr.Results, wantAuth)
+	}
+	n, ok := sub.Pop()
+	if !ok || n.Event != broker.EventMatch || n.ID != 1 || !bytes.Equal(n.Auth, wantAuth) {
+		t.Fatalf("queued notification after the payload was overwritten: %+v (ok %v), want a match of user 1 with auth %q", n, ok, wantAuth)
+	}
+
+	if rt, body := do(wire.TypeUploadReq, up.Encode()); rt != wire.TypeUploadResp {
+		t.Fatalf("re-upload: type %d: %s", rt, body)
+	}
+	if n, ok := sub.Pop(); ok {
+		t.Fatalf("identical re-upload notified again (%+v): the broker's retained order sum changed", n)
 	}
 }
 

@@ -42,7 +42,7 @@ type Journal interface {
 // internal/broker's Broker implements it. A nil Publisher in Deps
 // disables publishing.
 type Publisher interface {
-	PublishUpsert(match.Entry)
+	PublishRecord(match.Record)
 	PublishRemove(profile.ID)
 }
 
@@ -158,19 +158,21 @@ func gauge(inflight *atomic.Int64, h Handler) Handler {
 	}
 }
 
-// upload: decode → validate → journal → apply → ack.
+// newRecord builds the store's record straight from an upload's wire
+// bytes. This is the validation step: a record NewRecord accepts is one
+// the store files, so the journal only ever holds records that replay.
+func newRecord(u *wire.UploadReq) (match.Record, error) {
+	return match.NewRecord(u.ID, u.KeyHash, uint(u.CtBits), int(u.NumAttrs), u.Chain, u.Auth)
+}
+
+// upload: decode → build the record → journal → apply → publish → ack.
 func (r *Registry) upload(payload, resp []byte) (wire.MsgType, []byte, error) {
 	req, err := wire.DecodeUploadReq(payload)
 	if err != nil {
 		return 0, nil, err
 	}
-	entry, err := req.Entry()
+	rec, err := newRecord(req)
 	if err != nil {
-		return 0, nil, err
-	}
-	// Validate before journaling so the log only ever holds records the
-	// store accepts on replay.
-	if err := entry.Validate(); err != nil {
 		return 0, nil, err
 	}
 	if j := r.deps.Journal; j != nil {
@@ -180,16 +182,14 @@ func (r *Registry) upload(payload, resp []byte) (wire.MsgType, []byte, error) {
 			return 0, nil, err
 		}
 	}
-	if err := r.deps.Store.Upload(entry); err != nil {
-		return 0, nil, err
-	}
+	r.deps.Store.Put(rec)
 	if p := r.deps.Publisher; p != nil {
-		p.PublishUpsert(entry)
+		p.PublishRecord(rec)
 	}
 	return wire.TypeUploadResp, resp, nil
 }
 
-// uploadBatch: validate every entry up front; invalid ones get a
+// uploadBatch: build every entry's record up front; invalid ones get a
 // per-entry status while the valid remainder is journaled (one
 // group-committed fsync for the whole batch) and applied, exactly as if
 // uploaded one frame at a time.
@@ -201,21 +201,16 @@ func (r *Registry) uploadBatch(payload, respBuf []byte) (wire.MsgType, []byte, e
 		return 0, nil, err
 	}
 	resp := wire.UploadBatchResp{Status: make([]string, len(req.Entries))}
-	entries := make([]match.Entry, len(req.Entries))
+	recs := make([]match.Record, 0, len(req.Entries))
 	valid := make([]*wire.UploadReq, 0, len(req.Entries))
-	validIdx := make([]int, 0, len(req.Entries))
 	for i := range req.Entries {
-		entry, verr := req.Entries[i].Entry()
-		if verr == nil {
-			verr = entry.Validate()
-		}
+		rec, verr := newRecord(&req.Entries[i])
 		if verr != nil {
 			resp.Status[i] = verr.Error()
 			continue
 		}
-		entries[i] = entry
+		recs = append(recs, rec)
 		valid = append(valid, &req.Entries[i])
-		validIdx = append(validIdx, i)
 	}
 	if len(valid) > 0 {
 		if j := r.deps.Journal; j != nil {
@@ -225,13 +220,10 @@ func (r *Registry) uploadBatch(payload, respBuf []byte) (wire.MsgType, []byte, e
 				return 0, nil, err
 			}
 		}
-		for _, i := range validIdx {
-			if uerr := r.deps.Store.Upload(entries[i]); uerr != nil {
-				resp.Status[i] = uerr.Error()
-				continue
-			}
+		for _, rec := range recs {
+			r.deps.Store.Put(rec)
 			if p := r.deps.Publisher; p != nil {
-				p.PublishUpsert(entries[i])
+				p.PublishRecord(rec)
 			}
 			m.Uploads.Add(1)
 		}

@@ -65,8 +65,9 @@ func FuzzDecodeUploadReq(f *testing.F) {
 		if !bytes.Equal(u.Encode(), payload) {
 			t.Fatalf("re-encode differs from accepted payload")
 		}
-		// Entry() must never panic, whatever the embedded chain bytes are.
-		_, _ = u.Entry()
+		// Building the store record must never panic, whatever the
+		// embedded chain bytes are.
+		_, _ = recordOf(u)
 	})
 }
 

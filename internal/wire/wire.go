@@ -12,7 +12,6 @@
 package wire
 
 import (
-	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -20,7 +19,6 @@ import (
 	"math/big"
 	"net"
 
-	"smatch/internal/chain"
 	"smatch/internal/match"
 	"smatch/internal/profile"
 )
@@ -82,20 +80,8 @@ type UploadReq struct {
 	Auth     []byte
 }
 
-// Entry converts the request into the matching server's record. KeyHash
-// and Auth are copied: the store retains the entry's slices indefinitely,
-// while a decoded request's slices alias a frame buffer the transport
-// reuses as soon as the handler returns (DESIGN §16).
-func (u *UploadReq) Entry() (match.Entry, error) {
-	ch, err := chain.Parse(u.Chain, int(u.NumAttrs), uint(u.CtBits))
-	if err != nil {
-		return match.Entry{}, err
-	}
-	return match.Entry{ID: u.ID, KeyHash: bytes.Clone(u.KeyHash), Chain: ch, Auth: bytes.Clone(u.Auth)}, nil
-}
-
 // UploadReqOf converts a store entry to the upload request that recreates
-// it; the inverse of Entry.
+// it. The request aliases the entry's KeyHash and Auth.
 func UploadReqOf(e match.Entry) UploadReq {
 	return UploadReq{
 		ID:       e.ID,
@@ -165,11 +151,9 @@ func DecodeUploadBatchReq(payload []byte) (*UploadBatchReq, error) {
 		if err != nil {
 			return nil, err
 		}
-		u, err := DecodeUploadReq(b)
-		if err != nil {
+		if err := out.Entries[i].decode(b); err != nil {
 			return nil, fmt.Errorf("wire: batch entry %d: %w", i, err)
 		}
-		out.Entries[i] = *u
 	}
 	return out, d.done()
 }
@@ -541,31 +525,45 @@ func (u *UploadReq) AppendEncode(buf []byte) []byte {
 	return e.buf
 }
 
+// EncodedLen returns the length of the upload request's encoding.
+func (u *UploadReq) EncodedLen() int {
+	return 4 + 4 + len(u.KeyHash) + 4 + 2 + 4 + len(u.Chain) + 4 + len(u.Auth)
+}
+
 // DecodeUploadReq parses an upload request payload.
 func DecodeUploadReq(payload []byte) (*UploadReq, error) {
-	d := decoder{buf: payload}
 	var u UploadReq
+	if err := u.decode(payload); err != nil {
+		return nil, err
+	}
+	return &u, nil
+}
+
+// decode parses an upload request payload into u, so a batch decodes its
+// entries in place.
+func (u *UploadReq) decode(payload []byte) error {
+	d := decoder{buf: payload}
 	id, err := d.u32()
 	if err != nil {
-		return nil, err
+		return err
 	}
 	u.ID = profile.ID(id)
 	if u.KeyHash, err = d.bytes(); err != nil {
-		return nil, err
+		return err
 	}
 	if u.CtBits, err = d.u32(); err != nil {
-		return nil, err
+		return err
 	}
 	if u.NumAttrs, err = d.u16(); err != nil {
-		return nil, err
+		return err
 	}
 	if u.Chain, err = d.bytes(); err != nil {
-		return nil, err
+		return err
 	}
 	if u.Auth, err = d.bytes(); err != nil {
-		return nil, err
+		return err
 	}
-	return &u, d.done()
+	return d.done()
 }
 
 // Encode serializes the query request.

@@ -71,7 +71,11 @@ func TestUploadReqRoundTrip(t *testing.T) {
 		Chain:    bytes.Repeat([]byte{9}, 6*8),
 		Auth:     []byte("auth-blob"),
 	}
-	got, err := DecodeUploadReq(req.Encode())
+	enc := req.Encode()
+	if len(enc) != req.EncodedLen() {
+		t.Errorf("EncodedLen = %d, encoding is %d bytes", req.EncodedLen(), len(enc))
+	}
+	got, err := DecodeUploadReq(enc)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -83,7 +87,15 @@ func TestUploadReqRoundTrip(t *testing.T) {
 	}
 }
 
-func TestUploadReqToEntry(t *testing.T) {
+// recordOf builds the store record an upload request carries.
+func recordOf(u *UploadReq) (match.Record, error) {
+	return match.NewRecord(u.ID, u.KeyHash, uint(u.CtBits), int(u.NumAttrs), u.Chain, u.Auth)
+}
+
+// TestUploadReqToRecord files an upload request's record and requires
+// UploadReqOf, applied to what the store hands back, to recreate the
+// request exactly.
+func TestUploadReqToRecord(t *testing.T) {
 	req := &UploadReq{
 		ID:       7,
 		KeyHash:  []byte("kh"),
@@ -92,26 +104,28 @@ func TestUploadReqToEntry(t *testing.T) {
 		Chain:    bytes.Repeat([]byte{1}, 16),
 		Auth:     []byte("a"),
 	}
-	entry, err := req.Entry()
+	rec, err := recordOf(req)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if entry.Chain.NumAttrs() != 2 {
-		t.Errorf("entry chain attrs = %d", entry.Chain.NumAttrs())
-	}
-	// UploadReqOf is Entry's inverse: UploadReqOf(e).Entry() equals e.
-	back := UploadReqOf(entry)
-	again, err := back.Entry()
-	if err != nil {
+	store := match.NewServer()
+	store.Put(rec)
+	var back UploadReq
+	if err := store.ForEachEntry(func(e match.Entry) error {
+		if e.Chain.NumAttrs() != 2 {
+			t.Errorf("stored chain attrs = %d", e.Chain.NumAttrs())
+		}
+		back = UploadReqOf(e)
+		return nil
+	}); err != nil {
 		t.Fatal(err)
 	}
-	if again.ID != entry.ID || !bytes.Equal(again.KeyHash, entry.KeyHash) || !bytes.Equal(again.Auth, entry.Auth) ||
-		again.Chain.CtBits != entry.Chain.CtBits || !bytes.Equal(again.Chain.Bytes(), entry.Chain.Bytes()) {
-		t.Errorf("UploadReqOf(e).Entry() = %+v, want %+v", again, entry)
+	if !bytes.Equal(back.Encode(), req.Encode()) {
+		t.Errorf("UploadReqOf(stored entry) = %+v, want %+v", back, *req)
 	}
 	// Chain length mismatch is rejected.
 	req.NumAttrs = 3
-	if _, err := req.Entry(); err == nil {
+	if _, err := recordOf(req); err == nil {
 		t.Error("inconsistent chain length accepted")
 	}
 }
