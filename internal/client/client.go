@@ -197,16 +197,16 @@ func (c *Conn) dialAddr(dial func(network, addr string) (net.Conn, error), addr 
 
 // hello runs the mandatory exchange on a freshly handshaken conn and
 // returns the in-flight window both sides agreed on: the client offers
-// wire.ProtocolV2 and its window, and the server must ack with
-// TypeHelloResp at exactly that version. Anything else — an error frame,
-// another version, a closed connection — fails the dial of this address;
-// there is no other protocol to fall back to.
+// wire.ProtocolV2 and its window under request ID 0, and the server must
+// ack with TypeHelloResp at exactly that version. Anything else — an
+// error frame, another version, a closed connection — fails the dial of
+// this address; there is no other protocol to fall back to.
 func (c *Conn) hello(tc *tls.Conn) (int, error) {
 	hello := wire.Hello{Version: wire.ProtocolV2, Depth: uint16(c.opts.MaxInFlight)}
-	if err := wire.WriteFrame(tc, wire.TypeHello, hello.Encode()); err != nil {
+	if err := wire.WriteFrameV2(tc, 0, wire.TypeHello, hello.AppendEncode(nil)); err != nil {
 		return 0, fmt.Errorf("sending hello: %w", err)
 	}
-	t, payload, err := wire.ReadFrame(tc)
+	_, t, payload, err := wire.ReadFrameV2(tc)
 	if err != nil {
 		return 0, fmt.Errorf("reading hello ack: %w", err)
 	}
@@ -660,7 +660,7 @@ func (s *muxSession) close() {
 // connection itself recovers — the next request redials).
 func (c *Conn) Upload(e match.Entry) error {
 	req := wire.UploadReqOf(e)
-	_, err := c.roundTrip(wire.TypeUploadReq, req.Encode(), wire.TypeUploadResp, false)
+	_, err := c.roundTrip(wire.TypeUploadReq, req.AppendEncode(nil), wire.TypeUploadResp, false)
 	return err
 }
 
@@ -686,7 +686,7 @@ func (c *Conn) UploadBatch(entries []match.Entry) ([]string, error) {
 	for i, e := range entries {
 		req.Entries[i] = wire.UploadReqOf(e)
 	}
-	payload, err := c.roundTrip(wire.TypeUploadBatchReq, req.Encode(), wire.TypeUploadBatchResp, false)
+	payload, err := c.roundTrip(wire.TypeUploadBatchReq, req.AppendEncode(nil), wire.TypeUploadBatchResp, false)
 	if err != nil {
 		return nil, err
 	}
@@ -716,7 +716,7 @@ func (c *Conn) UploadBatch(entries []match.Entry) ([]string, error) {
 // retried after connection failures.
 func (c *Conn) Remove(id profile.ID) error {
 	req := wire.RemoveReq{ID: id}
-	_, err := c.roundTrip(wire.TypeRemoveReq, req.Encode(), wire.TypeRemoveResp, true)
+	_, err := c.roundTrip(wire.TypeRemoveReq, req.AppendEncode(nil), wire.TypeRemoveResp, true)
 	return err
 }
 
@@ -731,7 +731,7 @@ func (c *Conn) Query(id profile.ID, topK int) ([]match.Result, error) {
 		ID:        id,
 		TopK:      uint16(topK),
 	}
-	payload, err := c.roundTrip(wire.TypeQueryReq, req.Encode(), wire.TypeQueryResp, true)
+	payload, err := c.roundTrip(wire.TypeQueryReq, req.AppendEncode(nil), wire.TypeQueryResp, true)
 	if err != nil {
 		return nil, err
 	}
@@ -761,7 +761,7 @@ func (c *Conn) QueryMaxDistance(id profile.ID, maxDist *big.Int) ([]match.Result
 		Mode:      wire.ModeMaxDistance,
 		MaxDist:   maxDist,
 	}
-	payload, err := c.roundTrip(wire.TypeQueryReq, req.Encode(), wire.TypeQueryResp, true)
+	payload, err := c.roundTrip(wire.TypeQueryReq, req.AppendEncode(nil), wire.TypeQueryResp, true)
 	if err != nil {
 		return nil, err
 	}
@@ -800,7 +800,7 @@ func (c *Conn) Evaluate(x *big.Int) (*big.Int, error) {
 		return nil, errors.New("client: nil OPRF element")
 	}
 	req := wire.OPRFReq{X: x}
-	payload, err := c.roundTrip(wire.TypeOPRFReq, req.Encode(), wire.TypeOPRFResp, true)
+	payload, err := c.roundTrip(wire.TypeOPRFReq, req.AppendEncode(nil), wire.TypeOPRFResp, true)
 	if err != nil {
 		return nil, err
 	}
@@ -822,7 +822,7 @@ func (c *Conn) EvaluateBatch(xs []*big.Int) ([]*big.Int, error) {
 		return nil, fmt.Errorf("client: OPRF batch of %d exceeds limit %d", len(xs), wire.MaxOPRFBatch)
 	}
 	req := wire.OPRFBatchReq{Xs: xs}
-	payload, err := c.roundTrip(wire.TypeOPRFBatchReq, req.Encode(), wire.TypeOPRFBatchResp, true)
+	payload, err := c.roundTrip(wire.TypeOPRFBatchReq, req.AppendEncode(nil), wire.TypeOPRFBatchResp, true)
 	if err != nil {
 		return nil, err
 	}

@@ -23,15 +23,15 @@ import (
 // clamping the window.
 func expectHello(t *testing.T, conn net.Conn, ackDepth uint16) bool {
 	t.Helper()
-	typ, payload, err := wire.ReadFrame(conn)
-	if err != nil || typ != wire.TypeHello {
+	id, typ, payload, err := wire.ReadFrameV2(conn)
+	if err != nil || id != 0 || typ != wire.TypeHello {
 		return false
 	}
 	if _, err := wire.DecodeHello(payload); err != nil {
 		return false
 	}
 	ack := wire.Hello{Version: wire.ProtocolV2, Depth: ackDepth}
-	return wire.WriteFrame(conn, wire.TypeHelloResp, ack.Encode()) == nil
+	return wire.WriteFrameV2(conn, 0, wire.TypeHelloResp, ack.AppendEncode(nil)) == nil
 }
 
 // queryRespFor answers a v2 query frame, echoing the QueryID and
@@ -75,7 +75,7 @@ func TestMuxRoutesOutOfOrderResponses(t *testing.T) {
 			if err != nil {
 				return
 			}
-			if err := wire.WriteFrameV2(conn, frames[j].id, wire.TypeQueryResp, resp.Encode()); err != nil {
+			if err := wire.WriteFrameV2(conn, frames[j].id, wire.TypeQueryResp, resp.AppendEncode(nil)); err != nil {
 				return
 			}
 		}
@@ -135,7 +135,7 @@ func TestMuxTimeoutOnLiveConnDoesNotPoison(t *testing.T) {
 			if err != nil {
 				return
 			}
-			if err := wire.WriteFrameV2(conn, id, wire.TypeQueryResp, resp.Encode()); err != nil {
+			if err := wire.WriteFrameV2(conn, id, wire.TypeQueryResp, resp.AppendEncode(nil)); err != nil {
 				return
 			}
 		}
@@ -214,7 +214,7 @@ func TestMuxSilentConnPoisonedAndRedialed(t *testing.T) {
 			if err != nil {
 				return
 			}
-			if err := wire.WriteFrameV2(conn, id, wire.TypeQueryResp, resp.Encode()); err != nil {
+			if err := wire.WriteFrameV2(conn, id, wire.TypeQueryResp, resp.AppendEncode(nil)); err != nil {
 				return
 			}
 		}
@@ -249,26 +249,26 @@ func TestDialRefusesServerWithoutV2(t *testing.T) {
 	for name, answer := range map[string]func(conn net.Conn){
 		"error frame": func(conn net.Conn) {
 			msg := wire.ErrorMsg{Text: "unknown message type"}
-			wire.WriteFrame(conn, wire.TypeError, msg.Encode())
+			wire.WriteFrameV2(conn, 0, wire.TypeError, msg.AppendEncode(nil))
 		},
 		"closes": func(net.Conn) {},
 		"acks v3": func(conn net.Conn) {
 			ack := wire.Hello{Version: wire.ProtocolV2 + 1, Depth: 8}
-			wire.WriteFrame(conn, wire.TypeHelloResp, ack.Encode())
+			wire.WriteFrameV2(conn, 0, wire.TypeHelloResp, ack.AppendEncode(nil))
 		},
 	} {
 		t.Run(name, func(t *testing.T) {
 			var accepts atomic.Int32
 			script := func(i int, conn net.Conn) {
 				accepts.Add(1)
-				if typ, _, err := wire.ReadFrame(conn); err != nil || typ != wire.TypeHello {
-					t.Errorf("first frame: type %d, err %v; want a hello", typ, err)
+				if id, typ, _, err := wire.ReadFrameV2(conn); err != nil || id != 0 || typ != wire.TypeHello {
+					t.Errorf("first frame: ID %d, type %d, err %v; want a hello with ID 0", id, typ, err)
 					return
 				}
 				answer(conn)
 				// Anything the client sends after a refused hello is a bug.
 				conn.SetReadDeadline(time.Now().Add(300 * time.Millisecond))
-				if typ, _, err := wire.ReadFrame(conn); err == nil {
+				if _, typ, _, err := wire.ReadFrameV2(conn); err == nil {
 					t.Errorf("client kept talking after the refused hello: frame type %d", typ)
 				}
 			}
@@ -310,7 +310,7 @@ func TestMuxWindowRespectsServerClamp(t *testing.T) {
 				return
 			}
 			inFlight.Add(-1)
-			if err := wire.WriteFrameV2(conn, id, wire.TypeQueryResp, resp.Encode()); err != nil {
+			if err := wire.WriteFrameV2(conn, id, wire.TypeQueryResp, resp.AppendEncode(nil)); err != nil {
 				return
 			}
 		}

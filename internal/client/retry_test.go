@@ -80,7 +80,7 @@ func respondQueries(t *testing.T, conn net.Conn, delayFirst time.Duration) {
 			Timestamp: time.Now().Unix(),
 			Results:   []match.Result{{ID: 42, Auth: []byte{1}}},
 		}
-		if err := wire.WriteFrameV2(conn, id, wire.TypeQueryResp, resp.Encode()); err != nil {
+		if err := wire.WriteFrameV2(conn, id, wire.TypeQueryResp, resp.AppendEncode(nil)); err != nil {
 			return
 		}
 	}
@@ -216,7 +216,7 @@ func TestUploadNotRetriedButConnRecovers(t *testing.T) {
 					return
 				}
 				resp := wire.QueryResp{QueryID: req.QueryID, Timestamp: time.Now().Unix()}
-				if err := wire.WriteFrameV2(conn, id, wire.TypeQueryResp, resp.Encode()); err != nil {
+				if err := wire.WriteFrameV2(conn, id, wire.TypeQueryResp, resp.AppendEncode(nil)); err != nil {
 					return
 				}
 			default:

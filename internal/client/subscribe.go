@@ -107,7 +107,7 @@ func (s *Subscription) Unsubscribe() error {
 	s.mux.removeSub(s.id)
 	defer s.closeChan()
 	req := wire.UnsubscribeReq{SubID: s.id}
-	payload, err := s.mux.do(wire.TypeUnsubscribeReq, req.Encode(), wire.TypeUnsubscribeResp, s.conn.opts.Timeout)
+	payload, err := s.mux.do(wire.TypeUnsubscribeReq, req.AppendEncode(nil), wire.TypeUnsubscribeResp, s.conn.opts.Timeout)
 	if err != nil {
 		return err
 	}
@@ -170,7 +170,7 @@ func (c *Conn) Subscribe(e match.Entry, maxDist *big.Int, buffer int) (*Subscrip
 		Chain:    e.Chain.Bytes(),
 		MaxDist:  maxDist,
 	}
-	payload, err := mux.do(wire.TypeSubscribeReq, req.Encode(), wire.TypeSubscribeResp, c.opts.Timeout)
+	payload, err := mux.do(wire.TypeSubscribeReq, req.AppendEncode(nil), wire.TypeSubscribeResp, c.opts.Timeout)
 	if err != nil {
 		mux.removeSub(sub.id)
 		sub.closeChan()

@@ -170,7 +170,7 @@ func (r *Replicator) pullOnce() error {
 		MaxRecords: r.cfg.MaxRecords,
 		WaitMS:     r.cfg.WaitMS,
 	}
-	payload, err := r.conn.Forward(wire.TypeReplicatePullReq, req.Encode(), wire.TypeReplicatePullResp, true)
+	payload, err := r.conn.Forward(wire.TypeReplicatePullReq, req.AppendEncode(nil), wire.TypeReplicatePullResp, true)
 	if err != nil {
 		return err
 	}

@@ -331,7 +331,7 @@ func (l *Leader) handleDump(payload, respBuf []byte) (wire.MsgType, []byte, erro
 			return errStopDump
 		}
 		u := wire.UploadReqOf(e)
-		resp.Entries = append(resp.Entries, u.Encode())
+		resp.Entries = append(resp.Entries, u.AppendEncode(nil))
 		return nil
 	})
 	if err != nil && err != errStopDump {

@@ -262,7 +262,7 @@ func distinctOwners(pm *PartitionMap) []uint32 {
 // unknown-user answers (the overwhelmingly common case) are expected.
 func (rt *Router) removeAt(part uint32, id profile.ID) {
 	req := wire.RemoveReq{ID: id}
-	if _, err := rt.forward(part, wire.TypeRemoveReq, req.Encode(), wire.TypeRemoveResp); err != nil && !errors.Is(err, client.ErrServer) {
+	if _, err := rt.forward(part, wire.TypeRemoveReq, req.AppendEncode(nil), wire.TypeRemoveResp); err != nil && !errors.Is(err, client.ErrServer) {
 		rt.cfg.Logf("cluster: stale-entry remove of user %d on partition %d: %v", id, part, err)
 	}
 }
@@ -290,7 +290,7 @@ func (rt *Router) handleUploadBatch(payload, resp []byte) (wire.MsgType, []byte,
 		for j, i := range idxs {
 			sub.Entries[j] = req.Entries[i]
 		}
-		respPayload, err := rt.forward(part, wire.TypeUploadBatchReq, sub.Encode(), wire.TypeUploadBatchResp)
+		respPayload, err := rt.forward(part, wire.TypeUploadBatchReq, sub.AppendEncode(nil), wire.TypeUploadBatchResp)
 		if err != nil {
 			for _, i := range idxs {
 				out.Status[i] = err.Error()
@@ -594,7 +594,7 @@ func (rt *Router) copyPartition(p uint32, from, to Node) ([]profile.ID, error) {
 	cursor := uint32(0)
 	for {
 		req := wire.PartitionDumpReq{Partition: p, Partitions: pm.NumPartitions, Cursor: cursor, MaxEntries: wire.MaxUploadBatch}
-		payload, err := src.Forward(wire.TypePartitionDumpReq, req.Encode(), wire.TypePartitionDumpResp, true)
+		payload, err := src.Forward(wire.TypePartitionDumpReq, req.AppendEncode(nil), wire.TypePartitionDumpResp, true)
 		if err != nil {
 			return nil, err
 		}
@@ -613,7 +613,7 @@ func (rt *Router) copyPartition(p uint32, from, to Node) ([]profile.ID, error) {
 				batch.Entries[i] = *u
 				pageIDs[i] = u.ID
 			}
-			ackPayload, err := dst.Forward(wire.TypeUploadBatchReq, batch.Encode(), wire.TypeUploadBatchResp, true)
+			ackPayload, err := dst.Forward(wire.TypeUploadBatchReq, batch.AppendEncode(nil), wire.TypeUploadBatchResp, true)
 			if err != nil {
 				return nil, err
 			}
@@ -648,7 +648,7 @@ func (rt *Router) dropMoved(from Node, ids []profile.ID) error {
 	}
 	for _, id := range ids {
 		rm := wire.RemoveReq{ID: id}
-		if _, err := src.Forward(wire.TypeRemoveReq, rm.Encode(), wire.TypeRemoveResp, true); err != nil && !errors.Is(err, client.ErrServer) {
+		if _, err := src.Forward(wire.TypeRemoveReq, rm.AppendEncode(nil), wire.TypeRemoveResp, true); err != nil && !errors.Is(err, client.ErrServer) {
 			return err
 		}
 	}

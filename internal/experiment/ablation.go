@@ -2,10 +2,14 @@ package experiment
 
 import (
 	"fmt"
+	"math/big"
+	"slices"
+	"sort"
 	"time"
 
 	"smatch/internal/core"
 	"smatch/internal/dataset"
+	"smatch/internal/match"
 	"smatch/internal/profile"
 )
 
@@ -154,6 +158,12 @@ func AblationServerSort(ds *dataset.Dataset) (*Table, error) {
 	if len(sample) > 50 {
 		sample = sample[:50]
 	}
+	bucketOf := make(map[profile.ID][]match.Entry, len(ds.Profiles))
+	for _, bucket := range dep.byHash {
+		for _, e := range bucket {
+			bucketOf[e.ID] = bucket
+		}
+	}
 
 	start := time.Now()
 	for _, p := range sample {
@@ -166,7 +176,7 @@ func AblationServerSort(ds *dataset.Dataset) (*Table, error) {
 	// The paper's literal Match: EXTRA + SORT + FIND on every query.
 	start = time.Now()
 	for _, p := range sample {
-		if _, err := dep.server.MatchFresh(p.ID, core.DefaultTopK); err != nil {
+		if _, err := literalMatch(bucketOf[p.ID], p.ID, core.DefaultTopK); err != nil {
 			return nil, err
 		}
 	}
@@ -185,4 +195,45 @@ func AblationServerSort(ds *dataset.Dataset) (*Table, error) {
 		},
 	}
 	return t, nil
+}
+
+// literalMatch is the paper's Figure 3 Match run on every query over the
+// querier's uploaded bucket: EXTRA copies the bucket with each entry's
+// order sum, SORT orders it by (order sum, ID), FIND locates the querier,
+// and the k nearest are taken by expanding both ways, the lower side
+// winning an equal-distance tie (the rule match.Server applies).
+func literalMatch(bucket []match.Entry, id profile.ID, k int) ([]profile.ID, error) {
+	type rec struct {
+		id  profile.ID
+		sum *big.Int
+	}
+	recs := make([]rec, len(bucket))
+	for i, e := range bucket {
+		recs[i] = rec{e.ID, e.Chain.OrderSum()}
+	}
+	sort.Slice(recs, func(i, j int) bool {
+		if c := recs[i].sum.Cmp(recs[j].sum); c != 0 {
+			return c < 0
+		}
+		return recs[i].id < recs[j].id
+	})
+	pos := slices.IndexFunc(recs, func(r rec) bool { return r.id == id })
+	if pos < 0 {
+		return nil, fmt.Errorf("experiment: user %d is not in the bucket", id)
+	}
+	me := recs[pos].sum
+	out := make([]profile.ID, 0, k)
+	var dLo, dHi big.Int
+	for lo, hi := pos-1, pos+1; len(out) < k && (lo >= 0 || hi < len(recs)); {
+		takeLo := lo >= 0
+		if takeLo && hi < len(recs) {
+			takeLo = dLo.Sub(me, recs[lo].sum).Cmp(dHi.Sub(recs[hi].sum, me)) <= 0
+		}
+		if takeLo {
+			out, lo = append(out, recs[lo].id), lo-1
+		} else {
+			out, hi = append(out, recs[hi].id), hi+1
+		}
+	}
+	return out, nil
 }

@@ -2,9 +2,15 @@ package experiment
 
 import (
 	"fmt"
+	"math/big"
+	"math/rand"
+	"slices"
 	"testing"
 
+	"smatch/internal/chain"
 	"smatch/internal/dataset"
+	"smatch/internal/match"
+	"smatch/internal/profile"
 )
 
 func TestAblationMultiProbeNonDecreasing(t *testing.T) {
@@ -60,6 +66,49 @@ func TestAblationServerSortRuns(t *testing.T) {
 	for _, row := range tab.Rows {
 		if cellFloatStr(t, row[1]) > 1.0 {
 			t.Errorf("%s took %s ms — matching should be microseconds", row[0], row[1])
+		}
+	}
+}
+
+// TestLiteralMatchAgreesWithStore pins ablation A2's paper-literal path to
+// the store's indexed kNN on tie-heavy single- and multi-limb order sums:
+// same IDs, same order, including which side wins an equal-distance tie.
+func TestLiteralMatchAgreesWithStore(t *testing.T) {
+	rng := rand.New(rand.NewSource(9))
+	store := match.NewServer()
+	byHash := make(map[string][]match.Entry)
+	for i := 1; i <= 120; i++ {
+		base := int64(rng.Intn(24))
+		ch := &chain.Chain{Cts: []*big.Int{big.NewInt(base)}, CtBits: 48}
+		if i%2 == 0 {
+			// Multi-limb: base·2^72 plus low-limb noise, so both limbs matter.
+			sum := new(big.Int).Lsh(big.NewInt(base), 72)
+			ch = &chain.Chain{Cts: []*big.Int{sum.Add(sum, big.NewInt(base%7))}, CtBits: 84}
+		}
+		e := match.Entry{ID: profile.ID(i), KeyHash: []byte(fmt.Sprintf("literal-%d", i%3)), Chain: ch, Auth: []byte{1}}
+		if err := store.Upload(e); err != nil {
+			t.Fatal(err)
+		}
+		byHash[string(e.KeyHash)] = append(byHash[string(e.KeyHash)], e)
+	}
+	for id := profile.ID(1); id <= 120; id++ {
+		bucket := byHash[fmt.Sprintf("literal-%d", id%3)]
+		for _, k := range []int{1, 4, 50} {
+			want, err := store.Match(id, k)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err := literalMatch(bucket, id, k)
+			if err != nil {
+				t.Fatal(err)
+			}
+			wantIDs := make([]profile.ID, len(want))
+			for i, r := range want {
+				wantIDs[i] = r.ID
+			}
+			if !slices.Equal(got, wantIDs) {
+				t.Fatalf("literalMatch(%d, %d) = %v, Match = %v", id, k, got, wantIDs)
+			}
 		}
 	}
 }

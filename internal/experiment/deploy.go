@@ -48,7 +48,8 @@ type deployment struct {
 	sys    *core.System
 	oprf   *oprf.Server
 	server *match.Server
-	keys   map[profile.ID][]byte // profile keys kept device-side
+	keys   map[profile.ID][]byte    // profile keys kept device-side
+	byHash map[string][]match.Entry // uploaded entries by key hash
 }
 
 // newDeployment builds a system for the dataset at the given parameters.
@@ -67,6 +68,7 @@ func newDeployment(ds *dataset.Dataset, params core.Params) (*deployment, error)
 		oprf:   oprfSrv,
 		server: match.NewServer(),
 		keys:   make(map[profile.ID][]byte, len(ds.Profiles)),
+		byHash: make(map[string][]match.Entry),
 	}, nil
 }
 
@@ -113,6 +115,7 @@ func (dep *deployment) uploadAll(withAuth bool) error {
 		if err := dep.server.Upload(entry); err != nil {
 			return err
 		}
+		dep.byHash[string(entry.KeyHash)] = append(dep.byHash[string(entry.KeyHash)], entry)
 	}
 	return nil
 }

@@ -588,72 +588,6 @@ func indexNearest(ix *ordIndex, me *stored, k int) ([]Result, error) {
 	return results, nil
 }
 
-// nearest is the slice-based expansion behind MatchFresh: same contract
-// as indexNearest over a (sum, ID)-sorted bucket slice. The querier is
-// located by exact binary search and verified by pointer; a mismatch is
-// surfaced as ErrInconsistent.
-func nearest(bucket []*stored, me *stored, k int) ([]Result, error) {
-	pos := sort.Search(len(bucket), func(i int) bool { return !keyLess(bucket[i], me) })
-	if pos >= len(bucket) || bucket[pos] != me {
-		inconsistencies.Add(1)
-		return nil, fmt.Errorf("%w: user %d missing from its bucket slot", ErrInconsistent, me.ID)
-	}
-	results := make([]Result, 0, k)
-	lo, hi := pos-1, pos+1
-	dLo := make(ordSum, 0, len(me.sumLimbs)+1)
-	dHi := make(ordSum, 0, len(me.sumLimbs)+1)
-	for len(results) < k && (lo >= 0 || hi < len(bucket)) {
-		var pick *stored
-		switch {
-		case lo < 0:
-			pick, hi = bucket[hi], hi+1
-		case hi >= len(bucket):
-			pick, lo = bucket[lo], lo-1
-		default:
-			dLo = subLimbs(dLo, me.sumLimbs, bucket[lo].sumLimbs)
-			dHi = subLimbs(dHi, bucket[hi].sumLimbs, me.sumLimbs)
-			if cmpLimbs(dLo, dHi) <= 0 {
-				pick, lo = bucket[lo], lo-1
-			} else {
-				pick, hi = bucket[hi], hi+1
-			}
-		}
-		results = append(results, pick.result())
-	}
-	return results, nil
-}
-
-// MatchFresh answers a query with the paper's literal Figure 3 Match
-// algorithm — EXTRA the bucket, SORT it, FIND the querier, return the k
-// nearest — re-sorting on every query instead of relying on the amortized
-// ordered index Match uses. It exists for the cost ablation; production
-// callers want Match.
-func (s *Server) MatchFresh(id profile.ID, k int) ([]Result, error) {
-	if k <= 0 {
-		return nil, fmt.Errorf("match: non-positive k=%d", k)
-	}
-	me, release, err := s.lookup(id)
-	if err != nil {
-		return nil, err
-	}
-	defer release()
-	sh := &s.shards[s.shardOf(me.key)]
-	sh.mu.RLock()
-	// EXTRA: copy the bucket out of the index (the nodes are shared state).
-	var bucket []*stored
-	if ix := sh.buckets[me.key]; ix != nil {
-		bucket = make([]*stored, 0, ix.length)
-		for n := ix.head.next[0]; n != nil; n = n.next[0] {
-			bucket = append(bucket, n.rec)
-		}
-	}
-	sh.mu.RUnlock()
-	// SORT by (order sum, ID) — the ablation pays the full re-sort.
-	sort.Slice(bucket, func(i, j int) bool { return keyLess(bucket[i], bucket[j]) })
-	// FIND + nearest-k expansion.
-	return nearest(bucket, me, k)
-}
-
 // MatchProbe answers a multi-probe query: the k users nearest to the
 // querier drawn from her own bucket PLUS the buckets under altKeyHashes —
 // the query-side multi-probe extension that recovers matches lost to

@@ -138,32 +138,6 @@ func TestUploadRejectsOutOfRangeCiphertext(t *testing.T) {
 		Chain: &chain.Chain{Cts: []*big.Int{new(big.Int), top}, CtBits: 64}}))
 }
 
-// TestMatchFreshAgreesWithMatch pins the re-sorting ablation path to the
-// indexed one on tie-heavy single- and multi-limb sums: same IDs, same
-// order, including which side wins an equal-distance tie.
-func TestMatchFreshAgreesWithMatch(t *testing.T) {
-	rng := rand.New(rand.NewSource(9))
-	s := NewServer()
-	for i := 1; i <= 120; i++ {
-		e := entry(profile.ID(i), fmt.Sprintf("fresh-%d", i%3), int64(rng.Intn(24)))
-		if i%2 == 0 {
-			e.Chain = weightedFakeChain(int64(rng.Intn(24)))
-		}
-		must(t, s.Upload(e))
-	}
-	for id := profile.ID(1); id <= 120; id++ {
-		for _, k := range []int{1, 4, 50} {
-			want, err := s.Match(id, k)
-			must(t, err)
-			got, err := s.MatchFresh(id, k)
-			must(t, err)
-			if fmt.Sprint(idsOf(got)) != fmt.Sprint(idsOf(want)) {
-				t.Fatalf("MatchFresh(%d, %d) = %v, Match = %v", id, k, idsOf(got), idsOf(want))
-			}
-		}
-	}
-}
-
 // TestRecordIsolation pins that the store owns its records: mutating an
 // uploaded Entry, or an Entry handed out by ForEachEntry, changes neither
 // the next snapshot nor any match result.

@@ -48,7 +48,7 @@ func TestShardedStoreStress(t *testing.T) {
 					_ = s.Upload(entry(id, bucketName(rng.Intn(bucketFan)), int64(rng.Intn(1000))))
 				case 3:
 					_ = s.Remove(id)
-				case 4, 5:
+				case 4, 5, 7:
 					_, _ = s.Match(id, 1+rng.Intn(5))
 				case 6:
 					alts := [][]byte{
@@ -56,8 +56,6 @@ func TestShardedStoreStress(t *testing.T) {
 						[]byte(bucketName(rng.Intn(bucketFan))),
 					}
 					_, _ = s.MatchProbe(id, alts, 3)
-				case 7:
-					_, _ = s.MatchFresh(id, 3)
 				case 8:
 					var buf bytes.Buffer
 					if err := s.Snapshot(&buf); err != nil {

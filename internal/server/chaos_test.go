@@ -53,6 +53,35 @@ func TestServerDropsOversizedHeader(t *testing.T) {
 	}
 }
 
+// TestFirstFrameLengthBounded pins the pre-hello read bound: a peer that
+// has not said hello, claims a 16 MiB payload and sends none of it is
+// dropped at once and counted in errors. The server neither allocates
+// the payload nor waits ReadTimeout for it.
+func TestFirstFrameLengthBounded(t *testing.T) {
+	srv, err := New(Config{OPRF: testOPRF(t), ReadTimeout: 30 * time.Second})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cli := servePipe(t, srv)
+	hdr := make([]byte, wire.FrameHeaderLenV2)
+	binary.BigEndian.PutUint32(hdr[:4], wire.MaxFrameSize)
+	hdr[4] = byte(wire.TypeHello)
+	start := time.Now()
+	if _, err := cli.Write(hdr); err != nil {
+		t.Fatal(err)
+	}
+	cli.SetReadDeadline(time.Now().Add(5 * time.Second))
+	if n, err := cli.Read(make([]byte, 1)); err != io.EOF {
+		t.Fatalf("read %d bytes, err %v; want the server to close the connection", n, err)
+	}
+	if d := time.Since(start); d > time.Second {
+		t.Errorf("connection closed after %v, want within 1s", d)
+	}
+	if got := srv.Metrics().Errors.Load(); got != 1 {
+		t.Errorf("errors = %d, want 1", got)
+	}
+}
+
 func TestServerSurvivesMidFrameDisconnect(t *testing.T) {
 	addr, _ := startServer(t)
 	// Write half a frame header and slam the connection, before the hello
@@ -148,7 +177,7 @@ func TestConnectionTimeoutReaped(t *testing.T) {
 	time.Sleep(400 * time.Millisecond)
 	// The idle connection should be closed by now.
 	idle.SetReadDeadline(time.Now().Add(time.Second))
-	if _, _, err := wire.ReadFrame(idle); err == nil {
+	if _, _, _, err := wire.ReadFrameV2(idle); err == nil {
 		t.Error("idle connection still alive past read timeout")
 	}
 	// New connections still served.

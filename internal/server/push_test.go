@@ -282,7 +282,7 @@ func TestStalledSubscriberNeverBlocksUploads(t *testing.T) {
 	// server's push writes fill the small socket buffers, block, and hit
 	// the write deadline while publishes keep overflowing the queue.
 	raw := helloRaw(t, dialRawTLSNarrow(t, a.String()))
-	raw.send(1, wire.TypeSubscribeReq, subscribeReqForTest(1, "push-stall", 0, 1<<40).Encode())
+	raw.send(1, wire.TypeSubscribeReq, subscribeReqForTest(1, "push-stall", 0, 1<<40).AppendEncode(nil))
 	if id, rt, payload := raw.recv(); id != 1 || rt != wire.TypeSubscribeResp {
 		t.Fatalf("subscribe ack: id %d type %d (%x)", id, rt, payload)
 	}
@@ -315,8 +315,8 @@ func TestStalledSubscriberNeverBlocksUploads(t *testing.T) {
 }
 
 // TestNoHelloRefused is the regression satellite: a connection whose
-// first frame is not a hello gets exactly one error frame (in the hello
-// framing it spoke) and then EOF — never a response, never a
+// first frame is not a hello gets exactly one error frame (echoing that
+// frame's request ID) and then EOF — never a response, never a
 // registration, never a push, even while uploads land in the bucket it
 // tried to subscribe to.
 func TestNoHelloRefused(t *testing.T) {
@@ -324,7 +324,7 @@ func TestNoHelloRefused(t *testing.T) {
 		typ     wire.MsgType
 		payload []byte
 	}{
-		"subscribe": {wire.TypeSubscribeReq, subscribeReqForTest(1, "push-nohello", 3, 1<<30).Encode()},
+		"subscribe": {wire.TypeSubscribeReq, subscribeReqForTest(1, "push-nohello", 3, 1<<30).AppendEncode(nil)},
 		"query":     {wire.TypeQueryReq, (&wire.QueryReq{QueryID: 1, ID: 7, TopK: 1}).Encode()},
 		"bad hello": {wire.TypeHello, []byte{0, 1, 0, 8}}, // downlevel version
 	} {
@@ -351,7 +351,7 @@ func TestNoHelloRefused(t *testing.T) {
 			}
 
 			raw := dialRawTLS(t, addr)
-			if err := wire.WriteFrame(raw, first.typ, first.payload); err != nil {
+			if err := wire.WriteFrameV2(raw, 5, first.typ, first.payload); err != nil {
 				t.Fatal(err)
 			}
 			// Qualifying uploads race the refusal: they must push to nobody.
@@ -361,12 +361,12 @@ func TestNoHelloRefused(t *testing.T) {
 				}
 			}
 			raw.SetReadDeadline(time.Now().Add(5 * time.Second))
-			rt, payload, err := wire.ReadFrame(raw)
+			id, rt, payload, err := wire.ReadFrameV2(raw)
 			if err != nil {
 				t.Fatalf("no refusal frame: %v", err)
 			}
-			if rt != wire.TypeError {
-				t.Fatalf("refusal has type %d, want TypeError", rt)
+			if id != 5 || rt != wire.TypeError {
+				t.Fatalf("refusal has ID %d, type %d; want the refused frame's ID 5 and TypeError", id, rt)
 			}
 			msg, err := wire.DecodeErrorMsg(payload)
 			if err != nil || !strings.Contains(msg.Text, "hello") {

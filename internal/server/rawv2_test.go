@@ -31,16 +31,16 @@ type rawV2 struct {
 	conn net.Conn
 }
 
-// helloRaw performs the hello exchange on conn, leaving it in v2 framing.
+// helloRaw performs the hello exchange on conn under request ID 0.
 func helloRaw(t *testing.T, conn net.Conn) *rawV2 {
 	t.Helper()
 	hello := wire.Hello{Version: wire.ProtocolV2, Depth: 8}
-	if err := wire.WriteFrame(conn, wire.TypeHello, hello.Encode()); err != nil {
+	if err := wire.WriteFrameV2(conn, 0, wire.TypeHello, hello.AppendEncode(nil)); err != nil {
 		t.Fatal(err)
 	}
-	rt, _, err := wire.ReadFrame(conn)
-	if err != nil || rt != wire.TypeHelloResp {
-		t.Fatalf("hello exchange: type %d, err %v", rt, err)
+	id, rt, _, err := wire.ReadFrameV2(conn)
+	if err != nil || id != 0 || rt != wire.TypeHelloResp {
+		t.Fatalf("hello exchange: ID %d, type %d, err %v", id, rt, err)
 	}
 	return &rawV2{t: t, conn: conn}
 }

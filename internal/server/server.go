@@ -41,9 +41,9 @@ type Config struct {
 	// ReadTimeout bounds how long the server waits for a frame on an
 	// open connection.
 	ReadTimeout time.Duration
-	// WriteTimeout bounds each response write. Without it, one client
-	// that stops draining its socket parks a server goroutine in
-	// wire.WriteFrame forever; with it, the stalled connection is dropped
+	// WriteTimeout bounds each frame write. Without it, one client that
+	// stops draining its socket parks a server goroutine in
+	// writeRawFrame forever; with it, the stalled connection is dropped
 	// and the goroutine released.
 	WriteTimeout time.Duration
 	// MaxConns caps concurrently served connections. At the cap, Serve
@@ -421,14 +421,18 @@ func (s *Server) handle(conn net.Conn, st *connState) {
 	if err := conn.SetReadDeadline(time.Now().Add(s.cfg.ReadTimeout)); err != nil {
 		return
 	}
-	t, payload, err := wire.ReadFrame(conn)
+	id, t, payload, err := wire.ReadFrameV2Max(conn, maxFirstPayload)
 	if err != nil {
-		if isTimeout(err) {
+		switch {
+		case isTimeout(err):
 			s.metrics.ReadTimeouts.Add(1)
+		case errors.Is(err, wire.ErrFrameTooLarge):
+			s.metrics.Errors.Add(1)
+			s.cfg.Logf("server: connection dropped: first frame claims more than %d bytes", maxFirstPayload)
 		}
 		return // EOF, timeout or protocol garbage: drop the connection
 	}
-	depth, err := s.acceptHello(conn, t, payload)
+	depth, err := s.acceptHello(conn, id, t, payload)
 	if err != nil {
 		s.metrics.Errors.Add(1)
 		s.cfg.Logf("server: %v", err)
@@ -443,23 +447,9 @@ func isTimeout(err error) bool {
 	return errors.As(err, &ne) && ne.Timeout()
 }
 
-// writeFrame sends one frame in the hello framing — the hello ack or the
-// refusal, the only two the server ever writes that way — under the
-// write deadline.
-func (s *Server) writeFrame(conn net.Conn, t wire.MsgType, payload []byte) error {
-	if err := conn.SetWriteDeadline(time.Now().Add(s.cfg.WriteTimeout)); err != nil {
-		return err
-	}
-	err := wire.WriteFrame(conn, t, payload)
-	if isTimeout(err) {
-		s.metrics.WriteTimeouts.Add(1)
-	}
-	return err
-}
-
 // writeRawFrame sends one pre-built frame — header already backfilled by
 // FinishFrameV2 — as a single conn.Write (one syscall, one TLS record),
-// under the write deadline. Every response and push goes out through
+// under the write deadline. Every frame the server sends goes out through
 // here; a failure leaves the stream torn, so callers drop the connection.
 func (s *Server) writeRawFrame(conn net.Conn, frame []byte) error {
 	if err := conn.SetWriteDeadline(time.Now().Add(s.cfg.WriteTimeout)); err != nil {
@@ -472,14 +462,22 @@ func (s *Server) writeRawFrame(conn net.Conn, frame []byte) error {
 	return err
 }
 
+// maxFirstPayload bounds the payload the server reads from a peer that
+// has not said hello yet. A hello payload is 4 bytes, and a small frame of
+// another type still gets its refusal; a first frame that claims more is
+// dropped unread, so an unauthenticated peer can make the server neither
+// allocate a large payload nor wait for one.
+const maxFirstPayload = 1 << 10
+
 // acceptHello is the server side of the mandatory negotiation. The
 // connection's first frame must be a TypeHello: its requested window is
-// clamped to PipelineDepth and acked in the hello framing, after which
-// both sides speak the v2 envelope. Anything else — another message type,
-// a malformed hello — is answered with one error frame, also in the hello
-// framing, naming the required hello, and the returned error makes handle
-// close the connection.
-func (s *Server) acceptHello(conn net.Conn, t wire.MsgType, payload []byte) (int, error) {
+// clamped to PipelineDepth and acked. Anything else — another message
+// type, a malformed hello — is answered with one error frame naming the
+// required hello, and the returned error makes handle close the
+// connection. Both answers are ordinary v2 frames that echo the first
+// frame's request ID (0 from a conforming client) and go out through
+// writeRawFrame.
+func (s *Server) acceptHello(conn net.Conn, id uint64, t wire.MsgType, payload []byte) (int, error) {
 	var (
 		hello *wire.Hello
 		err   error
@@ -489,21 +487,21 @@ func (s *Server) acceptHello(conn net.Conn, t wire.MsgType, payload []byte) (int
 	} else {
 		err = fmt.Errorf("got message type %d", t)
 	}
+	depth, rt, frame := s.cfg.PipelineDepth, wire.TypeHelloResp, wire.BeginFrameV2(nil)
 	if err != nil {
 		err = fmt.Errorf("connection refused: the first frame must be a protocol v%d hello (message type %d): %w", wire.ProtocolV2, wire.TypeHello, err)
-		refusal := wire.ErrorMsg{Text: err.Error()}
-		_ = s.writeFrame(conn, wire.TypeError, refusal.Encode()) // closing either way
-		return 0, err
+		rt, frame = wire.TypeError, (&wire.ErrorMsg{Text: err.Error()}).AppendEncode(frame)
+	} else {
+		if d := int(hello.Depth); d > 0 && d < depth {
+			depth = d
+		}
+		frame = (&wire.Hello{Version: wire.ProtocolV2, Depth: uint16(depth)}).AppendEncode(frame)
 	}
-	depth := s.cfg.PipelineDepth
-	if d := int(hello.Depth); d > 0 && d < depth {
-		depth = d
+	_ = wire.FinishFrameV2(frame, 0, id, rt) // a hello or an error text always fits
+	if werr := s.writeRawFrame(conn, frame); err == nil {
+		err = werr // a failed refusal changes nothing: the connection closes either way
 	}
-	ack := wire.Hello{Version: wire.ProtocolV2, Depth: uint16(depth)}
-	if err := s.writeFrame(conn, wire.TypeHelloResp, ack.Encode()); err != nil {
-		return 0, err
-	}
-	return depth, nil
+	return depth, err
 }
 
 // bufPool recycles the pipelined path's frame buffers: request buffers

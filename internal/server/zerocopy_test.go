@@ -73,9 +73,8 @@ func uploadReqForTest(id uint32, bucket string, sum int64) wire.UploadReq {
 	}
 }
 
-// TestSingleWritePerResponse pins the coalesced-write contract on both
-// hot paths: responses and push notifications each cost exactly one
-// conn.Write.
+// TestSingleWritePerResponse pins the coalesced-write contract: the hello
+// ack, responses and push notifications each cost exactly one conn.Write.
 func TestSingleWritePerResponse(t *testing.T) {
 	srv, err := New(Config{OPRF: testOPRF(t), ReadTimeout: 5 * time.Second, WriteTimeout: 5 * time.Second})
 	if err != nil {
@@ -83,9 +82,11 @@ func TestSingleWritePerResponse(t *testing.T) {
 	}
 	cli, wc := startPipeServer(t, srv, false)
 
-	// The hello ack went through the generic WriteFrame (vectored, cold
-	// path) and is excluded from the count.
+	// The hello ack is a pre-built frame too: one Write.
 	base := wc.writes.Load()
+	if base != 1 {
+		t.Fatalf("hello ack took %d writes, want 1", base)
+	}
 	up := uploadReqForTest(1, "wc-bucket", 10)
 	cli.send(1, wire.TypeUploadReq, up.Encode())
 	if _, rt, _ := cli.recv(); rt != wire.TypeUploadResp {
@@ -112,7 +113,7 @@ func TestSingleWritePerResponse(t *testing.T) {
 	// upload response, and the push notification are one Write each.
 	base = wc.writes.Load()
 	sub := wire.SubscribeReq{SubID: 7, KeyHash: []byte("wc-bucket"), CtBits: 48, NumAttrs: 1, Chain: up.Chain, MaxDist: big.NewInt(1 << 40)}
-	cli.send(5, wire.TypeSubscribeReq, sub.Encode())
+	cli.send(5, wire.TypeSubscribeReq, sub.AppendEncode(nil))
 	if _, rt, _ := cli.recv(); rt != wire.TypeSubscribeResp {
 		t.Fatalf("subscribe: type %d", rt)
 	}

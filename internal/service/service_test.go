@@ -279,7 +279,7 @@ func TestOPRFBatchCapped(t *testing.T) {
 		xs[i] = big.NewInt(int64(i + 1))
 	}
 	req := wire.OPRFBatchReq{Xs: xs}
-	if _, _, err := r.Handle(wire.TypeOPRFBatchReq, req.Encode(), nil); err == nil {
+	if _, _, err := r.Handle(wire.TypeOPRFBatchReq, req.AppendEncode(nil), nil); err == nil {
 		t.Error("oversized OPRF batch accepted")
 	}
 }
@@ -299,7 +299,7 @@ func TestOPRFKeyAndEvaluate(t *testing.T) {
 	}
 	x := big.NewInt(0xbeef)
 	req := wire.OPRFReq{X: x}
-	_, rp, err = r.Handle(wire.TypeOPRFReq, req.Encode(), nil)
+	_, rp, err = r.Handle(wire.TypeOPRFReq, req.AppendEncode(nil), nil)
 	if err != nil {
 		t.Fatal(err)
 	}

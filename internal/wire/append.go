@@ -1,14 +1,16 @@
 // Append-style framing: the allocation-free side of the wire package.
 //
-// Every message type has AppendEncode(buf) — append the encoded payload
-// to a caller-owned buffer and return the extended slice — with Encode()
-// kept as the thin AppendEncode(nil) wrapper. Frames are built in place
-// with a Begin/Finish pair: BeginFrameV2 reserves header space at the
-// tail of a buffer, the payload is appended after it, and FinishFrameV2
-// backfills the header once the length is known — so one conn.Write (one
-// syscall, one TLS record) carries the whole frame. Reads mirror that:
-// ReadFrameV2Buf fills a caller-supplied grow-only buffer instead of
-// allocating a payload per frame.
+// Every message type has one encoder, AppendEncode(buf): it appends the
+// encoded payload to a caller-owned buffer and returns the extended slice
+// (AppendEncode(nil) for a fresh one). UploadReq, UploadBatchReq, QueryReq
+// and RemoveReq also keep an Encode() wrapper, because the benchmark
+// module calls it. Frames are built in place with a Begin/Finish pair:
+// BeginFrameV2 reserves header space at the tail of a buffer, the payload
+// is appended after it, and FinishFrameV2 backfills the header once the
+// length is known — so one conn.Write (one syscall, one TLS record)
+// carries the whole frame. Reads mirror that: ReadFrameV2Buf fills a
+// caller-supplied grow-only buffer instead of allocating a payload per
+// frame.
 //
 // Buffer ownership rules are documented in DESIGN §16. The short form:
 // a payload returned by ReadFrameV2Buf (and everything a Decode* aliases

@@ -10,11 +10,16 @@ import (
 	"smatch/internal/match"
 )
 
-// appendable is every hot-path message carrying both codec forms; the
-// equivalence tests below pin AppendEncode to Encode byte for byte.
+// appendable is every message type's one encoder. The tests below pin
+// AppendEncode into a non-empty or dirty buffer to AppendEncode(nil), and
+// the four Encode() wrappers the benchmark module calls to it as well.
 type appendable interface {
-	Encode() []byte
 	AppendEncode([]byte) []byte
+}
+
+// encodeWrapper is implemented by the request types that keep Encode().
+type encodeWrapper interface {
+	Encode() []byte
 }
 
 // equivalenceCases builds one instance of every converted message type,
@@ -58,15 +63,19 @@ func equivalenceCases() map[string]appendable {
 	}
 }
 
-// TestAppendEncodeEquivalence pins the append codecs to the legacy wire
-// format: AppendEncode(prefix) must equal prefix ++ Encode() with the
-// prefix bytes untouched — appending to a non-empty buffer catches any
-// absolute-offset bug a fresh-buffer test would miss.
+// TestAppendEncodeEquivalence pins the encoders to their fresh-buffer
+// output: AppendEncode(prefix) must equal prefix ++ AppendEncode(nil) with
+// the prefix bytes untouched — appending to a non-empty buffer catches any
+// absolute-offset bug a fresh-buffer test would miss. An Encode() wrapper
+// must return the fresh-buffer bytes too.
 func TestAppendEncodeEquivalence(t *testing.T) {
 	prefixes := [][]byte{nil, {}, []byte("prefix-bytes")}
 	for name, msg := range equivalenceCases() {
+		legacy := msg.AppendEncode(nil)
+		if w, ok := msg.(encodeWrapper); ok && !bytes.Equal(w.Encode(), legacy) {
+			t.Errorf("%s: Encode() = %x, want %x", name, w.Encode(), legacy)
+		}
 		for _, prefix := range prefixes {
-			legacy := msg.Encode()
 			buf := append([]byte(nil), prefix...)
 			got := msg.AppendEncode(buf)
 			want := append(append([]byte(nil), prefix...), legacy...)
@@ -85,7 +94,7 @@ func TestAppendEncodeGrownBuffer(t *testing.T) {
 	for name, msg := range equivalenceCases() {
 		buf := bytes.Repeat([]byte{0xee}, 4096)[:0]
 		got := msg.AppendEncode(buf)
-		if !bytes.Equal(got, msg.Encode()) {
+		if !bytes.Equal(got, msg.AppendEncode(nil)) {
 			t.Errorf("%s: encode into dirty spare capacity diverged", name)
 		}
 	}
@@ -173,21 +182,25 @@ func TestReadFrameV2BufRejectsOversize(t *testing.T) {
 
 // FuzzAppendEncodeDifferential decodes fuzzer-supplied payloads as each
 // message type and, where the decode succeeds, checks that re-encoding
-// via AppendEncode (with a prefix) and Encode agree byte for byte — the
-// differential oracle between the legacy and append codecs.
+// via AppendEncode with a prefix agrees byte for byte with the
+// fresh-buffer AppendEncode(nil) and, for the types that keep it, with
+// Encode().
 func FuzzAppendEncodeDifferential(f *testing.F) {
 	for _, c := range equivalenceCases() {
-		f.Add(c.Encode(), []byte("px"))
+		f.Add(c.AppendEncode(nil), []byte("px"))
 	}
 	f.Fuzz(func(t *testing.T, payload, prefix []byte) {
 		check := func(name string, msg appendable) {
-			legacy := msg.Encode()
+			legacy := msg.AppendEncode(nil)
+			if w, ok := msg.(encodeWrapper); ok && !bytes.Equal(w.Encode(), legacy) {
+				t.Fatalf("%s: Encode %x != AppendEncode(nil) %x", name, w.Encode(), legacy)
+			}
 			got := msg.AppendEncode(append([]byte(nil), prefix...))
 			if !bytes.Equal(got[:len(prefix)], prefix) {
 				t.Fatalf("%s: prefix clobbered", name)
 			}
 			if !bytes.Equal(got[len(prefix):], legacy) {
-				t.Fatalf("%s: AppendEncode %x != Encode %x", name, got[len(prefix):], legacy)
+				t.Fatalf("%s: AppendEncode %x != AppendEncode(nil) %x", name, got[len(prefix):], legacy)
 			}
 		}
 		if m, err := DecodeUploadReq(payload); err == nil {

@@ -11,7 +11,7 @@ func TestOPRFBatchRoundTrip(t *testing.T) {
 		new(big.Int).Lsh(big.NewInt(1), 1000),
 		big.NewInt(0),
 	}}
-	got, err := DecodeOPRFBatchReq(req.Encode())
+	got, err := DecodeOPRFBatchReq(req.AppendEncode(nil))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -25,7 +25,7 @@ func TestOPRFBatchRoundTrip(t *testing.T) {
 	}
 
 	resp := &OPRFBatchResp{Ys: req.Xs}
-	gotResp, err := DecodeOPRFBatchResp(resp.Encode())
+	gotResp, err := DecodeOPRFBatchResp(resp.AppendEncode(nil))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -38,7 +38,7 @@ func TestOPRFBatchRoundTrip(t *testing.T) {
 
 func TestOPRFBatchEmpty(t *testing.T) {
 	req := &OPRFBatchReq{}
-	got, err := DecodeOPRFBatchReq(req.Encode())
+	got, err := DecodeOPRFBatchReq(req.AppendEncode(nil))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -48,7 +48,7 @@ func TestOPRFBatchEmpty(t *testing.T) {
 }
 
 func TestOPRFBatchTruncationRejected(t *testing.T) {
-	full := (&OPRFBatchReq{Xs: []*big.Int{big.NewInt(5), big.NewInt(9)}}).Encode()
+	full := (&OPRFBatchReq{Xs: []*big.Int{big.NewInt(5), big.NewInt(9)}}).AppendEncode(nil)
 	for n := 0; n < len(full); n++ {
 		if _, err := DecodeOPRFBatchReq(full[:n]); err == nil {
 			t.Fatalf("prefix of %d bytes accepted", n)
@@ -76,16 +76,16 @@ func TestOPRFBatchLimit(t *testing.T) {
 	for i := range xs {
 		xs[i] = big.NewInt(int64(i + 2))
 	}
-	if _, err := DecodeOPRFBatchReq((&OPRFBatchReq{Xs: xs[:MaxOPRFBatch]}).Encode()); err != nil {
+	if _, err := DecodeOPRFBatchReq((&OPRFBatchReq{Xs: xs[:MaxOPRFBatch]}).AppendEncode(nil)); err != nil {
 		t.Errorf("max-size request: %v", err)
 	}
-	if _, err := DecodeOPRFBatchResp((&OPRFBatchResp{Ys: xs[:MaxOPRFBatch]}).Encode()); err != nil {
+	if _, err := DecodeOPRFBatchResp((&OPRFBatchResp{Ys: xs[:MaxOPRFBatch]}).AppendEncode(nil)); err != nil {
 		t.Errorf("max-size response: %v", err)
 	}
-	if _, err := DecodeOPRFBatchReq((&OPRFBatchReq{Xs: xs}).Encode()); err == nil {
+	if _, err := DecodeOPRFBatchReq((&OPRFBatchReq{Xs: xs}).AppendEncode(nil)); err == nil {
 		t.Error("oversized request accepted")
 	}
-	if _, err := DecodeOPRFBatchResp((&OPRFBatchResp{Ys: xs}).Encode()); err == nil {
+	if _, err := DecodeOPRFBatchResp((&OPRFBatchResp{Ys: xs}).AppendEncode(nil)); err == nil {
 		t.Error("oversized response accepted")
 	}
 }

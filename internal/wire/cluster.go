@@ -34,9 +34,6 @@ type ReplicatePullReq struct {
 	WaitMS     uint32 // long-poll budget when caught up (0 = answer immediately)
 }
 
-// Encode serializes the pull request.
-func (r *ReplicatePullReq) Encode() []byte { return r.AppendEncode(nil) }
-
 // AppendEncode appends the encoded pull request to buf.
 func (r *ReplicatePullReq) AppendEncode(buf []byte) []byte {
 	e := encoder{buf: buf}
@@ -96,9 +93,6 @@ type ReplicatePullResp struct {
 	FirstLSN  uint64
 	Records   [][]byte
 }
-
-// Encode serializes the pull response.
-func (r *ReplicatePullResp) Encode() []byte { return r.AppendEncode(nil) }
 
 // AppendEncode appends the encoded pull response to buf — the leader's
 // per-pull path, so shipping a page of records reuses one buffer.
@@ -185,9 +179,6 @@ type PartitionMapReq struct {
 	HaveVersion uint64
 }
 
-// Encode serializes the partition-map request.
-func (r *PartitionMapReq) Encode() []byte { return r.AppendEncode(nil) }
-
 // AppendEncode appends the encoded partition-map request to buf.
 func (r *PartitionMapReq) AppendEncode(buf []byte) []byte {
 	e := encoder{buf: buf}
@@ -214,9 +205,6 @@ type PartitionMapResp struct {
 	Version uint64
 	Map     []byte
 }
-
-// Encode serializes the partition-map response.
-func (r *PartitionMapResp) Encode() []byte { return r.AppendEncode(nil) }
 
 // AppendEncode appends the encoded partition-map response to buf.
 func (r *PartitionMapResp) AppendEncode(buf []byte) []byte {
@@ -252,9 +240,6 @@ type PartitionDumpReq struct {
 	Cursor     uint32 // resume from this user ID (inclusive)
 	MaxEntries uint32 // cap per response (0 = node default)
 }
-
-// Encode serializes the dump request.
-func (r *PartitionDumpReq) Encode() []byte { return r.AppendEncode(nil) }
 
 // AppendEncode appends the encoded dump request to buf.
 func (r *PartitionDumpReq) AppendEncode(buf []byte) []byte {
@@ -305,9 +290,6 @@ type PartitionDumpResp struct {
 	More       bool
 	NextCursor uint32
 }
-
-// Encode serializes the dump response.
-func (r *PartitionDumpResp) Encode() []byte { return r.AppendEncode(nil) }
 
 // AppendEncode appends the encoded dump response to buf.
 func (r *PartitionDumpResp) AppendEncode(buf []byte) []byte {

@@ -7,7 +7,7 @@ import (
 
 func TestReplicatePullReqRoundTrip(t *testing.T) {
 	in := &ReplicatePullReq{NodeID: "node-b", AfterLSN: 12345, MaxRecords: 512, WaitMS: 2000}
-	out, err := DecodeReplicatePullReq(in.Encode())
+	out, err := DecodeReplicatePullReq(in.AppendEncode(nil))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -18,11 +18,11 @@ func TestReplicatePullReqRoundTrip(t *testing.T) {
 
 func TestReplicatePullReqRejects(t *testing.T) {
 	cases := map[string][]byte{
-		"empty node ID":  (&ReplicatePullReq{NodeID: "", AfterLSN: 1}).Encode(),
-		"giant node ID":  (&ReplicatePullReq{NodeID: string(make([]byte, MaxNodeIDLen+1))}).Encode(),
-		"over max recs":  (&ReplicatePullReq{NodeID: "n", MaxRecords: MaxReplicateRecords + 1}).Encode(),
-		"truncated":      (&ReplicatePullReq{NodeID: "n", AfterLSN: 7}).Encode()[:8],
-		"trailing bytes": append((&ReplicatePullReq{NodeID: "n"}).Encode(), 0),
+		"empty node ID":  (&ReplicatePullReq{NodeID: "", AfterLSN: 1}).AppendEncode(nil),
+		"giant node ID":  (&ReplicatePullReq{NodeID: string(make([]byte, MaxNodeIDLen+1))}).AppendEncode(nil),
+		"over max recs":  (&ReplicatePullReq{NodeID: "n", MaxRecords: MaxReplicateRecords + 1}).AppendEncode(nil),
+		"truncated":      (&ReplicatePullReq{NodeID: "n", AfterLSN: 7}).AppendEncode(nil)[:8],
+		"trailing bytes": append((&ReplicatePullReq{NodeID: "n"}).AppendEncode(nil), 0),
 	}
 	for name, payload := range cases {
 		if _, err := DecodeReplicatePullReq(payload); err == nil {
@@ -37,7 +37,7 @@ func TestReplicatePullRespRecordsRoundTrip(t *testing.T) {
 		FirstLSN:  42,
 		Records:   [][]byte{{1, 2, 3}, {4}, {5, 6}},
 	}
-	out, err := DecodeReplicatePullResp(in.Encode())
+	out, err := DecodeReplicatePullResp(in.AppendEncode(nil))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -52,7 +52,7 @@ func TestReplicatePullRespRecordsRoundTrip(t *testing.T) {
 
 	// Caught-up response: no records at all.
 	empty := &ReplicatePullResp{FirstLSN: 100}
-	out, err = DecodeReplicatePullResp(empty.Encode())
+	out, err = DecodeReplicatePullResp(empty.AppendEncode(nil))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -63,7 +63,7 @@ func TestReplicatePullRespRecordsRoundTrip(t *testing.T) {
 
 func TestReplicatePullRespSnapshotRoundTrip(t *testing.T) {
 	in := &ReplicatePullResp{Snapshot: true, LeaderLSN: 80, SnapLSN: 77, Snap: []byte("snapshot bytes")}
-	out, err := DecodeReplicatePullResp(in.Encode())
+	out, err := DecodeReplicatePullResp(in.AppendEncode(nil))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -79,7 +79,7 @@ func TestReplicatePullRespRejects(t *testing.T) {
 	if _, err := DecodeReplicatePullResp([]byte{2, 0, 0}); err == nil {
 		t.Error("unknown kind byte decoded")
 	}
-	if _, err := DecodeReplicatePullResp((&ReplicatePullResp{Snapshot: true, SnapLSN: 1}).Encode()); err == nil {
+	if _, err := DecodeReplicatePullResp((&ReplicatePullResp{Snapshot: true, SnapLSN: 1}).AppendEncode(nil)); err == nil {
 		t.Error("snapshot response without bytes decoded")
 	}
 	// A record-count claim beyond the limit must fail before allocation.
@@ -92,25 +92,25 @@ func TestReplicatePullRespRejects(t *testing.T) {
 		t.Error("over-limit record count decoded")
 	}
 	// An embedded empty record is rejected (journal records are never empty).
-	if _, err := DecodeReplicatePullResp((&ReplicatePullResp{FirstLSN: 1, Records: [][]byte{{}}}).Encode()); err == nil {
+	if _, err := DecodeReplicatePullResp((&ReplicatePullResp{FirstLSN: 1, Records: [][]byte{{}}}).AppendEncode(nil)); err == nil {
 		t.Error("empty record decoded")
 	}
 }
 
 func TestPartitionMapRoundTrip(t *testing.T) {
 	req := &PartitionMapReq{HaveVersion: 9}
-	gotReq, err := DecodePartitionMapReq(req.Encode())
+	gotReq, err := DecodePartitionMapReq(req.AppendEncode(nil))
 	if err != nil || *gotReq != *req {
 		t.Fatalf("req round trip: %+v, %v", gotReq, err)
 	}
 	resp := &PartitionMapResp{Version: 10, Map: []byte("encoded map")}
-	gotResp, err := DecodePartitionMapResp(resp.Encode())
+	gotResp, err := DecodePartitionMapResp(resp.AppendEncode(nil))
 	if err != nil || gotResp.Version != 10 || !bytes.Equal(gotResp.Map, resp.Map) {
 		t.Fatalf("resp round trip: %+v, %v", gotResp, err)
 	}
 	// Unchanged: version echo, empty map.
 	unchanged := &PartitionMapResp{Version: 9}
-	gotResp, err = DecodePartitionMapResp(unchanged.Encode())
+	gotResp, err = DecodePartitionMapResp(unchanged.AppendEncode(nil))
 	if err != nil || gotResp.Version != 9 || len(gotResp.Map) != 0 {
 		t.Fatalf("unchanged round trip: %+v, %v", gotResp, err)
 	}
@@ -118,12 +118,12 @@ func TestPartitionMapRoundTrip(t *testing.T) {
 
 func TestPartitionDumpRoundTrip(t *testing.T) {
 	req := &PartitionDumpReq{Partition: 3, Partitions: 4, Cursor: 17, MaxEntries: 100}
-	gotReq, err := DecodePartitionDumpReq(req.Encode())
+	gotReq, err := DecodePartitionDumpReq(req.AppendEncode(nil))
 	if err != nil || *gotReq != *req {
 		t.Fatalf("req round trip: %+v, %v", gotReq, err)
 	}
 	resp := &PartitionDumpResp{Entries: [][]byte{{9, 9}, {8}}, More: true, NextCursor: 18}
-	gotResp, err := DecodePartitionDumpResp(resp.Encode())
+	gotResp, err := DecodePartitionDumpResp(resp.AppendEncode(nil))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -132,7 +132,7 @@ func TestPartitionDumpRoundTrip(t *testing.T) {
 	}
 	// Final page.
 	last := &PartitionDumpResp{}
-	gotResp, err = DecodePartitionDumpResp(last.Encode())
+	gotResp, err = DecodePartitionDumpResp(last.AppendEncode(nil))
 	if err != nil || gotResp.More || gotResp.Entries != nil {
 		t.Fatalf("final page round trip: %+v, %v", gotResp, err)
 	}
@@ -146,7 +146,7 @@ func TestPartitionDumpReqRejects(t *testing.T) {
 		"over max entry count": {Partition: 0, Partitions: 1, MaxEntries: MaxReplicateRecords + 1},
 	}
 	for name, req := range cases {
-		if _, err := DecodePartitionDumpReq(req.Encode()); err == nil {
+		if _, err := DecodePartitionDumpReq(req.AppendEncode(nil)); err == nil {
 			t.Errorf("%s: decoded without error", name)
 		}
 	}

@@ -1,8 +1,10 @@
-// Native Go fuzz targets for the frame and payload decoders: every decoder
-// must reject malformed input with an error — never panic, never over-read
-// — and every accepted input must survive an encode/decode round trip
-// unchanged. Run with `go test -fuzz=FuzzReadFrame ./internal/wire` (etc.);
-// the f.Add seeds are checked in so plain `go test` exercises them too.
+// Native Go fuzz targets for the payload decoders (the frame's own
+// targets, FuzzFrameV2 and FuzzReadFrame, are in v2_test.go): every
+// decoder must reject malformed input with an error — never panic, never
+// over-read — and every accepted input must survive an encode/decode round
+// trip unchanged. Run with `go test -fuzz=FuzzDecodeUploadReq
+// ./internal/wire` (etc.); the f.Add seeds are checked in so plain
+// `go test` exercises them too.
 package wire
 
 import (
@@ -13,38 +15,6 @@ import (
 	"smatch/internal/match"
 	"smatch/internal/profile"
 )
-
-func FuzzReadFrame(f *testing.F) {
-	// Seeds: a valid empty frame, a valid payload frame, a truncated
-	// header, and a length prefix pointing past the buffer.
-	var ok bytes.Buffer
-	_ = WriteFrame(&ok, TypeUploadResp, nil)
-	f.Add(ok.Bytes())
-	ok.Reset()
-	_ = WriteFrame(&ok, TypeQueryReq, []byte{1, 2, 3, 4})
-	f.Add(ok.Bytes())
-	f.Add([]byte{0, 0})
-	f.Add([]byte{0xff, 0xff, 0xff, 0xff, 1})
-
-	f.Fuzz(func(t *testing.T, data []byte) {
-		typ, payload, err := ReadFrame(bytes.NewReader(data))
-		if err != nil {
-			return
-		}
-		// Accepted frames round-trip byte-identically.
-		var buf bytes.Buffer
-		if err := WriteFrame(&buf, typ, payload); err != nil {
-			t.Fatalf("re-encoding accepted frame: %v", err)
-		}
-		typ2, payload2, err := ReadFrame(bytes.NewReader(buf.Bytes()))
-		if err != nil {
-			t.Fatalf("re-decoding own encoding: %v", err)
-		}
-		if typ2 != typ || !bytes.Equal(payload2, payload) {
-			t.Fatalf("round trip changed frame: (%d,%x) -> (%d,%x)", typ, payload, typ2, payload2)
-		}
-	})
-}
 
 func FuzzDecodeUploadReq(f *testing.F) {
 	seed := UploadReq{
@@ -102,7 +72,7 @@ func FuzzDecodeQueryResp(f *testing.F) {
 		{ID: profile.ID(1), Auth: []byte("a1")},
 		{ID: profile.ID(2), Auth: nil},
 	}}
-	f.Add(resp.Encode())
+	f.Add(resp.AppendEncode(nil))
 	f.Add([]byte{})
 
 	f.Fuzz(func(t *testing.T, payload []byte) {
@@ -110,7 +80,7 @@ func FuzzDecodeQueryResp(f *testing.F) {
 		if err != nil {
 			return
 		}
-		r2, err := DecodeQueryResp(r.Encode())
+		r2, err := DecodeQueryResp(r.AppendEncode(nil))
 		if err != nil {
 			t.Fatalf("re-decoding own encoding: %v", err)
 		}
@@ -122,7 +92,7 @@ func FuzzDecodeQueryResp(f *testing.F) {
 
 func FuzzDecodeOPRFBatchReq(f *testing.F) {
 	req := OPRFBatchReq{Xs: []*big.Int{big.NewInt(12345), big.NewInt(0)}}
-	f.Add(req.Encode())
+	f.Add(req.AppendEncode(nil))
 	f.Add([]byte{0xff, 0xff}) // claims 65535 elements, carries none
 
 	f.Fuzz(func(t *testing.T, payload []byte) {
@@ -130,7 +100,7 @@ func FuzzDecodeOPRFBatchReq(f *testing.F) {
 		if err != nil {
 			return
 		}
-		r2, err := DecodeOPRFBatchReq(r.Encode())
+		r2, err := DecodeOPRFBatchReq(r.AppendEncode(nil))
 		if err != nil {
 			t.Fatalf("re-decoding own encoding: %v", err)
 		}

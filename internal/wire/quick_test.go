@@ -77,7 +77,7 @@ func TestQuickQueryRespRoundTrip(t *testing.T) {
 		for i := 0; i < n; i++ {
 			resp.Results = append(resp.Results, match.Result{ID: profile.ID(ids[i]), Auth: auths[i]})
 		}
-		got, err := DecodeQueryResp(resp.Encode())
+		got, err := DecodeQueryResp(resp.AppendEncode(nil))
 		if err != nil {
 			return false
 		}
@@ -117,19 +117,16 @@ func TestQuickDecodersNeverPanicOnRandomBytes(t *testing.T) {
 }
 
 func TestQuickFrameRoundTrip(t *testing.T) {
-	prop := func(typ uint8, payload []byte) bool {
-		if len(payload) > MaxFrameSize {
-			payload = payload[:MaxFrameSize]
-		}
+	prop := func(id uint64, typ uint8, payload []byte) bool {
 		var buf bytes.Buffer
-		if err := WriteFrame(&buf, MsgType(typ), payload); err != nil {
+		if err := WriteFrameV2(&buf, id, MsgType(typ), payload); err != nil {
 			return false
 		}
-		gotType, gotPayload, err := ReadFrame(&buf)
+		gotID, gotType, gotPayload, err := ReadFrameV2(&buf)
 		if err != nil {
 			return false
 		}
-		return gotType == MsgType(typ) && bytes.Equal(gotPayload, payload)
+		return gotID == id && gotType == MsgType(typ) && bytes.Equal(gotPayload, payload)
 	}
 	if err := quick.Check(prop, &quick.Config{MaxCount: 500}); err != nil {
 		t.Error(err)

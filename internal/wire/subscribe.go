@@ -62,9 +62,6 @@ type SubscribeReq struct {
 	MaxDist  *big.Int
 }
 
-// Encode serializes the subscribe request.
-func (s *SubscribeReq) Encode() []byte { return s.AppendEncode(nil) }
-
 // AppendEncode appends the encoded subscribe request to buf.
 func (s *SubscribeReq) AppendEncode(buf []byte) []byte {
 	e := encoder{buf: buf}
@@ -129,9 +126,6 @@ type SubscribeResp struct {
 	SubID uint64
 }
 
-// Encode serializes the subscribe response.
-func (s *SubscribeResp) Encode() []byte { return s.AppendEncode(nil) }
-
 // AppendEncode appends the encoded subscribe response to buf.
 func (s *SubscribeResp) AppendEncode(buf []byte) []byte {
 	e := encoder{buf: buf}
@@ -157,9 +151,6 @@ type UnsubscribeReq struct {
 	SubID uint64
 }
 
-// Encode serializes the unsubscribe request.
-func (u *UnsubscribeReq) Encode() []byte { return u.AppendEncode(nil) }
-
 // AppendEncode appends the encoded unsubscribe request to buf.
 func (u *UnsubscribeReq) AppendEncode(buf []byte) []byte {
 	e := encoder{buf: buf}
@@ -184,9 +175,6 @@ func DecodeUnsubscribeReq(payload []byte) (*UnsubscribeReq, error) {
 type UnsubscribeResp struct {
 	SubID uint64
 }
-
-// Encode serializes the unsubscribe response.
-func (u *UnsubscribeResp) Encode() []byte { return u.AppendEncode(nil) }
 
 // AppendEncode appends the encoded unsubscribe response to buf.
 func (u *UnsubscribeResp) AppendEncode(buf []byte) []byte {
@@ -222,9 +210,6 @@ type MatchNotify struct {
 	ID      profile.ID
 	Auth    []byte
 }
-
-// Encode serializes the notification.
-func (n *MatchNotify) Encode() []byte { return n.AppendEncode(nil) }
 
 // AppendEncode appends the encoded notification to buf — the push pump's
 // per-frame path, so fan-out to many subscribers reuses one buffer.

@@ -21,7 +21,7 @@ func testSubscribeReq() SubscribeReq {
 
 func TestSubscribeReqRoundTrip(t *testing.T) {
 	req := testSubscribeReq()
-	got, err := DecodeSubscribeReq(req.Encode())
+	got, err := DecodeSubscribeReq(req.AppendEncode(nil))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -41,21 +41,21 @@ func TestSubscribeReqRejectsMalformed(t *testing.T) {
 		"push-range sub ID": func() []byte {
 			req := testSubscribeReq()
 			req.SubID = PushID(7)
-			return req.Encode()
+			return req.AppendEncode(nil)
 		},
 		"empty key hash": func() []byte {
 			req := testSubscribeReq()
 			req.KeyHash = nil
-			return req.Encode()
+			return req.AppendEncode(nil)
 		},
 		"oversize threshold": func() []byte {
 			req := testSubscribeReq()
 			req.MaxDist = new(big.Int).SetBytes(bytes.Repeat([]byte{0xff}, MaxSubMaxDist+1))
-			return req.Encode()
+			return req.AppendEncode(nil)
 		},
 		"trailing bytes": func() []byte {
 			req := testSubscribeReq()
-			return append(req.Encode(), 0)
+			return append(req.AppendEncode(nil), 0)
 		},
 	}
 	for name, mk := range cases {
@@ -66,21 +66,21 @@ func TestSubscribeReqRejectsMalformed(t *testing.T) {
 }
 
 func TestSubscribeAckRoundTrips(t *testing.T) {
-	ack, err := DecodeSubscribeResp((&SubscribeResp{SubID: 42}).Encode())
+	ack, err := DecodeSubscribeResp((&SubscribeResp{SubID: 42}).AppendEncode(nil))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if ack.SubID != 42 {
 		t.Fatalf("subscribe ack sub ID = %d, want 42", ack.SubID)
 	}
-	unreq, err := DecodeUnsubscribeReq((&UnsubscribeReq{SubID: 9}).Encode())
+	unreq, err := DecodeUnsubscribeReq((&UnsubscribeReq{SubID: 9}).AppendEncode(nil))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if unreq.SubID != 9 {
 		t.Fatalf("unsubscribe req sub ID = %d, want 9", unreq.SubID)
 	}
-	unack, err := DecodeUnsubscribeResp((&UnsubscribeResp{SubID: 9}).Encode())
+	unack, err := DecodeUnsubscribeResp((&UnsubscribeResp{SubID: 9}).AppendEncode(nil))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -91,7 +91,7 @@ func TestSubscribeAckRoundTrips(t *testing.T) {
 
 func TestMatchNotifyRoundTrip(t *testing.T) {
 	n := MatchNotify{SubID: 3, Seq: 11, Dropped: 2, Event: NotifyEventMatch, ID: profile.ID(55), Auth: []byte("auth")}
-	got, err := DecodeMatchNotify(n.Encode())
+	got, err := DecodeMatchNotify(n.AppendEncode(nil))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -100,7 +100,7 @@ func TestMatchNotifyRoundTrip(t *testing.T) {
 		t.Fatalf("round trip changed notification: %+v -> %+v", n, got)
 	}
 	gone := MatchNotify{SubID: 3, Seq: 12, Event: NotifyEventGone, ID: profile.ID(55)}
-	if _, err := DecodeMatchNotify(gone.Encode()); err != nil {
+	if _, err := DecodeMatchNotify(gone.AppendEncode(nil)); err != nil {
 		t.Fatalf("gone event: %v", err)
 	}
 }
@@ -110,15 +110,15 @@ func TestMatchNotifyRejectsMalformed(t *testing.T) {
 		"truncated": func() []byte { return []byte{0, 0, 0, 0, 0} },
 		"push-range sub ID": func() []byte {
 			n := MatchNotify{SubID: PushID(3), Seq: 1, Event: NotifyEventMatch, ID: 1}
-			return n.Encode()
+			return n.AppendEncode(nil)
 		},
 		"unknown event": func() []byte {
 			n := MatchNotify{SubID: 3, Seq: 1, Event: 9, ID: 1}
-			return n.Encode()
+			return n.AppendEncode(nil)
 		},
 		"trailing bytes": func() []byte {
 			n := MatchNotify{SubID: 3, Seq: 1, Event: NotifyEventMatch, ID: 1}
-			return append(n.Encode(), 0)
+			return append(n.AppendEncode(nil), 0)
 		},
 	}
 	for name, mk := range cases {
@@ -150,9 +150,9 @@ func FuzzSubscribe(f *testing.F) {
 	// the reserved push range, and an oversize threshold. The checked-in
 	// corpus mirrors these so plain `go test` exercises them too.
 	req := testSubscribeReq()
-	f.Add(req.Encode())
+	f.Add(req.AppendEncode(nil))
 	req.SubID = PushID(7)
-	f.Add(req.Encode())
+	f.Add(req.AppendEncode(nil))
 	f.Add([]byte{})
 	f.Add([]byte{0, 0, 0})
 
@@ -166,7 +166,7 @@ func FuzzSubscribe(f *testing.F) {
 		}
 		// Accepted requests re-encode to the exact input (the codec has no
 		// redundant representations) and never panic parsing the chain.
-		if !bytes.Equal(s.Encode(), payload) {
+		if !bytes.Equal(s.AppendEncode(nil), payload) {
 			t.Fatalf("re-encode differs from accepted payload")
 		}
 		_, _ = s.ProbeChain()
@@ -177,12 +177,12 @@ func FuzzMatchNotify(f *testing.F) {
 	// Seeds: valid match and gone events, a truncated header, an unknown
 	// event, and a sub ID inside the reserved push range.
 	n := MatchNotify{SubID: 3, Seq: 11, Dropped: 2, Event: NotifyEventMatch, ID: profile.ID(55), Auth: []byte("auth")}
-	f.Add(n.Encode())
+	f.Add(n.AppendEncode(nil))
 	n.Event = NotifyEventGone
 	n.Auth = nil
-	f.Add(n.Encode())
+	f.Add(n.AppendEncode(nil))
 	n.Event = 9
-	f.Add(n.Encode())
+	f.Add(n.AppendEncode(nil))
 	f.Add([]byte{0, 0, 0, 0, 0})
 
 	f.Fuzz(func(t *testing.T, payload []byte) {
@@ -196,7 +196,7 @@ func FuzzMatchNotify(f *testing.F) {
 		if IsPushID(m.SubID) {
 			t.Fatalf("decoder accepted sub ID %d inside the push range", m.SubID)
 		}
-		if !bytes.Equal(m.Encode(), payload) {
+		if !bytes.Equal(m.AppendEncode(nil), payload) {
 			t.Fatalf("re-encode differs from accepted payload")
 		}
 	})

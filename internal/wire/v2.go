@@ -1,15 +1,14 @@
-// The pipelined envelope. Every frame after the hello exchange carries a
-// 64-bit request ID, so many requests can be in flight on one connection
-// and responses may complete out of order; the ID, not arrival order,
-// routes each response back to its caller.
+// The pipelined envelope, the protocol's one frame format. Every frame
+// carries a 64-bit request ID, so many requests can be in flight on one
+// connection and responses may complete out of order; the ID, not arrival
+// order, routes each response back to its caller.
 //
 // The hello is mandatory: a client's first frame is TypeHello and the
-// server answers TypeHelloResp, both in the hello framing (4-byte
-// big-endian payload length, 1-byte message type, payload — see
-// WriteFrame), after which both sides speak only the envelope below. A
-// server closes a connection whose first frame is anything else, after
-// one error frame in the hello framing; a client treats anything but a
-// ProtocolV2 ack as a failed dial.
+// server answers TypeHelloResp, both under request ID 0, which the client
+// mux never allocates (it numbers requests from 1). A server closes a
+// connection whose first frame is anything else, after one error frame
+// that echoes that frame's ID; a client treats anything but a ProtocolV2
+// ack as a failed dial.
 //
 // Frame layout: 4-byte big-endian payload length, 1-byte message type,
 // 8-byte big-endian request ID, payload.
@@ -37,9 +36,6 @@ type Hello struct {
 	Version uint16
 	Depth   uint16
 }
-
-// Encode serializes the hello payload.
-func (h *Hello) Encode() []byte { return h.AppendEncode(nil) }
 
 // AppendEncode appends the encoded hello payload to buf.
 func (h *Hello) AppendEncode(buf []byte) []byte {
@@ -91,12 +87,19 @@ func WriteFrameV2(w io.Writer, id uint64, t MsgType, payload []byte) error {
 
 // ReadFrameV2 reads one pipelined frame.
 func ReadFrameV2(r io.Reader) (uint64, MsgType, []byte, error) {
+	return ReadFrameV2Max(r, MaxFrameSize)
+}
+
+// ReadFrameV2Max reads one pipelined frame whose payload may be at most
+// limit bytes. A header that claims more fails with ErrFrameTooLarge
+// before any payload byte is allocated or read.
+func ReadFrameV2Max(r io.Reader, limit uint32) (uint64, MsgType, []byte, error) {
 	var hdr [v2HeaderSize]byte
 	if _, err := io.ReadFull(r, hdr[:]); err != nil {
 		return 0, 0, nil, err
 	}
 	n := binary.BigEndian.Uint32(hdr[:4])
-	if n > MaxFrameSize {
+	if n > limit {
 		return 0, 0, nil, ErrFrameTooLarge
 	}
 	id := binary.BigEndian.Uint64(hdr[5:])

@@ -6,6 +6,7 @@ package wire
 
 import (
 	"bytes"
+	"encoding/binary"
 	"io"
 	"testing"
 )
@@ -48,7 +49,7 @@ func TestFrameV2RejectsOversize(t *testing.T) {
 
 func TestHelloRoundTrip(t *testing.T) {
 	h := Hello{Version: ProtocolV2, Depth: 32}
-	got, err := DecodeHello(h.Encode())
+	got, err := DecodeHello(h.AppendEncode(nil))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -105,9 +106,53 @@ func FuzzFrameV2(f *testing.F) {
 	})
 }
 
+// FuzzReadFrame fuzzes the bounded read a server runs on a connection's
+// first frame, before any hello: a header claiming more than the bound is
+// refused without reading past it, and an accepted frame is exactly the
+// consumed prefix re-encoded.
+func FuzzReadFrame(f *testing.F) {
+	// Seeds: a valid empty frame, a valid payload frame, a truncated header,
+	// and a length prefix pointing past the buffer.
+	var ok bytes.Buffer
+	_ = WriteFrameV2(&ok, 0, TypeHello, nil)
+	f.Add(ok.Bytes(), uint16(1<<10))
+	ok.Reset()
+	_ = WriteFrameV2(&ok, 0, TypeHello, (&Hello{Version: ProtocolV2, Depth: 8}).AppendEncode(nil))
+	f.Add(ok.Bytes(), uint16(1<<10))
+	f.Add([]byte{0, 0, 0, 4, 1, 0, 0}, uint16(1<<10))
+	f.Add([]byte{0, 0, 4, 1, 1, 0, 0, 0, 0, 0, 0, 0, 0}, uint16(1<<10))
+
+	f.Fuzz(func(t *testing.T, data []byte, limit uint16) {
+		r := bytes.NewReader(data)
+		id, typ, payload, err := ReadFrameV2Max(r, uint32(limit))
+		if len(data) >= FrameHeaderLenV2 {
+			over := binary.BigEndian.Uint32(data) > uint32(limit)
+			if over != (err == ErrFrameTooLarge) {
+				t.Fatalf("claim %d, bound %d: err = %v", binary.BigEndian.Uint32(data), limit, err)
+			}
+			if over && r.Len() != len(data)-FrameHeaderLenV2 {
+				t.Fatalf("read %d bytes past a refused header", len(data)-FrameHeaderLenV2-r.Len())
+			}
+		}
+		if err != nil {
+			return
+		}
+		if len(payload) > int(limit) {
+			t.Fatalf("accepted a %d-byte payload under bound %d", len(payload), limit)
+		}
+		var buf bytes.Buffer
+		if err := WriteFrameV2(&buf, id, typ, payload); err != nil {
+			t.Fatalf("re-encoding accepted frame: %v", err)
+		}
+		if consumed := data[:len(data)-r.Len()]; !bytes.Equal(buf.Bytes(), consumed) {
+			t.Fatalf("re-encoded frame %x, consumed %x", buf.Bytes(), consumed)
+		}
+	})
+}
+
 func FuzzDecodeHello(f *testing.F) {
 	h := Hello{Version: ProtocolV2, Depth: 64}
-	f.Add(h.Encode())
+	f.Add(h.AppendEncode(nil))
 	f.Add([]byte{})
 	f.Add([]byte{0, 2, 0, 0})
 
@@ -116,7 +161,7 @@ func FuzzDecodeHello(f *testing.F) {
 		if err != nil {
 			return
 		}
-		if !bytes.Equal(got.Encode(), payload) {
+		if !bytes.Equal(got.AppendEncode(nil), payload) {
 			t.Fatalf("re-encode differs from accepted payload")
 		}
 		// Uplevel versions decode (the peer may speak more than we do);

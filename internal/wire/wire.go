@@ -5,19 +5,17 @@
 // queries Qq = <q, t, IDv>, matching results Rq = <q, t, ID1, ciph1, ...>,
 // and RSA-OPRF evaluation rounds for key generation.
 //
-// A connection opens with a two-frame hello exchange and then carries
-// request-ID-tagged frames in both directions; v2.go has the frame
-// layouts. Payload encodings are fixed-layout binary with explicit length
-// prefixes; every decoder rejects malformed input rather than guessing.
+// Every frame in both directions, the opening hello exchange included, is
+// a request-ID-tagged frame; v2.go has the layout. Payload encodings are
+// fixed-layout binary with explicit length prefixes; every decoder rejects
+// malformed input rather than guessing.
 package wire
 
 import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"io"
 	"math/big"
-	"net"
 
 	"smatch/internal/match"
 	"smatch/internal/profile"
@@ -176,9 +174,6 @@ func (u *UploadBatchResp) OK() bool {
 	return true
 }
 
-// Encode serializes the batch response.
-func (u *UploadBatchResp) Encode() []byte { return u.AppendEncode(nil) }
-
 // AppendEncode appends the encoded batch response to buf.
 func (u *UploadBatchResp) AppendEncode(buf []byte) []byte {
 	e := encoder{buf: buf}
@@ -286,9 +281,6 @@ type OPRFBatchReq struct {
 	Xs []*big.Int
 }
 
-// Encode serializes the batch request.
-func (o *OPRFBatchReq) Encode() []byte { return o.AppendEncode(nil) }
-
 // AppendEncode appends the encoded batch request to buf; each element is
 // filled into the buffer directly instead of through x.Bytes().
 func (o *OPRFBatchReq) AppendEncode(buf []byte) []byte {
@@ -325,9 +317,6 @@ func DecodeOPRFBatchReq(payload []byte) (*OPRFBatchReq, error) {
 type OPRFBatchResp struct {
 	Ys []*big.Int
 }
-
-// Encode serializes the batch response.
-func (o *OPRFBatchResp) Encode() []byte { return o.AppendEncode(nil) }
 
 // AppendEncode appends the encoded batch response to buf.
 func (o *OPRFBatchResp) AppendEncode(buf []byte) []byte {
@@ -368,9 +357,6 @@ type OPRFKeyResp struct {
 	E uint32
 }
 
-// Encode serializes the OPRF key response.
-func (o *OPRFKeyResp) Encode() []byte { return o.AppendEncode(nil) }
-
 // AppendEncode appends the encoded OPRF key response to buf.
 func (o *OPRFKeyResp) AppendEncode(buf []byte) []byte {
 	e := encoder{buf: buf}
@@ -399,43 +385,6 @@ func DecodeOPRFKeyResp(payload []byte) (*OPRFKeyResp, error) {
 // ErrorMsg reports a server-side failure for the preceding request.
 type ErrorMsg struct {
 	Text string
-}
-
-// WriteFrame writes one frame in the hello framing: 4-byte big-endian
-// payload length, 1-byte message type, payload. Only the hello exchange
-// (and a server's refusal of a connection that skips it) uses this
-// framing; everything after travels in the v2 envelope. Header and
-// payload go out as one vectored write (net.Buffers); writers without
-// writev support (TLS conns, pipes) fall back to sequential writes.
-func WriteFrame(w io.Writer, t MsgType, payload []byte) error {
-	if len(payload) > MaxFrameSize {
-		return ErrFrameTooLarge
-	}
-	var hdr [5]byte
-	binary.BigEndian.PutUint32(hdr[:4], uint32(len(payload)))
-	hdr[4] = byte(t)
-	bufs := net.Buffers{hdr[:], payload}
-	if _, err := bufs.WriteTo(w); err != nil {
-		return fmt.Errorf("wire: writing frame: %w", err)
-	}
-	return nil
-}
-
-// ReadFrame reads one frame in the hello framing.
-func ReadFrame(r io.Reader) (MsgType, []byte, error) {
-	var hdr [5]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
-		return 0, nil, err
-	}
-	n := binary.BigEndian.Uint32(hdr[:4])
-	if n > MaxFrameSize {
-		return 0, nil, ErrFrameTooLarge
-	}
-	payload := make([]byte, n)
-	if _, err := io.ReadFull(r, payload); err != nil {
-		return 0, nil, fmt.Errorf("wire: reading payload: %w", err)
-	}
-	return MsgType(hdr[4]), payload, nil
 }
 
 // --- payload encoding helpers ---
@@ -620,9 +569,6 @@ func DecodeQueryReq(payload []byte) (*QueryReq, error) {
 	return &q, d.done()
 }
 
-// Encode serializes the query response.
-func (q *QueryResp) Encode() []byte { return q.AppendEncode(nil) }
-
 // AppendEncode appends the encoded query response to buf.
 func (q *QueryResp) AppendEncode(buf []byte) []byte {
 	e := encoder{buf: buf}
@@ -668,9 +614,6 @@ func DecodeQueryResp(payload []byte) (*QueryResp, error) {
 	return &q, d.done()
 }
 
-// Encode serializes the OPRF request.
-func (o *OPRFReq) Encode() []byte { return o.AppendEncode(nil) }
-
 // AppendEncode appends the encoded OPRF request to buf.
 func (o *OPRFReq) AppendEncode(buf []byte) []byte {
 	e := encoder{buf: buf}
@@ -691,9 +634,6 @@ func DecodeOPRFReq(payload []byte) (*OPRFReq, error) {
 	return &OPRFReq{X: new(big.Int).SetBytes(b)}, nil
 }
 
-// Encode serializes the OPRF response.
-func (o *OPRFResp) Encode() []byte { return o.AppendEncode(nil) }
-
 // AppendEncode appends the encoded OPRF response to buf.
 func (o *OPRFResp) AppendEncode(buf []byte) []byte {
 	e := encoder{buf: buf}
@@ -713,9 +653,6 @@ func DecodeOPRFResp(payload []byte) (*OPRFResp, error) {
 	}
 	return &OPRFResp{Y: new(big.Int).SetBytes(b)}, nil
 }
-
-// Encode serializes an error message.
-func (m *ErrorMsg) Encode() []byte { return m.AppendEncode(nil) }
 
 // AppendEncode appends the encoded error message to buf.
 func (m *ErrorMsg) AppendEncode(buf []byte) []byte {

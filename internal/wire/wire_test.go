@@ -2,6 +2,7 @@ package wire
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"math/big"
 	"testing"
@@ -9,56 +10,96 @@ import (
 	"smatch/internal/match"
 )
 
+// firstFrameLimit is the payload bound a server reads a connection's first
+// frame under, before any hello (the server package's maxFirstPayload).
+const firstFrameLimit = 1 << 10
+
+// The hello exchange travels in the ordinary envelope under request ID 0:
+// the client writes it with WriteFrameV2, the server builds its ack or
+// refusal in place with BeginFrameV2/FinishFrameV2. Both must give the
+// same bytes, and each frame must read back through the bounded first read.
 func TestFrameRoundTrip(t *testing.T) {
-	var buf bytes.Buffer
-	payload := []byte("hello smatch")
-	if err := WriteFrame(&buf, TypeQueryReq, payload); err != nil {
-		t.Fatal(err)
-	}
-	typ, got, err := ReadFrame(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if typ != TypeQueryReq || !bytes.Equal(got, payload) {
-		t.Errorf("round trip: type=%d payload=%q", typ, got)
+	hello := &Hello{Version: ProtocolV2, Depth: 32}
+	refusal := &ErrorMsg{Text: "connection refused: the first frame must be a hello"}
+	for _, c := range []struct {
+		t       MsgType
+		payload []byte
+	}{
+		{TypeHello, hello.AppendEncode(nil)},
+		{TypeHelloResp, hello.AppendEncode(nil)},
+		{TypeError, refusal.AppendEncode(nil)},
+	} {
+		var written bytes.Buffer
+		if err := WriteFrameV2(&written, 0, c.t, c.payload); err != nil {
+			t.Fatal(err)
+		}
+		built := append(BeginFrameV2(nil), c.payload...)
+		if err := FinishFrameV2(built, 0, 0, c.t); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(built, written.Bytes()) {
+			t.Errorf("type %d: in-place frame %x, WriteFrameV2 frame %x", c.t, built, written.Bytes())
+		}
+		id, typ, got, err := ReadFrameV2Max(&written, firstFrameLimit)
+		if err != nil {
+			t.Fatalf("type %d: %v", c.t, err)
+		}
+		if id != 0 || typ != c.t || !bytes.Equal(got, c.payload) {
+			t.Errorf("round trip: id=%d type=%d payload=%x", id, typ, got)
+		}
 	}
 }
 
 func TestFrameEmptyPayload(t *testing.T) {
+	// A zero bound still admits the empty payload.
 	var buf bytes.Buffer
-	if err := WriteFrame(&buf, TypeUploadResp, nil); err != nil {
+	if err := WriteFrameV2(&buf, 7, TypeUploadResp, nil); err != nil {
 		t.Fatal(err)
 	}
-	typ, got, err := ReadFrame(&buf)
+	id, typ, got, err := ReadFrameV2Max(&buf, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if typ != TypeUploadResp || len(got) != 0 {
+	if id != 7 || typ != TypeUploadResp || len(got) != 0 {
 		t.Error("empty frame mangled")
 	}
 }
 
 func TestFrameTooLarge(t *testing.T) {
 	var buf bytes.Buffer
-	if err := WriteFrame(&buf, TypeUploadReq, make([]byte, MaxFrameSize+1)); !errors.Is(err, ErrFrameTooLarge) {
-		t.Errorf("oversized write: err = %v", err)
+	if err := WriteFrameV2(&buf, 0, TypeHello, make([]byte, firstFrameLimit)); err != nil {
+		t.Fatal(err)
 	}
-	// A forged oversized header must be rejected on read.
-	buf.Reset()
-	buf.Write([]byte{0xff, 0xff, 0xff, 0xff, byte(TypeUploadReq)})
-	if _, _, err := ReadFrame(&buf); !errors.Is(err, ErrFrameTooLarge) {
-		t.Errorf("oversized read: err = %v", err)
+	if _, _, got, err := ReadFrameV2Max(&buf, firstFrameLimit); err != nil || len(got) != firstFrameLimit {
+		t.Errorf("payload at the bound: len %d, err = %v", len(got), err)
+	}
+	// A header claiming more is refused on the header alone: no payload
+	// follows it, yet the error is ErrFrameTooLarge rather than EOF, and
+	// the bytes after the header stay unread.
+	for _, claim := range []uint32{firstFrameLimit + 1, MaxFrameSize} {
+		frame := make([]byte, FrameHeaderLenV2)
+		binary.BigEndian.PutUint32(frame, claim)
+		frame[4] = byte(TypeHello)
+		r := bytes.NewReader(append(frame, "abc"...))
+		if _, _, _, err := ReadFrameV2Max(r, firstFrameLimit); !errors.Is(err, ErrFrameTooLarge) {
+			t.Errorf("claim %d: err = %v, want ErrFrameTooLarge", claim, err)
+		}
+		if r.Len() != 3 {
+			t.Errorf("claim %d: read %d bytes past the header", claim, 3-r.Len())
+		}
 	}
 }
 
 func TestFrameTruncated(t *testing.T) {
 	var buf bytes.Buffer
-	if err := WriteFrame(&buf, TypeQueryReq, []byte("0123456789")); err != nil {
+	if err := WriteFrameV2(&buf, 1, TypeQueryReq, []byte("0123456789")); err != nil {
 		t.Fatal(err)
 	}
-	short := buf.Bytes()[:8]
-	if _, _, err := ReadFrame(bytes.NewReader(short)); err == nil {
-		t.Error("truncated frame accepted")
+	// Cut inside the header and inside the payload.
+	for _, n := range []int{8, FrameHeaderLenV2 + 4} {
+		if _, _, _, err := ReadFrameV2(bytes.NewReader(buf.Bytes()[:n])); err == nil {
+			t.Errorf("frame truncated to %d bytes accepted", n)
+		}
 	}
 }
 
@@ -151,7 +192,7 @@ func TestQueryRespRoundTrip(t *testing.T) {
 			{ID: 3, Auth: nil},
 		},
 	}
-	got, err := DecodeQueryResp(resp.Encode())
+	got, err := DecodeQueryResp(resp.AppendEncode(nil))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -167,7 +208,7 @@ func TestQueryRespRoundTrip(t *testing.T) {
 
 func TestQueryRespEmptyResults(t *testing.T) {
 	resp := &QueryResp{QueryID: 1, Timestamp: 2}
-	got, err := DecodeQueryResp(resp.Encode())
+	got, err := DecodeQueryResp(resp.AppendEncode(nil))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -179,7 +220,7 @@ func TestQueryRespEmptyResults(t *testing.T) {
 func TestOPRFRoundTrips(t *testing.T) {
 	x := new(big.Int).Lsh(big.NewInt(12345), 512)
 	req := &OPRFReq{X: x}
-	gotReq, err := DecodeOPRFReq(req.Encode())
+	gotReq, err := DecodeOPRFReq(req.AppendEncode(nil))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -187,7 +228,7 @@ func TestOPRFRoundTrips(t *testing.T) {
 		t.Error("OPRF request mangled")
 	}
 	resp := &OPRFResp{Y: big.NewInt(777)}
-	gotResp, err := DecodeOPRFResp(resp.Encode())
+	gotResp, err := DecodeOPRFResp(resp.AppendEncode(nil))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -198,7 +239,7 @@ func TestOPRFRoundTrips(t *testing.T) {
 
 func TestErrorMsgRoundTrip(t *testing.T) {
 	msg := &ErrorMsg{Text: "match: unknown user"}
-	got, err := DecodeErrorMsg(msg.Encode())
+	got, err := DecodeErrorMsg(msg.AppendEncode(nil))
 	if err != nil {
 		t.Fatal(err)
 	}
