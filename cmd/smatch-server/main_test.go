@@ -98,7 +98,7 @@ func journalUpload(t *testing.T, j *server.Journal, s *match.Server, id profile.
 		Auth:    []byte{byte(id)},
 	}
 	req := wire.UploadReqOf(entry)
-	if err := j.AppendUpload(&req); err != nil {
+	if err := j.AppendUploadBatch([]*wire.UploadReq{&req}); err != nil {
 		t.Fatal(err)
 	}
 	if err := s.Upload(entry); err != nil {

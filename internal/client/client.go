@@ -725,25 +725,7 @@ func (c *Conn) Query(id profile.ID, topK int) ([]match.Result, error) {
 	if topK < 1 || topK > 65535 {
 		return nil, fmt.Errorf("client: topK %d out of range", topK)
 	}
-	req := wire.QueryReq{
-		QueryID:   c.queryID.Add(1),
-		Timestamp: time.Now().Unix(),
-		ID:        id,
-		TopK:      uint16(topK),
-	}
-	payload, err := c.roundTrip(wire.TypeQueryReq, req.AppendEncode(nil), wire.TypeQueryResp, true)
-	if err != nil {
-		return nil, err
-	}
-	resp, err := wire.DecodeQueryResp(payload)
-	if err != nil {
-		return nil, err
-	}
-	if resp.QueryID != req.QueryID {
-		c.markBroken()
-		return nil, fmt.Errorf("client: response for query %d, want %d", resp.QueryID, req.QueryID)
-	}
-	return resp.Results, nil
+	return c.query(wire.QueryReq{ID: id, TopK: uint16(topK)})
 }
 
 // QueryMaxDistance issues a MAX-distance matching query: every same-bucket
@@ -754,13 +736,15 @@ func (c *Conn) QueryMaxDistance(id profile.ID, maxDist *big.Int) ([]match.Result
 	if maxDist == nil || maxDist.Sign() < 0 {
 		return nil, errors.New("client: nil or negative distance bound")
 	}
-	req := wire.QueryReq{
-		QueryID:   c.queryID.Add(1),
-		Timestamp: time.Now().Unix(),
-		ID:        id,
-		Mode:      wire.ModeMaxDistance,
-		MaxDist:   maxDist,
-	}
+	return c.query(wire.QueryReq{ID: id, Mode: wire.ModeMaxDistance, MaxDist: maxDist})
+}
+
+// query stamps req with a fresh query ID and the time, sends it, and
+// checks that the answer is for it: another query's ID means the stream
+// is out of step, so the connection is dropped.
+func (c *Conn) query(req wire.QueryReq) ([]match.Result, error) {
+	req.QueryID = c.queryID.Add(1)
+	req.Timestamp = time.Now().Unix()
 	payload, err := c.roundTrip(wire.TypeQueryReq, req.AppendEncode(nil), wire.TypeQueryResp, true)
 	if err != nil {
 		return nil, err
@@ -794,26 +778,23 @@ func (c *Conn) OPRFPublicKey() (oprf.PublicKey, error) {
 	return pk, nil
 }
 
-// Evaluate implements oprf.Evaluator over the network: one OPRF round trip.
+// Evaluate implements oprf.Evaluator over the network: an EvaluateBatch of
+// one element.
 func (c *Conn) Evaluate(x *big.Int) (*big.Int, error) {
 	if x == nil {
 		return nil, errors.New("client: nil OPRF element")
 	}
-	req := wire.OPRFReq{X: x}
-	payload, err := c.roundTrip(wire.TypeOPRFReq, req.AppendEncode(nil), wire.TypeOPRFResp, true)
+	ys, err := c.EvaluateBatch([]*big.Int{x})
 	if err != nil {
 		return nil, err
 	}
-	resp, err := wire.DecodeOPRFResp(payload)
-	if err != nil {
-		return nil, err
-	}
-	return resp.Y, nil
+	return ys[0], nil
 }
 
-// EvaluateBatch implements oprf.BatchEvaluator over the network: one round
-// trip for up to wire.MaxOPRFBatch elements. A larger batch is refused
-// before anything is sent.
+// EvaluateBatch implements oprf.BatchEvaluator over the network: one
+// TypeOPRFBatchReq round trip for up to wire.MaxOPRFBatch elements, the
+// only OPRF round the protocol has. A larger batch is refused before
+// anything is sent.
 func (c *Conn) EvaluateBatch(xs []*big.Int) ([]*big.Int, error) {
 	if len(xs) == 0 {
 		return nil, nil

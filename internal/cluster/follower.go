@@ -188,36 +188,39 @@ func (r *Replicator) pullOnce() error {
 	if resp.FirstLSN != req.AfterLSN+1 {
 		return fmt.Errorf("cluster: pull after %d answered from %d", req.AfterLSN, resp.FirstLSN)
 	}
+	// The page is one group commit, so its records land at contiguous
+	// local LSNs and checking the first checks them all.
+	lsns, err := r.cfg.Journal.WAL().AppendBatch(resp.Records)
+	if err != nil {
+		return fmt.Errorf("cluster: journaling shipped records: %w", err)
+	}
+	if lsns[0] != resp.FirstLSN {
+		// The local log has diverged from the leader's LSN space;
+		// nothing sane can be applied past this point.
+		return fmt.Errorf("cluster: shipped records from LSN %d landed at %d — log diverged", resp.FirstLSN, lsns[0])
+	}
+	// Every record is applied even if an earlier one fails, so a bad
+	// record costs the store only itself. The pull cursor tracks the
+	// local JOURNAL, not the store: once the page is durably appended it
+	// must never be re-pulled — appending it a second time would shift
+	// the local LSN space off the leader's and wedge the follower on the
+	// divergence check above. So an apply error still advances the
+	// cursor: the records are in the WAL, and restart recovery replays
+	// the WAL into the store anyway. The error returned surfaces the
+	// (store-only, until a restart or the next clean apply of an upsert)
+	// divergence. The cursor moves after the applies, so a caller that
+	// sees AppliedLSN reach an LSN finds the store past it too.
+	var firstErr error
 	var shippedBytes uint64
 	for i, rec := range resp.Records {
-		wantLSN := resp.FirstLSN + uint64(i)
-		lsn, err := r.cfg.Journal.WAL().Append(rec)
-		if err != nil {
-			return fmt.Errorf("cluster: journaling shipped record: %w", err)
-		}
-		if lsn != wantLSN {
-			// The local log has diverged from the leader's LSN space;
-			// nothing sane can be applied past this point.
-			return fmt.Errorf("cluster: shipped record for LSN %d landed at %d — log diverged", wantLSN, lsn)
-		}
-		// The pull cursor tracks the local JOURNAL, not the store: once
-		// the record is durably appended it must never be re-pulled —
-		// appending it a second time would shift the local LSN space off
-		// the leader's and wedge the follower on the divergence check
-		// above. So an apply error still advances the cursor: the record
-		// is in the WAL, and restart recovery replays the WAL into the
-		// store anyway. The error below surfaces the (store-only, until
-		// a restart or the next clean apply of an upsert) divergence.
-		r.applied.Store(lsn)
 		shippedBytes += uint64(len(rec))
-		if err := server.ApplyRecord(r.cfg.Store, rec); err != nil {
-			return fmt.Errorf("cluster: applying journaled record %d to the store (journal is ahead; a restart replays it): %w", lsn, err)
+		if err := server.ApplyRecord(r.cfg.Store, rec); err != nil && firstErr == nil {
+			firstErr = fmt.Errorf("cluster: applying journaled record %d to the store (journal is ahead; a restart replays it): %w", lsns[i], err)
 		}
 	}
-	if len(resp.Records) > 0 {
-		r.lagBytes.Store(shippedBytes / uint64(len(resp.Records)))
-	}
-	return nil
+	r.applied.Store(lsns[len(lsns)-1])
+	r.lagBytes.Store(shippedBytes / uint64(len(resp.Records)))
+	return firstErr
 }
 
 // installSnapshot adopts a leader checkpoint: the store is reconciled

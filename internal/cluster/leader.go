@@ -122,14 +122,6 @@ var _ service.Journal = (*SyncJournal)(nil)
 // Begin delegates to the wrapped journal's checkpoint barrier.
 func (s *SyncJournal) Begin() func() { return s.J.Begin() }
 
-// AppendUpload journals locally, then waits for a follower ack.
-func (s *SyncJournal) AppendUpload(req *wire.UploadReq) error {
-	if err := s.J.AppendUpload(req); err != nil {
-		return err
-	}
-	return s.waitReplicated()
-}
-
 // AppendUploadBatch journals locally, then waits for a follower ack.
 func (s *SyncJournal) AppendUploadBatch(reqs []*wire.UploadReq) error {
 	if err := s.J.AppendUploadBatch(reqs); err != nil {

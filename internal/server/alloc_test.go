@@ -34,8 +34,10 @@ const (
 	// journaled upload into a subscribed bucket.
 	journaledUploadAllocCeiling = 24
 	// journaledBatchEntryAllocCeiling bounds allocs per entry of a
-	// bench-shaped journaled 64-entry batch into a subscribed bucket.
-	journaledBatchEntryAllocCeiling = 12
+	// bench-shaped journaled 64-entry batch into a subscribed bucket: the
+	// measured 6.2 plus one. The WAL enqueues the batch as one call, so a
+	// per-record pending or channel would push it past this.
+	journaledBatchEntryAllocCeiling = 7.2
 )
 
 func skipIfCover(t *testing.T) {
@@ -190,8 +192,8 @@ func TestJournaledUploadBatchAllocCeiling(t *testing.T) {
 		payloads = append(payloads, batch.Encode())
 	}
 	perEntry := measureJobs(t, srv, wire.TypeUploadBatchReq, payloads, wire.TypeUploadBatchResp) / entries
-	t.Logf("journaled upload-batch(%d): %.1f allocs per entry (ceiling %d)", entries, perEntry, journaledBatchEntryAllocCeiling)
+	t.Logf("journaled upload-batch(%d): %.1f allocs per entry (ceiling %.1f)", entries, perEntry, journaledBatchEntryAllocCeiling)
 	if perEntry > journaledBatchEntryAllocCeiling {
-		t.Errorf("journaled upload-batch allocates %.1f per entry, ceiling is %d", perEntry, journaledBatchEntryAllocCeiling)
+		t.Errorf("journaled upload-batch allocates %.1f per entry, ceiling is %.1f", perEntry, journaledBatchEntryAllocCeiling)
 	}
 }

@@ -29,6 +29,37 @@ func TestServerSurvivesGarbageFrame(t *testing.T) {
 	}
 }
 
+// TestRetiredOPRFTypeRefused: type 5 carried the single-element OPRF
+// request before every OPRF round became a batch. A frame of that type, in
+// its old encoding, gets exactly one error frame under its request ID, and
+// the connection stays usable: the next frame, a batch of one, is
+// evaluated.
+func TestRetiredOPRFTypeRefused(t *testing.T) {
+	addr, _ := startServer(t)
+	raw := dialRawV2(t, addr)
+	x := big.NewInt(0xbeef)
+	raw.send(7, wire.MsgType(5), []byte{0, 0, 0, 2, 0xbe, 0xef})
+	if id, typ, _ := raw.recv(); id != 7 || typ != wire.TypeError {
+		t.Fatalf("got frame id %d type %d, want an error frame for request 7", id, typ)
+	}
+	raw.send(8, wire.TypeOPRFBatchReq, (&wire.OPRFBatchReq{Xs: []*big.Int{x}}).AppendEncode(nil))
+	id, typ, payload := raw.recv()
+	if id != 8 || typ != wire.TypeOPRFBatchResp {
+		t.Fatalf("got frame id %d type %d, want the OPRF batch response for request 8", id, typ)
+	}
+	resp, err := wire.DecodeOPRFBatchResp(payload)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := testOPRF(t).Evaluate(x)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(resp.Ys) != 1 || resp.Ys[0].Cmp(want) != 0 {
+		t.Error("batch of one disagrees with direct evaluation")
+	}
+}
+
 func TestServerDropsOversizedHeader(t *testing.T) {
 	addr, _ := startServer(t)
 	// Claim a 4 GiB payload, as the first frame and again after the hello:

@@ -104,28 +104,14 @@ func (j *Journal) Begin() func() {
 	return j.release
 }
 
-// AppendUpload journals an upload; when it returns nil the record is
-// durable.
-func (j *Journal) AppendUpload(req *wire.UploadReq) error {
-	rec := appendUploadRecord(make([]byte, 0, 1+req.EncodedLen()), req)
-	if _, err := j.wal.Append(rec); err != nil {
-		return fmt.Errorf("server: journaling upload: %w", err)
-	}
-	return nil
-}
-
-// appendUploadRecord appends req's opUpload record — the op byte, then
-// the request's wire encoding — to buf.
-func appendUploadRecord(buf []byte, req *wire.UploadReq) []byte {
-	return req.AppendEncode(append(buf, opUpload))
-}
-
-// AppendUploadBatch journals several uploads as individual opUpload
-// records committed through one WAL group commit (one fsync for the whole
-// batch). Because the records are byte-identical to the ones AppendUpload
-// writes, recovery replays a batch exactly as it would N single uploads —
-// no separate batch record format to version or test. The records are
-// encoded back to back into one buffer sized for all of them.
+// AppendUploadBatch journals uploads — one, or a whole batch frame — as
+// individual opUpload records (the op byte, then the request's wire
+// encoding) committed through one WAL AppendBatch, so they cost one fsync
+// and hold contiguous LSNs. A batch's records are the ones its entries
+// would write one frame at a time, so recovery replays a batch exactly as
+// it would N single uploads — no separate batch record format to version
+// or test. The records are encoded back to back into one buffer sized for
+// all of them. When it returns nil every record is durable.
 func (j *Journal) AppendUploadBatch(reqs []*wire.UploadReq) error {
 	size := 0
 	for _, req := range reqs {
@@ -135,7 +121,7 @@ func (j *Journal) AppendUploadBatch(reqs []*wire.UploadReq) error {
 	records := make([][]byte, len(reqs))
 	for i, req := range reqs {
 		start := len(buf)
-		buf = appendUploadRecord(buf, req)
+		buf = req.AppendEncode(append(buf, opUpload))
 		records[i] = buf[start:len(buf):len(buf)]
 	}
 	if _, err := j.wal.AppendBatch(records); err != nil {

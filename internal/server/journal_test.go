@@ -70,7 +70,7 @@ func (op journalOp) journalAndApply(t *testing.T, j *Journal, s *match.Server) {
 		if err := j.AppendRemove(op.id); err != nil {
 			t.Fatal(err)
 		}
-	} else if err := j.AppendUpload(op.uploadReq()); err != nil {
+	} else if err := j.AppendUploadBatch([]*wire.UploadReq{op.uploadReq()}); err != nil {
 		t.Fatal(err)
 	}
 	op.apply(t, s)

@@ -94,9 +94,6 @@ func (p *connPush) hasSubs() bool {
 	return len(p.subs)+len(p.remote) > 0
 }
 
-// nSubs returns the live subscription count (local + remote) under mu.
-func (p *connPush) nSubsLocked() int { return len(p.subs) + len(p.remote) }
-
 // teardown ends the pump and deregisters every subscription. Called once
 // when the connection's handler exits; subscriptions die with their conn.
 func (p *connPush) teardown() {
@@ -227,19 +224,11 @@ func (s *Server) handleSubscribe(p *connPush, payload, resp []byte) (wire.MsgTyp
 		return 0, nil, fmt.Errorf("server: empty subscription probe chain")
 	}
 	p.mu.Lock()
-	if p.nSubsLocked() >= s.cfg.MaxSubsPerConn {
-		p.mu.Unlock()
-		return 0, nil, fmt.Errorf("server: subscription limit %d reached on this connection", s.cfg.MaxSubsPerConn)
-	}
-	if _, dup := p.subs[req.SubID]; dup {
-		p.mu.Unlock()
-		return 0, nil, fmt.Errorf("server: subscription %d already registered on this connection", req.SubID)
-	}
-	if _, dup := p.remote[req.SubID]; dup {
-		p.mu.Unlock()
-		return 0, nil, fmt.Errorf("server: subscription %d already registered on this connection", req.SubID)
-	}
+	err = p.admitLocked(req.SubID)
 	p.mu.Unlock()
+	if err != nil {
+		return 0, nil, err
+	}
 	if s.cfg.RemoteSubscriber != nil {
 		return s.handleRemoteSubscribe(p, req, resp)
 	}
@@ -252,22 +241,35 @@ func (s *Server) handleSubscribe(p *connPush, payload, resp []byte) (wire.MsgTyp
 		return 0, nil, err
 	}
 	p.mu.Lock()
-	if p.subs == nil || p.nSubsLocked() >= s.cfg.MaxSubsPerConn {
-		// Raced teardown or a concurrent registration filling the last
-		// slot; roll back.
+	if err := p.admitLocked(req.SubID); err != nil {
+		// Raced teardown or a concurrent registration; roll back.
 		p.mu.Unlock()
 		s.broker.Unsubscribe(sub)
-		return 0, nil, fmt.Errorf("server: subscription limit %d reached on this connection", s.cfg.MaxSubsPerConn)
-	}
-	if _, dup := p.subs[req.SubID]; dup {
-		p.mu.Unlock()
-		s.broker.Unsubscribe(sub)
-		return 0, nil, fmt.Errorf("server: subscription %d already registered on this connection", req.SubID)
+		return 0, nil, err
 	}
 	p.subs[req.SubID] = sub
 	p.mu.Unlock()
 	ack := wire.SubscribeResp{SubID: req.SubID}
 	return wire.TypeSubscribeResp, ack.AppendEncode(resp), nil
+}
+
+// admitLocked says why this connection cannot take subscription id: it
+// has been torn down, it holds MaxSubsPerConn subscriptions, or id is
+// already registered, locally or relayed. Caller holds mu. The subscribe
+// handlers ask before registering with the broker or remote subscriber
+// and again before recording the registration, since mu is not held in
+// between.
+func (p *connPush) admitLocked(id uint64) error {
+	limit := p.s.cfg.MaxSubsPerConn
+	if p.subs == nil || len(p.subs)+len(p.remote) >= limit {
+		return fmt.Errorf("server: subscription limit %d reached on this connection", limit)
+	}
+	_, local := p.subs[id]
+	_, relayed := p.remote[id]
+	if local || relayed {
+		return fmt.Errorf("server: subscription %d already registered on this connection", id)
+	}
+	return nil
 }
 
 // handleRemoteSubscribe registers the probe with the configured remote
@@ -292,15 +294,10 @@ func (s *Server) handleRemoteSubscribe(p *connPush, req *wire.SubscribeReq, resp
 		return 0, nil, err
 	}
 	p.mu.Lock()
-	if p.remote == nil || p.nSubsLocked() >= s.cfg.MaxSubsPerConn {
+	if err := p.admitLocked(subID); err != nil {
 		p.mu.Unlock()
 		cancel()
-		return 0, nil, fmt.Errorf("server: subscription limit %d reached on this connection", s.cfg.MaxSubsPerConn)
-	}
-	if _, dup := p.remote[subID]; dup {
-		p.mu.Unlock()
-		cancel()
-		return 0, nil, fmt.Errorf("server: subscription %d already registered on this connection", subID)
+		return 0, nil, err
 	}
 	p.remote[subID] = cancel
 	p.mu.Unlock()

@@ -159,6 +159,59 @@ func TestMaxSubsPerConnEnforced(t *testing.T) {
 	}
 }
 
+// TestSubscribeDuplicateIDRefused: a second subscribe under a sub ID the
+// connection already holds is refused with an error frame, and the first
+// registration stands, both with the local broker and when a router relays
+// the subscription upstream.
+func TestSubscribeDuplicateIDRefused(t *testing.T) {
+	var relayed, cancelled atomic.Int64
+	for name, cfg := range map[string]Config{
+		"local": {},
+		"router-relayed": {RemoteSubscriber: func(*wire.SubscribeReq, func(wire.MatchNotify) bool) (func(), error) {
+			relayed.Add(1)
+			return func() { cancelled.Add(1) }, nil
+		}},
+	} {
+		t.Run(name, func(t *testing.T) {
+			cfg.OPRF, cfg.ReadTimeout = testOPRF(t), 5*time.Second
+			srv, err := New(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			a, err := srv.Listen("127.0.0.1:0")
+			if err != nil {
+				t.Fatal(err)
+			}
+			ctx, cancel := context.WithCancel(context.Background())
+			done := make(chan error, 1)
+			go func() { done <- srv.Serve(ctx) }()
+			defer func() { cancel(); <-done }()
+
+			raw := dialRawV2(t, a.String())
+			req := subscribeReqForTest(5, "push-dup", 0, 1<<20).AppendEncode(nil)
+			raw.send(1, wire.TypeSubscribeReq, req)
+			if id, typ, _ := raw.recv(); id != 1 || typ != wire.TypeSubscribeResp {
+				t.Fatalf("first subscribe: id %d type %d", id, typ)
+			}
+			raw.send(2, wire.TypeSubscribeReq, req)
+			id, typ, payload := raw.recv()
+			if id != 2 || typ != wire.TypeError {
+				t.Fatalf("duplicate subscribe: id %d type %d, want an error frame for request 2", id, typ)
+			}
+			if msg, err := wire.DecodeErrorMsg(payload); err != nil || !strings.Contains(msg.Text, "already registered") {
+				t.Fatalf("duplicate subscribe refused with %v (%v)", msg, err)
+			}
+			if cfg.RemoteSubscriber == nil {
+				if n := srv.broker.NumSubs(); n != 1 {
+					t.Errorf("broker holds %d subscriptions, want 1", n)
+				}
+			} else if r, c := relayed.Load(), cancelled.Load(); r != 1 || c != 0 {
+				t.Errorf("remote subscriber saw %d registrations and %d cancels, want 1 and 0", r, c)
+			}
+		})
+	}
+}
+
 // TestIdleSubscriberSurvivesReadTimeout: a standing probe is legitimately
 // quiet — a subscriber that sends nothing for several read-deadline
 // windows must keep its connection and still receive pushes; once it

@@ -89,7 +89,7 @@ func walBytes(t *testing.T, dir string, entries []match.Entry) []byte {
 	j := NewJournal(w)
 	for _, e := range entries {
 		req := wire.UploadReqOf(e)
-		if err := j.AppendUpload(&req); err != nil {
+		if err := j.AppendUploadBatch([]*wire.UploadReq{&req}); err != nil {
 			t.Fatal(err)
 		}
 	}

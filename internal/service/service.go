@@ -31,7 +31,6 @@ import (
 // internal/server's Journal implements it.
 type Journal interface {
 	Begin() func()
-	AppendUpload(*wire.UploadReq) error
 	AppendUploadBatch([]*wire.UploadReq) error
 	AppendRemove(profile.ID) error
 }
@@ -100,7 +99,6 @@ func New(deps Deps) (*Registry, error) {
 	r.handlers[wire.TypeRemoveReq] = instrument(&m.Removes, &m.RemoveLatency, &m.RemovesInFlight, r.remove)
 	r.handlers[wire.TypeQueryReq] = instrument(&m.Matches, &m.MatchLatency, &m.MatchesInFlight, r.query)
 	r.handlers[wire.TypeOPRFKeyReq] = r.oprfKey
-	r.handlers[wire.TypeOPRFReq] = instrument(&m.OPRFEvals, &m.OPRFLatency, &m.OPRFInFlight, r.oprf)
 	r.handlers[wire.TypeOPRFBatchReq] = instrument(&m.OPRFEvals, &m.OPRFLatency, &m.OPRFInFlight, r.oprfBatch)
 	return r, nil
 }
@@ -175,18 +173,30 @@ func (r *Registry) upload(payload, resp []byte) (wire.MsgType, []byte, error) {
 	if err != nil {
 		return 0, nil, err
 	}
+	if err := r.put([]*wire.UploadReq{req}, []match.Record{rec}); err != nil {
+		return 0, nil, err
+	}
+	return wire.TypeUploadResp, resp, nil
+}
+
+// put is the write path both upload handlers share: journal reqs as one
+// batch, then file and publish recs, the records built from them, in
+// order. Each handler keeps its own metrics.
+func (r *Registry) put(reqs []*wire.UploadReq, recs []match.Record) error {
 	if j := r.deps.Journal; j != nil {
 		release := j.Begin()
 		defer release()
-		if err := j.AppendUpload(req); err != nil {
-			return 0, nil, err
+		if err := j.AppendUploadBatch(reqs); err != nil {
+			return err
 		}
 	}
-	r.deps.Store.Put(rec)
-	if p := r.deps.Publisher; p != nil {
-		p.PublishRecord(rec)
+	for _, rec := range recs {
+		r.deps.Store.Put(rec)
+		if p := r.deps.Publisher; p != nil {
+			p.PublishRecord(rec)
+		}
 	}
-	return wire.TypeUploadResp, resp, nil
+	return nil
 }
 
 // uploadBatch: build every entry's record up front; invalid ones get a
@@ -213,20 +223,10 @@ func (r *Registry) uploadBatch(payload, respBuf []byte) (wire.MsgType, []byte, e
 		valid = append(valid, &req.Entries[i])
 	}
 	if len(valid) > 0 {
-		if j := r.deps.Journal; j != nil {
-			release := j.Begin()
-			defer release()
-			if err := j.AppendUploadBatch(valid); err != nil {
-				return 0, nil, err
-			}
+		if err := r.put(valid, recs); err != nil {
+			return 0, nil, err
 		}
-		for _, rec := range recs {
-			r.deps.Store.Put(rec)
-			if p := r.deps.Publisher; p != nil {
-				p.PublishRecord(rec)
-			}
-			m.Uploads.Add(1)
-		}
+		m.Uploads.Add(uint64(len(recs)))
 	}
 	m.UploadBatches.Add(1)
 	m.UploadBatchSize.ObserveValue(int64(len(req.Entries)))
@@ -294,21 +294,7 @@ func (r *Registry) oprfKey(_, respBuf []byte) (wire.MsgType, []byte, error) {
 	return wire.TypeOPRFKeyResp, resp.AppendEncode(respBuf), nil
 }
 
-// oprf evaluates one blinded element.
-func (r *Registry) oprf(payload, respBuf []byte) (wire.MsgType, []byte, error) {
-	req, err := wire.DecodeOPRFReq(payload)
-	if err != nil {
-		return 0, nil, err
-	}
-	y, err := r.deps.OPRF.Evaluate(req.X)
-	if err != nil {
-		return 0, nil, err
-	}
-	resp := wire.OPRFResp{Y: y}
-	return wire.TypeOPRFResp, resp.AppendEncode(respBuf), nil
-}
-
-// oprfBatch evaluates a batch of blinded elements in one round; the decoder
+// oprfBatch evaluates the blinded elements of one OPRF round; the decoder
 // enforces wire.MaxOPRFBatch.
 func (r *Registry) oprfBatch(payload, respBuf []byte) (wire.MsgType, []byte, error) {
 	req, err := wire.DecodeOPRFBatchReq(payload)

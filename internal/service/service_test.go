@@ -174,14 +174,6 @@ func (j *recordingJournal) Begin() func() {
 	return func() { j.releases++ }
 }
 
-func (j *recordingJournal) AppendUpload(*wire.UploadReq) error {
-	if j.fail {
-		return errors.New("journal down")
-	}
-	j.uploads++
-	return nil
-}
-
 func (j *recordingJournal) AppendUploadBatch(reqs []*wire.UploadReq) error {
 	if j.fail {
 		return errors.New("journal down")
@@ -298,12 +290,12 @@ func TestOPRFKeyAndEvaluate(t *testing.T) {
 		t.Error("public key modulus mismatch")
 	}
 	x := big.NewInt(0xbeef)
-	req := wire.OPRFReq{X: x}
-	_, rp, err = r.Handle(wire.TypeOPRFReq, req.AppendEncode(nil), nil)
+	req := wire.OPRFBatchReq{Xs: []*big.Int{x}}
+	_, rp, err = r.Handle(wire.TypeOPRFBatchReq, req.AppendEncode(nil), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	resp, err := wire.DecodeOPRFResp(rp)
+	resp, err := wire.DecodeOPRFBatchResp(rp)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -311,7 +303,7 @@ func TestOPRFKeyAndEvaluate(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if resp.Y.Cmp(want) != 0 {
+	if len(resp.Ys) != 1 || resp.Ys[0].Cmp(want) != 0 {
 		t.Error("network evaluation disagrees with direct evaluation")
 	}
 }

@@ -18,12 +18,15 @@
 //
 // # Group commit
 //
-// Concurrent appends are batched into one fsync: appenders hand their
-// record to a committer goroutine and block; the committer drains the
-// queue, writes every pending record with a single write call, syncs once,
-// and then releases the whole batch. Under load the fsync cost is
-// amortized over the batch; at parallelism 1 the path degenerates to one
-// fsync per append, which is the floor any durable log pays.
+// Concurrent appends are batched into one fsync. Each call — Append is
+// AppendBatch of one record — hands its records to a committer goroutine
+// as one pending and blocks on one result channel; the committer drains
+// the queue (up to maxBatch records), writes every drained call's records
+// back to back with a single write call, syncs once, and then releases
+// the whole batch. A call is never split or interleaved with another, so
+// its LSNs are contiguous. Under load the fsync cost is amortized over the
+// batch; at parallelism 1 the path degenerates to one fsync per call,
+// which is the floor any durable log pays.
 //
 // # Recovery
 //
@@ -88,7 +91,8 @@ const (
 	// SegmentSize zero.
 	DefaultSegmentSize = 64 << 20
 
-	// maxBatch caps how many pending appends one group commit drains.
+	// maxBatch caps how many records one group commit drains, and sizes
+	// the queue of pending calls.
 	maxBatch = 4096
 )
 
@@ -127,15 +131,17 @@ type segMeta struct {
 
 func (m segMeta) last() uint64 { return m.first + m.count - 1 } // valid only when count > 0
 
-// pending is one in-flight group-commit append.
+// pending is one in-flight Append or AppendBatch call. The committer
+// writes its records back to back inside one group commit, so their LSNs
+// are contiguous, and answers once on ch.
 type pending struct {
-	data []byte
-	ch   chan appendResult
+	records [][]byte
+	ch      chan appendResult
 }
 
 type appendResult struct {
-	lsn uint64
-	err error
+	first uint64 // LSN of the call's first record
+	err   error
 }
 
 // WAL is an open write-ahead log. Append, Checkpoint and LastLSN are safe
@@ -423,13 +429,43 @@ func scanSegment(path string) (first, count uint64, validEnd int64, hdrOK bool, 
 }
 
 // Append writes one record, returning its LSN once the record is durable
-// (written and fsynced, batched with concurrent appenders). An error means the record must be treated as not
-// logged: the caller must not apply the operation it encodes.
+// (written and fsynced, batched with concurrent appenders). It is
+// AppendBatch of one record. An error means the record must be treated as
+// not logged: the caller must not apply the operation it encodes.
 func (w *WAL) Append(data []byte) (uint64, error) {
-	if len(data) > MaxRecordSize {
-		return 0, ErrRecordTooLarge
+	return w.enqueue([][]byte{data})
+}
+
+// AppendBatch writes several records durably, returning their LSNs once
+// all are committed. The call is one pending: its records land back to
+// back in one group commit, so the LSNs are contiguous (first, first+1,
+// …) and the batch costs one fsync even from a single caller. An error
+// means the records must be treated as not logged: the caller must apply
+// none of the operations they encode.
+func (w *WAL) AppendBatch(records [][]byte) ([]uint64, error) {
+	if len(records) == 0 {
+		return nil, nil
 	}
-	p := &pending{data: data, ch: make(chan appendResult, 1)}
+	first, err := w.enqueue(records)
+	if err != nil {
+		return nil, err
+	}
+	lsns := make([]uint64, len(records))
+	for i := range lsns {
+		lsns[i] = first + uint64(i)
+	}
+	return lsns, nil
+}
+
+// enqueue hands one call's records to the committer as a single pending
+// and waits for the LSN of the first.
+func (w *WAL) enqueue(records [][]byte) (uint64, error) {
+	for _, data := range records {
+		if len(data) > MaxRecordSize {
+			return 0, ErrRecordTooLarge
+		}
+	}
+	p := &pending{records: records, ch: make(chan appendResult, 1)}
 	w.closeMu.RLock()
 	if w.closing {
 		w.closeMu.RUnlock()
@@ -438,53 +474,10 @@ func (w *WAL) Append(data []byte) (uint64, error) {
 	w.appendCh <- p // committer is running, so a full queue drains
 	w.closeMu.RUnlock()
 	r := <-p.ch
-	return r.lsn, r.err
+	return r.first, r.err
 }
 
-// AppendBatch writes several records durably, returning their LSNs (dense,
-// ascending) once all are committed. Unlike N sequential Append calls —
-// which pay one fsync each unless other appenders happen to be concurrent —
-// the whole batch is enqueued before waiting, so it lands in one group
-// commit (at most a few, if the committer wakes mid-enqueue) and the fsync
-// cost is amortized across the batch even from a single caller. An error
-// means at least one record may not be durable: the caller must not apply
-// any operation whose record erred.
-func (w *WAL) AppendBatch(records [][]byte) ([]uint64, error) {
-	if len(records) == 0 {
-		return nil, nil
-	}
-	for _, data := range records {
-		if len(data) > MaxRecordSize {
-			return nil, ErrRecordTooLarge
-		}
-	}
-	ps := make([]*pending, len(records))
-	w.closeMu.RLock()
-	if w.closing {
-		w.closeMu.RUnlock()
-		return nil, ErrClosed
-	}
-	for i, data := range records {
-		ps[i] = &pending{data: data, ch: make(chan appendResult, 1)}
-		w.appendCh <- ps[i] // committer is running, so a full queue drains
-	}
-	w.closeMu.RUnlock()
-	lsns := make([]uint64, len(ps))
-	var firstErr error
-	for i, p := range ps {
-		r := <-p.ch
-		lsns[i] = r.lsn
-		if r.err != nil && firstErr == nil {
-			firstErr = r.err
-		}
-	}
-	if firstErr != nil {
-		return nil, firstErr
-	}
-	return lsns, nil
-}
-
-// committer is the group-commit loop: block for one pending append, drain
+// committer is the group-commit loop: block for one pending call, drain
 // whatever else is queued, commit the whole batch with a single fsync.
 func (w *WAL) committer() {
 	defer close(w.done)
@@ -507,15 +500,19 @@ func (w *WAL) committer() {
 	}
 }
 
-// commitBatch drains the queue behind first and commits the batch.
+// commitBatch drains the queue behind first, up to maxBatch records, and
+// commits the batch. A call is never split, so one larger than maxBatch
+// commits alone.
 func (w *WAL) commitBatch(first *pending) {
 	batch := make([]*pending, 1, 16)
 	batch[0] = first
+	n := len(first.records)
 drain:
-	for len(batch) < maxBatch {
+	for n < maxBatch {
 		select {
 		case p := <-w.appendCh:
 			batch = append(batch, p)
+			n += len(p.records)
 		default:
 			break drain
 		}
@@ -528,10 +525,11 @@ drain:
 	}
 }
 
-// commitLocked writes and syncs a batch under mu, assigning LSNs. All
-// records in a batch share one write and one fsync; they land in the same
-// segment (rotation is checked once, up front, so a segment may overshoot
-// SegmentSize by one batch).
+// commitLocked writes and syncs a batch of calls under mu, assigning LSNs
+// in call order, each call's records back to back. All records in a batch
+// share one write and one fsync; they land in the same segment (rotation
+// is checked once, up front, so a segment may overshoot SegmentSize by one
+// batch).
 func (w *WAL) commitLocked(batch []*pending) []appendResult {
 	results := make([]appendResult, len(batch))
 	fail := func(err error) []appendResult {
@@ -548,11 +546,22 @@ func (w *WAL) commitLocked(batch []*pending) []appendResult {
 			return fail(err)
 		}
 	}
-	buf := make([]byte, 0, 512*len(batch))
-	for i, p := range batch {
-		buf = appendRecord(buf, p.data)
-		results[i] = appendResult{lsn: w.nextLSN + uint64(i)}
+	size := 0
+	for _, p := range batch {
+		for _, data := range p.records {
+			size += recOverhead + len(data)
+		}
 	}
+	buf := make([]byte, 0, size)
+	next := w.nextLSN
+	for i, p := range batch {
+		results[i] = appendResult{first: next}
+		for _, data := range p.records {
+			buf = appendRecord(buf, data)
+		}
+		next += uint64(len(p.records))
+	}
+	n := next - w.nextLSN
 	if _, err := w.seg.Write(buf); err != nil {
 		// The segment tail is now indeterminate; recovery's CRC scan will
 		// truncate it. Refuse further appends from this handle.
@@ -565,17 +574,17 @@ func (w *WAL) commitLocked(batch []*pending) []appendResult {
 		return fail(w.failed)
 	}
 	w.segSize += int64(len(buf))
-	w.nextLSN += uint64(len(batch))
-	w.segments[len(w.segments)-1].count += uint64(len(batch))
+	w.nextLSN = next
+	w.segments[len(w.segments)-1].count += n
 	// Broadcast the commit to tail-followers parked in WaitFor.
 	close(w.commitCh)
 	w.commitCh = make(chan struct{})
 	if m := w.opts.Metrics; m != nil {
-		m.WALAppends.Add(uint64(len(batch)))
+		m.WALAppends.Add(n)
 		m.WALAppendedBytes.Add(uint64(len(buf)))
 		m.WALFsyncs.Add(1)
 		m.WALFsyncLatency.Observe(time.Since(start))
-		m.WALBatchSize.ObserveValue(int64(len(batch)))
+		m.WALBatchSize.ObserveValue(int64(n))
 	}
 	return results
 }

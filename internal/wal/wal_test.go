@@ -368,21 +368,25 @@ func TestGroupCommitConcurrentAppends(t *testing.T) {
 }
 
 func TestGroupCommitBatchesOneFsync(t *testing.T) {
-	// Drive the commit path directly with a pre-built batch: five pending
-	// records must cost exactly one fsync and one batch-size observation
-	// of five.
+	// Drive the commit path directly with a pre-built batch: three calls
+	// carrying five records in all must cost exactly one fsync and one
+	// batch-size observation of five, each call's records back to back.
 	reg := metrics.New()
 	w := testOpen(t, t.TempDir(), func(o *Options) { o.Metrics = reg })
-	batch := make([]*pending, 5)
-	for i := range batch {
-		batch[i] = &pending{data: []byte(fmt.Sprintf("batched-%d", i))}
+	sizes := []int{1, 3, 1}
+	batch := make([]*pending, len(sizes))
+	for i, n := range sizes {
+		batch[i] = &pending{}
+		for j := 0; j < n; j++ {
+			batch[i].records = append(batch[i].records, []byte(fmt.Sprintf("batched-%d-%d", i, j)))
+		}
 	}
 	w.mu.Lock()
 	results := w.commitLocked(batch)
 	w.mu.Unlock()
-	for i, r := range results {
-		if r.err != nil || r.lsn != uint64(i+1) {
-			t.Fatalf("result %d: %+v", i, r)
+	for i, want := range []uint64{1, 2, 5} {
+		if r := results[i]; r.err != nil || r.first != want {
+			t.Fatalf("call %d: %+v, want first LSN %d", i, r, want)
 		}
 	}
 	if f := reg.WALFsyncs.Load(); f != 1 {
@@ -393,6 +397,81 @@ func TestGroupCommitBatchesOneFsync(t *testing.T) {
 	}
 	if a := reg.WALAppends.Load(); a != 5 {
 		t.Fatalf("WALAppends = %d", a)
+	}
+}
+
+// TestAppendBatchContiguous: batches racing each other and single appends
+// each come back as first..first+n−1, and replay yields every batch's
+// records adjacent and in order.
+func TestAppendBatchContiguous(t *testing.T) {
+	dir := t.TempDir()
+	w := testOpen(t, dir)
+	const (
+		batchers = 8
+		singlers = 4
+		rounds   = 10
+		size     = 64
+	)
+	var wg sync.WaitGroup
+	got := make([][][]uint64, batchers) // [batcher][round] LSNs
+	for g := 0; g < batchers; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for r := 0; r < rounds; r++ {
+				records := make([][]byte, size)
+				for i := range records {
+					records[i] = []byte(fmt.Sprintf("b%d-r%d-i%d", g, r, i))
+				}
+				lsns, err := w.AppendBatch(records)
+				if err != nil {
+					t.Errorf("AppendBatch: %v", err)
+					return
+				}
+				got[g] = append(got[g], lsns)
+			}
+		}(g)
+	}
+	for g := 0; g < singlers; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := 0; i < rounds*size/4; i++ {
+				if _, err := w.Append([]byte(fmt.Sprintf("s%d-i%d", g, i))); err != nil {
+					t.Errorf("Append: %v", err)
+					return
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+	if t.Failed() {
+		return
+	}
+	for g, calls := range got {
+		for r, lsns := range calls {
+			for i, lsn := range lsns {
+				if lsn != lsns[0]+uint64(i) {
+					t.Fatalf("batcher %d round %d: LSNs %v not contiguous", g, r, lsns)
+				}
+			}
+		}
+	}
+	w.Close()
+	lsns, payloads := replayAll(t, testOpen(t, dir))
+	at := make(map[uint64][]byte, len(lsns))
+	for i, lsn := range lsns {
+		at[lsn] = payloads[i]
+	}
+	for g, calls := range got {
+		for r, call := range calls {
+			for i := range call {
+				want := fmt.Sprintf("b%d-r%d-i%d", g, r, i)
+				if p := at[call[0]+uint64(i)]; string(p) != want {
+					t.Fatalf("replay at LSN %d = %q, want %q", call[0]+uint64(i), p, want)
+				}
+			}
+		}
 	}
 }
 

@@ -40,9 +40,9 @@ func equivalenceCases() map[string]appendable {
 		"query_nil_dist":    &QueryReq{QueryID: 3, ID: 7, Mode: ModeMaxDistance},
 		"query_resp":        &QueryResp{QueryID: 1, Timestamp: 99, Results: results},
 		"query_resp_empty":  &QueryResp{QueryID: 2},
-		"oprf_req":          &OPRFReq{X: big.NewInt(123456789)},
-		"oprf_req_zero":     &OPRFReq{X: new(big.Int)},
-		"oprf_resp":         &OPRFResp{Y: new(big.Int).Lsh(big.NewInt(1), 2047)},
+		"oprf_batch_one":    &OPRFBatchReq{Xs: []*big.Int{big.NewInt(123456789)}},
+		"oprf_batch_zero":   &OPRFBatchReq{Xs: []*big.Int{new(big.Int)}},
+		"oprf_resp_one":     &OPRFBatchResp{Ys: []*big.Int{new(big.Int).Lsh(big.NewInt(1), 2047)}},
 		"oprf_batch_req":    &OPRFBatchReq{Xs: []*big.Int{big.NewInt(1), new(big.Int), big.NewInt(1 << 60)}},
 		"oprf_batch_resp":   &OPRFBatchResp{Ys: []*big.Int{big.NewInt(255), big.NewInt(256)}},
 		"oprf_key_resp":     &OPRFKeyResp{N: new(big.Int).SetBytes(bytes.Repeat([]byte{0xab}, 256)), E: 65537},
@@ -220,12 +220,6 @@ func FuzzAppendEncodeDifferential(f *testing.F) {
 		}
 		if m, err := DecodeQueryResp(payload); err == nil {
 			check("query_resp", m)
-		}
-		if m, err := DecodeOPRFReq(payload); err == nil {
-			check("oprf_req", m)
-		}
-		if m, err := DecodeOPRFResp(payload); err == nil {
-			check("oprf_resp", m)
 		}
 		if m, err := DecodeOPRFBatchReq(payload); err == nil {
 			check("oprf_batch_req", m)

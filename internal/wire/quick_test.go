@@ -103,8 +103,6 @@ func TestQuickDecodersNeverPanicOnRandomBytes(t *testing.T) {
 		_, _ = DecodeUploadReq(payload)
 		_, _ = DecodeQueryReq(payload)
 		_, _ = DecodeQueryResp(payload)
-		_, _ = DecodeOPRFReq(payload)
-		_, _ = DecodeOPRFResp(payload)
 		_, _ = DecodeOPRFBatchReq(payload)
 		_, _ = DecodeOPRFBatchResp(payload)
 		_, _ = DecodeOPRFKeyResp(payload)

@@ -30,8 +30,8 @@ const (
 	TypeUploadResp
 	TypeQueryReq
 	TypeQueryResp
-	TypeOPRFReq
-	TypeOPRFResp
+	_ // 5: retired single-element OPRF request; every OPRF round is TypeOPRFBatchReq
+	_ // 6: retired single-element OPRF response
 	TypeError
 	TypeOPRFKeyReq
 	TypeOPRFKeyResp
@@ -264,19 +264,9 @@ type QueryResp struct {
 	Results   []match.Result
 }
 
-// OPRFReq carries the blinded element x for an RSA-OPRF round.
-type OPRFReq struct {
-	X *big.Int
-}
-
-// OPRFResp carries the evaluation y = x^d mod N.
-type OPRFResp struct {
-	Y *big.Int
-}
-
-// OPRFBatchReq carries several blinded elements for one batched RSA-OPRF
-// round (multi-probe key generation derives all candidate keys in a single
-// exchange).
+// OPRFBatchReq carries the blinded elements of one RSA-OPRF round: one for
+// a plain key derivation, several when multi-probe key generation derives
+// all candidate keys in a single exchange.
 type OPRFBatchReq struct {
 	Xs []*big.Int
 }
@@ -612,46 +602,6 @@ func DecodeQueryResp(payload []byte) (*QueryResp, error) {
 		q.Results[i] = match.Result{ID: profile.ID(id), Auth: auth}
 	}
 	return &q, d.done()
-}
-
-// AppendEncode appends the encoded OPRF request to buf.
-func (o *OPRFReq) AppendEncode(buf []byte) []byte {
-	e := encoder{buf: buf}
-	e.big(o.X)
-	return e.buf
-}
-
-// DecodeOPRFReq parses an OPRF request payload.
-func DecodeOPRFReq(payload []byte) (*OPRFReq, error) {
-	d := decoder{buf: payload}
-	b, err := d.bytes()
-	if err != nil {
-		return nil, err
-	}
-	if err := d.done(); err != nil {
-		return nil, err
-	}
-	return &OPRFReq{X: new(big.Int).SetBytes(b)}, nil
-}
-
-// AppendEncode appends the encoded OPRF response to buf.
-func (o *OPRFResp) AppendEncode(buf []byte) []byte {
-	e := encoder{buf: buf}
-	e.big(o.Y)
-	return e.buf
-}
-
-// DecodeOPRFResp parses an OPRF response payload.
-func DecodeOPRFResp(payload []byte) (*OPRFResp, error) {
-	d := decoder{buf: payload}
-	b, err := d.bytes()
-	if err != nil {
-		return nil, err
-	}
-	if err := d.done(); err != nil {
-		return nil, err
-	}
-	return &OPRFResp{Y: new(big.Int).SetBytes(b)}, nil
 }
 
 // AppendEncode appends the encoded error message to buf.

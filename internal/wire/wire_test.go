@@ -217,22 +217,23 @@ func TestQueryRespEmptyResults(t *testing.T) {
 	}
 }
 
+// TestOPRFRoundTrips: a plain key derivation is an OPRF batch of one.
 func TestOPRFRoundTrips(t *testing.T) {
 	x := new(big.Int).Lsh(big.NewInt(12345), 512)
-	req := &OPRFReq{X: x}
-	gotReq, err := DecodeOPRFReq(req.AppendEncode(nil))
+	req := &OPRFBatchReq{Xs: []*big.Int{x}}
+	gotReq, err := DecodeOPRFBatchReq(req.AppendEncode(nil))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if gotReq.X.Cmp(x) != 0 {
+	if len(gotReq.Xs) != 1 || gotReq.Xs[0].Cmp(x) != 0 {
 		t.Error("OPRF request mangled")
 	}
-	resp := &OPRFResp{Y: big.NewInt(777)}
-	gotResp, err := DecodeOPRFResp(resp.AppendEncode(nil))
+	resp := &OPRFBatchResp{Ys: []*big.Int{big.NewInt(777)}}
+	gotResp, err := DecodeOPRFBatchResp(resp.AppendEncode(nil))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if gotResp.Y.Int64() != 777 {
+	if len(gotResp.Ys) != 1 || gotResp.Ys[0].Int64() != 777 {
 		t.Error("OPRF response mangled")
 	}
 }
