@@ -47,12 +47,6 @@ type Codec struct {
 	scorer Scorer // nil = identity (the unit scoring profile)
 }
 
-// NewCodec wraps an OPE scheme with identity scoring — the legacy
-// unweighted pipeline, byte for byte.
-func NewCodec(scheme *ope.Scheme) (*Codec, error) {
-	return NewScoredCodec(scheme, nil)
-}
-
 // NewScoredCodec wraps an OPE scheme plus a scoring hook. A nil scorer is
 // the identity; callers holding a unit scoring profile should pass nil so
 // the hot path skips the indirection entirely.

@@ -14,7 +14,7 @@ func testCodec(t testing.TB, key string) *Codec {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c, err := NewCodec(scheme)
+	c, err := NewScoredCodec(scheme, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -30,7 +30,7 @@ func mapped(vals ...int64) []*big.Int {
 }
 
 func TestNewCodecNilScheme(t *testing.T) {
-	if _, err := NewCodec(nil); err == nil {
+	if _, err := NewScoredCodec(nil, nil); err == nil {
 		t.Error("nil scheme accepted")
 	}
 }

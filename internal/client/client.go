@@ -325,12 +325,16 @@ func backoffDelay(n int, base, max time.Duration) time.Duration {
 	return half + time.Duration(rand.Int64N(int64(half)+1))
 }
 
-// roundTrip sends one request and awaits its response, translating server
-// error frames. Session-poisoning failures cause a redial; those and
-// non-poisoning request timeouts are retried (with backoff) when the
-// request is idempotent, while non-idempotent ones surface the error
-// (the next request will redial as needed).
-func (c *Conn) roundTrip(t wire.MsgType, payload []byte, wantType wire.MsgType, idempotent bool) ([]byte, error) {
+// Forward performs one raw request round trip: the payload is sent
+// verbatim and the raw response payload returned, with server error frames
+// translated. Session-poisoning failures cause a redial, with failover
+// across the seed list; those and non-poisoning request timeouts are
+// retried (with backoff) when the request is idempotent, while
+// non-idempotent ones surface the error (the next request will redial as
+// needed). Every typed request goes through it, and the cluster router
+// uses it to forward already-encoded frames to partition owners, so
+// forwarded bytes are exactly the client's bytes.
+func (c *Conn) Forward(t wire.MsgType, payload []byte, wantType wire.MsgType, idempotent bool) ([]byte, error) {
 	attempts := 1
 	if idempotent {
 		attempts += c.opts.MaxRetries
@@ -364,17 +368,6 @@ func (c *Conn) roundTrip(t wire.MsgType, payload []byte, wantType wire.MsgType, 
 		}
 	}
 	return nil, lastErr
-}
-
-// Forward performs one raw request round trip: the payload is passed
-// through verbatim and the raw response payload returned, with the
-// connection's full resilience machinery (redial, failover across the
-// seed list, idempotent retries) applied. This is the cluster router's
-// primitive — it forwards already-encoded frames to partition owners
-// without re-encoding, so forwarded bytes are exactly the client's
-// bytes.
-func (c *Conn) Forward(t wire.MsgType, payload []byte, wantType wire.MsgType, idempotent bool) ([]byte, error) {
-	return c.roundTrip(t, payload, wantType, idempotent)
 }
 
 // interpret translates one raw response frame: server error frames
@@ -660,7 +653,7 @@ func (s *muxSession) close() {
 // connection itself recovers — the next request redials).
 func (c *Conn) Upload(e match.Entry) error {
 	req := wire.UploadReqOf(e)
-	_, err := c.roundTrip(wire.TypeUploadReq, req.AppendEncode(nil), wire.TypeUploadResp, false)
+	_, err := c.Forward(wire.TypeUploadReq, req.AppendEncode(nil), wire.TypeUploadResp, false)
 	return err
 }
 
@@ -686,7 +679,7 @@ func (c *Conn) UploadBatch(entries []match.Entry) ([]string, error) {
 	for i, e := range entries {
 		req.Entries[i] = wire.UploadReqOf(e)
 	}
-	payload, err := c.roundTrip(wire.TypeUploadBatchReq, req.AppendEncode(nil), wire.TypeUploadBatchResp, false)
+	payload, err := c.Forward(wire.TypeUploadBatchReq, req.AppendEncode(nil), wire.TypeUploadBatchResp, false)
 	if err != nil {
 		return nil, err
 	}
@@ -716,7 +709,7 @@ func (c *Conn) UploadBatch(entries []match.Entry) ([]string, error) {
 // retried after connection failures.
 func (c *Conn) Remove(id profile.ID) error {
 	req := wire.RemoveReq{ID: id}
-	_, err := c.roundTrip(wire.TypeRemoveReq, req.AppendEncode(nil), wire.TypeRemoveResp, true)
+	_, err := c.Forward(wire.TypeRemoveReq, req.AppendEncode(nil), wire.TypeRemoveResp, true)
 	return err
 }
 
@@ -745,7 +738,7 @@ func (c *Conn) QueryMaxDistance(id profile.ID, maxDist *big.Int) ([]match.Result
 func (c *Conn) query(req wire.QueryReq) ([]match.Result, error) {
 	req.QueryID = c.queryID.Add(1)
 	req.Timestamp = time.Now().Unix()
-	payload, err := c.roundTrip(wire.TypeQueryReq, req.AppendEncode(nil), wire.TypeQueryResp, true)
+	payload, err := c.Forward(wire.TypeQueryReq, req.AppendEncode(nil), wire.TypeQueryResp, true)
 	if err != nil {
 		return nil, err
 	}
@@ -763,7 +756,7 @@ func (c *Conn) query(req wire.QueryReq) ([]match.Result, error) {
 // OPRFPublicKey fetches the server's OPRF public key, the one piece of
 // bootstrap material a device needs beyond the server address.
 func (c *Conn) OPRFPublicKey() (oprf.PublicKey, error) {
-	payload, err := c.roundTrip(wire.TypeOPRFKeyReq, nil, wire.TypeOPRFKeyResp, true)
+	payload, err := c.Forward(wire.TypeOPRFKeyReq, nil, wire.TypeOPRFKeyResp, true)
 	if err != nil {
 		return oprf.PublicKey{}, err
 	}
@@ -803,7 +796,7 @@ func (c *Conn) EvaluateBatch(xs []*big.Int) ([]*big.Int, error) {
 		return nil, fmt.Errorf("client: OPRF batch of %d exceeds limit %d", len(xs), wire.MaxOPRFBatch)
 	}
 	req := wire.OPRFBatchReq{Xs: xs}
-	payload, err := c.roundTrip(wire.TypeOPRFBatchReq, req.AppendEncode(nil), wire.TypeOPRFBatchResp, true)
+	payload, err := c.Forward(wire.TypeOPRFBatchReq, req.AppendEncode(nil), wire.TypeOPRFBatchResp, true)
 	if err != nil {
 		return nil, err
 	}

@@ -67,10 +67,6 @@ type Subscription struct {
 	localDrops atomic.Uint64
 }
 
-// ID reports the subscription's connection-scoped identifier (the one
-// echoed in SubscribeResp and carried by every push frame).
-func (s *Subscription) ID() uint64 { return s.id }
-
 // LocalDropped reports how many notifications were discarded client-side
 // because C's buffer was full.
 func (s *Subscription) LocalDropped() uint64 { return s.localDrops.Load() }

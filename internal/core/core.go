@@ -98,11 +98,8 @@ func (p Params) Validate() error {
 // EffectiveOPE returns the OPE parameters the pipeline actually runs:
 // PlaintextBits/CiphertextBits are the per-attribute budgets before
 // scoring, and both are widened by the weight vector's ExtraBits so every
-// scaled value w_i·A'_i fits. This is the weighted extension of the
-// adaptive sizing contract — AdaptivePlaintextBits still picks the base k
-// from the mapped entropy (integer scaling is injective, so the
-// entropy and hence the Theorem-1 level are unchanged), and the widening
-// rides on top. Unit weights widen by zero, keeping legacy parameters.
+// scaled value w_i·A'_i fits. Unit weights widen by zero, keeping legacy
+// parameters.
 func (p Params) EffectiveOPE() (ope.Params, error) {
 	if err := p.Weights.CheckBounds(); err != nil {
 		return ope.Params{}, err
@@ -185,21 +182,11 @@ func NewSystem(schema profile.Schema, dist [][]float64, params Params, oprfPK op
 	}, nil
 }
 
-// Schema returns the shared profile schema.
-func (s *System) Schema() profile.Schema { return s.schema }
-
 // Params returns the scheme parameters (with defaults applied).
 func (s *System) Params() Params { return s.params }
 
-// Scoring returns the deployment's scoring profile (the unit profile for
-// unweighted deployments).
-func (s *System) Scoring() *scoring.Profile { return s.scorer }
-
 // Verifier exposes the verification protocol instance.
 func (s *System) Verifier() *verify.Verifier { return s.verifier }
-
-// Mappers exposes the per-attribute entropy-increase mappers (read-only).
-func (s *System) Mappers() []*entropy.Mapper { return s.mappers }
 
 // Client is one user's device: the client-side algorithms of Figure 3.
 // Safe for concurrent use.

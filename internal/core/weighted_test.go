@@ -24,7 +24,7 @@ import (
 func TestUnitWeightsByteIdentical(t *testing.T) {
 	p := profile.Profile{ID: 7, Attrs: []int{1, 2, 30, 40}}
 	legacy := testSystem(t, Params{PlaintextBits: 64, Theta: 4})
-	allOnes := testSystem(t, Params{PlaintextBits: 64, Theta: 4, Weights: scoring.Unit(4)})
+	allOnes := testSystem(t, Params{PlaintextBits: 64, Theta: 4, Weights: scoring.Weights{1, 1, 1, 1}})
 
 	cl := testClient(t, legacy, "device-anchor")
 	ca := testClient(t, allOnes, "device-anchor")
@@ -111,7 +111,7 @@ func TestWeightedEqualsManualScaling(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	codec, err := chain.NewCodec(scheme)
+	codec, err := chain.NewScoredCodec(scheme, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

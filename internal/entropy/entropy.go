@@ -130,12 +130,6 @@ func NewMapper(probs []float64, k uint) (*Mapper, error) {
 	return m, nil
 }
 
-// K returns the message-space size in bits.
-func (m *Mapper) K() uint { return m.k }
-
-// NumValues returns the attribute's value-domain size.
-func (m *Mapper) NumValues() int { return m.n }
-
 // Strings returns s_j, the number of binary strings assigned to value j.
 func (m *Mapper) Strings(j int) *big.Int { return new(big.Int).Set(m.counts[j]) }
 
@@ -183,9 +177,6 @@ func (m *Mapper) MappedEntropy() float64 {
 	}
 	return h
 }
-
-// OriginalEntropy returns the entropy of the attribute before mapping.
-func (m *Mapper) OriginalEntropy() float64 { return Shannon(m.probs) }
 
 // ChainEntropy models the per-slot entropy after attribute chaining: the
 // chain places each attribute at a random position, so an observer of one

@@ -190,7 +190,7 @@ func TestMappedEntropyIncreases(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		orig := m.OriginalEntropy()
+		orig := Shannon(probs)
 		mapped := m.MappedEntropy()
 		if mapped <= orig {
 			t.Fatalf("k=%d: mapped entropy %.2f not above original %.2f", k, mapped, orig)

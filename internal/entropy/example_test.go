@@ -18,7 +18,7 @@ func Example() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("original entropy: %.2f bits\n", mapper.OriginalEntropy())
+	fmt.Printf("original entropy: %.2f bits\n", entropy.Shannon(probs))
 	fmt.Printf("mapped entropy:   %.1f bits\n", mapper.MappedEntropy())
 
 	// Two users with the same value get different strings...

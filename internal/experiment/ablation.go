@@ -53,63 +53,24 @@ func AblationMultiProbe(ds *dataset.Dataset, thetas []int, probeCounts []int) (*
 
 // MeasureTPRWithProbes is MeasureTPR with query-side multi-probe lookups.
 func MeasureTPRWithProbes(ds *dataset.Dataset, theta, topK, probes int) (float64, error) {
-	dep, err := newDeployment(ds, core.Params{PlaintextBits: 64, Theta: theta, TopK: topK})
-	if err != nil {
-		return 0, err
-	}
-	if err := dep.uploadAll(false); err != nil {
-		return 0, err
-	}
-
-	queriers := ds.Profiles
-	const maxQueriers = 300
-	if len(queriers) > maxQueriers {
-		queriers = queriers[:maxQueriers]
-	}
-
-	var tp, total int
-	for _, p := range queriers {
-		truth := make(map[profile.ID]bool)
-		for _, v := range ds.Profiles {
-			if v.ID == p.ID {
-				continue
-			}
-			if ok, err := profile.Close(p, v, theta); err == nil && ok {
-				truth[v.ID] = true
-			}
-		}
-		if len(truth) == 0 {
-			continue
-		}
-		dev, err := dep.device(p.ID)
-		if err != nil {
-			return 0, err
-		}
+	params := core.Params{PlaintextBits: 64, Theta: theta, TopK: topK}
+	return measureTPRParams(ds, params, func(dep *deployment, p profile.Profile, topK int) ([]match.Result, error) {
 		var alts [][]byte
 		if probes > 0 {
+			dev, err := dep.device(p.ID)
+			if err != nil {
+				return nil, err
+			}
 			cands, err := dev.KeygenCandidates(p, probes)
 			if err != nil {
-				return 0, err
+				return nil, err
 			}
 			for _, c := range cands[1:] {
 				alts = append(alts, c.Key.Hash())
 			}
 		}
-		results, err := dep.server.MatchProbe(p.ID, alts, topK)
-		if err != nil {
-			return 0, err
-		}
-		for _, r := range results {
-			if truth[r.ID] {
-				tp++
-			}
-		}
-		total += len(truth)
-	}
-	if total == 0 {
-		return 0, fmt.Errorf("experiment: dataset %s has no close pairs at theta=%d", ds.Name, theta)
-	}
-	return float64(tp) / float64(total), nil
+		return dep.server.MatchProbe(p.ID, alts, topK)
+	})
 }
 
 // AblationRS isolates what the Reed-Solomon snap contributes to the
@@ -125,11 +86,11 @@ func AblationRS(ds *dataset.Dataset, thetas []int) (*Table, error) {
 		Header: []string{"Theta", "with RS (paper)", "quantization only"},
 	}
 	for _, theta := range thetas {
-		with, err := measureTPRParams(ds, core.Params{PlaintextBits: 64, Theta: theta, TopK: core.DefaultTopK})
+		with, err := measureTPRParams(ds, core.Params{PlaintextBits: 64, Theta: theta, TopK: core.DefaultTopK}, queryMatch)
 		if err != nil {
 			return nil, err
 		}
-		without, err := measureTPRParams(ds, core.Params{PlaintextBits: 64, Theta: theta, TopK: core.DefaultTopK, DisableRS: true})
+		without, err := measureTPRParams(ds, core.Params{PlaintextBits: 64, Theta: theta, TopK: core.DefaultTopK, DisableRS: true}, queryMatch)
 		if err != nil {
 			return nil, err
 		}

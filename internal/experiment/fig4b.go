@@ -5,6 +5,7 @@ import (
 
 	"smatch/internal/core"
 	"smatch/internal/dataset"
+	"smatch/internal/match"
 	"smatch/internal/profile"
 )
 
@@ -50,12 +51,19 @@ func Fig4b(opts Options) (*Table, error) {
 // MeasureTPR runs the full matching pipeline on one dataset at one
 // threshold and returns the Equation-5 true-positive rate.
 func MeasureTPR(ds *dataset.Dataset, theta, topK int) (float64, error) {
-	return measureTPRParams(ds, core.Params{PlaintextBits: 64, Theta: theta, TopK: topK})
+	return measureTPRParams(ds, core.Params{PlaintextBits: 64, Theta: theta, TopK: topK}, queryMatch)
+}
+
+// queryMatch is the paper's query: the querier's own key bucket only.
+func queryMatch(dep *deployment, p profile.Profile, topK int) ([]match.Result, error) {
+	return dep.server.Match(p.ID, topK)
 }
 
 // measureTPRParams is MeasureTPR with explicit scheme parameters (the
-// ablations vary more than theta).
-func measureTPRParams(ds *dataset.Dataset, params core.Params) (float64, error) {
+// ablations vary more than theta) and query, which returns querier p's
+// top-k results from the deployment.
+func measureTPRParams(ds *dataset.Dataset, params core.Params,
+	query func(dep *deployment, p profile.Profile, topK int) ([]match.Result, error)) (float64, error) {
 	theta, topK := params.Theta, params.TopK
 	dep, err := newDeployment(ds, params)
 	if err != nil {
@@ -87,7 +95,7 @@ func measureTPRParams(ds *dataset.Dataset, params core.Params) (float64, error) 
 		if len(truth) == 0 {
 			continue // long-tail user with no true cases
 		}
-		results, err := dep.server.Match(p.ID, topK)
+		results, err := query(dep, p, topK)
 		if err != nil {
 			return 0, err
 		}

@@ -114,12 +114,6 @@ func (f *Field) Order() int { return f.order }
 // Contains reports whether x is a valid element of the field.
 func (f *Field) Contains(x Elem) bool { return uint32(x) <= f.mask }
 
-// Add returns a + b. In characteristic 2 this is XOR and equals Sub.
-func (f *Field) Add(a, b Elem) Elem { return a ^ b }
-
-// Sub returns a - b, identical to Add in characteristic 2.
-func (f *Field) Sub(a, b Elem) Elem { return a ^ b }
-
 // Mul returns the product a*b.
 func (f *Field) Mul(a, b Elem) Elem {
 	if a == 0 || b == 0 {

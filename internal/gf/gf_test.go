@@ -62,18 +62,6 @@ func TestNewWithPolynomialRejectsNonPrimitive(t *testing.T) {
 	}
 }
 
-func TestAddIsXor(t *testing.T) {
-	f := mustField(t, 8)
-	for _, tc := range []struct{ a, b Elem }{{0, 0}, {1, 1}, {0xff, 0x0f}, {0x53, 0xca}} {
-		if got := f.Add(tc.a, tc.b); got != tc.a^tc.b {
-			t.Errorf("Add(%#x, %#x) = %#x, want %#x", tc.a, tc.b, got, tc.a^tc.b)
-		}
-		if f.Add(tc.a, tc.b) != f.Sub(tc.a, tc.b) {
-			t.Errorf("Add != Sub for (%#x, %#x)", tc.a, tc.b)
-		}
-	}
-}
-
 func TestMulKnownValuesGF256(t *testing.T) {
 	// Known products in GF(2^8) with the AES-adjacent polynomial 0x11d
 	// (the CCSDS polynomial used here, cross-checked by hand).

@@ -34,9 +34,6 @@ import (
 	"smatch/internal/profile"
 )
 
-// ErrUnknownUser mirrors the matching server's error for missing uploads.
-var ErrUnknownUser = errors.New("homopm: unknown user")
-
 // System holds the deployment-wide Paillier key pair and plays the
 // decrypting querier role in this reproduction.
 type System struct {
@@ -64,9 +61,6 @@ func NewSystem(plaintextBits uint, d int, minModulusBits int) (*System, error) {
 
 // PublicKey returns the encryption key users and the server work with.
 func (s *System) PublicKey() *paillier.PublicKey { return s.key.Public() }
-
-// Dim returns the attribute count d.
-func (s *System) Dim() int { return s.dim }
 
 // Upload is one user's stored ciphertext vector.
 type Upload struct {

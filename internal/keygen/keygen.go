@@ -145,9 +145,6 @@ func NewWithOptions(schema profile.Schema, theta int, pk oprf.PublicKey, eval op
 	return g, nil
 }
 
-// Theta returns the decoder threshold.
-func (g *Generator) Theta() int { return g.theta }
-
 // Quantize maps raw attribute values into cell symbols: cell width
 // 2*theta+1, so values within theta of each other agree unless they
 // straddle a boundary.
@@ -172,15 +169,21 @@ func (g *Generator) FuzzyVector(p profile.Profile) ([]gf.Elem, error) {
 	if err != nil {
 		return nil, err
 	}
+	return g.snap(q)
+}
+
+// snap decodes a cell vector to its nearest codeword, or returns the
+// cells themselves when they lie outside every decoding sphere.
+func (g *Generator) snap(cells []gf.Elem) ([]gf.Elem, error) {
 	if g.code == nil {
-		return q, nil
+		return cells, nil
 	}
-	corrected, _, err := g.code.Decode(q)
+	corrected, _, err := g.code.Decode(cells)
 	switch {
 	case err == nil:
 		return corrected, nil
 	case errors.Is(err, rs.ErrTooManyErrors):
-		return q, nil
+		return cells, nil
 	default:
 		return nil, fmt.Errorf("keygen: RS decoding: %w", err)
 	}

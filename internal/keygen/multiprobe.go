@@ -87,13 +87,21 @@ func (g *Generator) ProfileKeyCandidates(p profile.Profile, maxProbes int) ([]Ca
 		return nil, err
 	}
 	meta := []Candidate{{Attr: -1, Delta: 0}}
-	seeds := [][]byte{hashFuzzyVector(g.theta, g.binding, g.snapToCode(q))}
+	primary, err := g.snap(q)
+	if err != nil {
+		return nil, err
+	}
+	seeds := [][]byte{hashFuzzyVector(g.theta, g.binding, primary)}
 	for _, pr := range probes {
 		alt := make([]gf.Elem, len(q))
 		copy(alt, q)
 		alt[pr.attr] = gf.Elem(int(alt[pr.attr]) + pr.delta)
+		snapped, err := g.snap(alt)
+		if err != nil {
+			return nil, err
+		}
 		meta = append(meta, Candidate{Attr: pr.attr, Delta: pr.delta})
-		seeds = append(seeds, hashFuzzyVector(g.theta, g.binding, g.snapToCode(alt)))
+		seeds = append(seeds, hashFuzzyVector(g.theta, g.binding, snapped))
 	}
 	hardened, err := oprf.EvalBatch(g.pk, g.eval, seeds)
 	if err != nil {
@@ -105,17 +113,4 @@ func (g *Generator) ProfileKeyCandidates(p profile.Profile, maxProbes int) ([]Ca
 		out[i].Key = &Key{bytes: hardened[i]}
 	}
 	return out, nil
-}
-
-// snapToCode applies the RS decoding snap with the identity fallback,
-// mirroring FuzzyVector's behaviour on an explicit cell vector.
-func (g *Generator) snapToCode(cells []gf.Elem) []gf.Elem {
-	if g.code == nil {
-		return cells
-	}
-	corrected, _, err := g.code.Decode(cells)
-	if err != nil {
-		return cells
-	}
-	return corrected
 }

@@ -71,7 +71,6 @@ import (
 // Common errors.
 var (
 	ErrUnknownUser = errors.New("match: unknown user")
-	ErrNoBucket    = errors.New("match: no profiles under this key hash")
 	// ErrInconsistent reports internal index corruption: a stored record
 	// that its own bucket index cannot locate. The store surfaces it
 	// instead of silently degrading (the seed code's nearest() quietly

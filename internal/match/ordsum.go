@@ -158,14 +158,6 @@ func SumFromBig(x *big.Int) Sum { return Sum{w: limbsFromBig(x)} }
 // Cmp compares two sums: -1, 0 or +1.
 func (a Sum) Cmp(b Sum) int { return cmpLimbs(a.w, b.w) }
 
-// BitLen returns the magnitude bit length of the sum (0 for zero).
-func (a Sum) BitLen() int {
-	if len(a.w) == 0 {
-		return 0
-	}
-	return (len(a.w)-1)*64 + bits.Len64(a.w[len(a.w)-1])
-}
-
 // MaxChainSum returns d·(2^ctBits − 1), the largest order sum a
 // d-attribute chain of ctBits-wide ciphertexts can reach. The limb
 // representation is arbitrary-precision, so scaled (priority-weighted)

@@ -64,10 +64,6 @@ type Params struct {
 	CiphertextBits uint
 }
 
-// DefaultExpansion is the recommended number of extra ciphertext bits when
-// the caller does not choose a range explicitly.
-const DefaultExpansion = 16
-
 // Validate checks parameter sanity.
 func (p Params) Validate() error {
 	if p.PlaintextBits == 0 {

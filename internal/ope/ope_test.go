@@ -355,7 +355,7 @@ func TestEncryptResultNotAliased(t *testing.T) {
 // benchEncrypt times Encrypt at one width over 2^16 distinct plaintexts
 // drawn up front (seed 17), so every call runs the full descent.
 func benchEncrypt(b *testing.B, bits uint) {
-	params := Params{PlaintextBits: bits, CiphertextBits: bits + DefaultExpansion}
+	params := Params{PlaintextBits: bits, CiphertextBits: bits + 16}
 	rng := rand.New(rand.NewSource(17))
 	limit := new(big.Int).Lsh(big.NewInt(1), bits)
 	pts := make([]*big.Int, 1<<16)

@@ -3,10 +3,9 @@
 // substrate for the homoPM baseline (Zhang et al., INFOCOM'12) that the
 // S-MATCH paper compares against in Figures 4(c-e) and 5(a-c).
 //
-// Homomorphic properties, all modulo n^2:
+// Its homomorphic property, modulo n^2:
 //
 //	Enc(a) * Enc(b)   decrypts to a + b  (AddCipher)
-//	Enc(a)^k          decrypts to a * k  (MulConst)
 //
 // The implementation uses the standard g = n + 1 simplification, so
 // Enc(m; r) = (1 + m*n) * r^n mod n^2.
@@ -106,16 +105,6 @@ func (pk *PublicKey) Encrypt(m *big.Int, rng io.Reader) (*big.Int, error) {
 	return c, nil
 }
 
-// EncryptInt64 is a convenience wrapper. Negative values are encoded
-// mod N (two's-complement style), matching how homoPM blinds differences.
-func (pk *PublicKey) EncryptInt64(m int64, rng io.Reader) (*big.Int, error) {
-	v := big.NewInt(m)
-	if v.Sign() < 0 {
-		v.Add(v, pk.N)
-	}
-	return pk.Encrypt(v, rng)
-}
-
 func (pk *PublicKey) randUnit(rng io.Reader) (*big.Int, error) {
 	for {
 		r, err := rand.Int(rng, pk.N)
@@ -153,23 +142,6 @@ func (k *PrivateKey) Decrypt(c *big.Int) (*big.Int, error) {
 	return x, nil
 }
 
-// DecryptInt64 decrypts and decodes values encrypted via EncryptInt64,
-// interpreting plaintexts above N/2 as negative.
-func (k *PrivateKey) DecryptInt64(c *big.Int) (int64, error) {
-	m, err := k.Decrypt(c)
-	if err != nil {
-		return 0, err
-	}
-	half := new(big.Int).Rsh(k.N, 1)
-	if m.Cmp(half) > 0 {
-		m.Sub(m, k.N)
-	}
-	if !m.IsInt64() {
-		return 0, errors.New("paillier: decrypted value does not fit int64")
-	}
-	return m.Int64(), nil
-}
-
 // AddCipher returns a ciphertext of (plain(a) + plain(b)) mod N:
 // homomorphic addition is ciphertext multiplication mod N^2.
 func (pk *PublicKey) AddCipher(a, b *big.Int) (*big.Int, error) {
@@ -178,30 +150,6 @@ func (pk *PublicKey) AddCipher(a, b *big.Int) (*big.Int, error) {
 	}
 	c := new(big.Int).Mul(a, b)
 	return c.Mod(c, pk.N2), nil
-}
-
-// AddConst returns a ciphertext of (plain(c) + m) mod N without decrypting.
-func (pk *PublicKey) AddConst(c, m *big.Int) (*big.Int, error) {
-	if !pk.validCiphertext(c) {
-		return nil, ErrCiphertextRange
-	}
-	mm := new(big.Int).Mod(m, pk.N)
-	// Enc(m; 1) = 1 + m*n mod n^2.
-	em := new(big.Int).Mul(mm, pk.N)
-	em.Add(em, one)
-	em.Mod(em, pk.N2)
-	out := new(big.Int).Mul(c, em)
-	return out.Mod(out, pk.N2), nil
-}
-
-// MulConst returns a ciphertext of (plain(c) * m) mod N: ciphertext
-// exponentiation mod N^2.
-func (pk *PublicKey) MulConst(c, m *big.Int) (*big.Int, error) {
-	if !pk.validCiphertext(c) {
-		return nil, ErrCiphertextRange
-	}
-	mm := new(big.Int).Mod(m, pk.N)
-	return new(big.Int).Exp(c, mm, pk.N2), nil
 }
 
 // Rerandomize multiplies c by a fresh encryption of zero, unlinking it from

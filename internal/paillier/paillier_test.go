@@ -104,75 +104,27 @@ func TestAdditiveHomomorphism(t *testing.T) {
 	}
 }
 
-func TestAddConst(t *testing.T) {
-	k := testKey(t)
-	c, _ := k.Encrypt(big.NewInt(100), nil)
-	c2, err := k.AddConst(c, big.NewInt(23))
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, _ := k.Decrypt(c2)
-	if got.Int64() != 123 {
-		t.Errorf("AddConst: got %v, want 123", got)
-	}
-	// Negative constants wrap mod N.
-	c3, err := k.AddConst(c, big.NewInt(-40))
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, _ = k.Decrypt(c3)
-	if got.Int64() != 60 {
-		t.Errorf("AddConst negative: got %v, want 60", got)
-	}
-}
-
-func TestMulConst(t *testing.T) {
-	k := testKey(t)
-	c, _ := k.Encrypt(big.NewInt(7), nil)
-	c2, err := k.MulConst(c, big.NewInt(13))
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, _ := k.Decrypt(c2)
-	if got.Int64() != 91 {
-		t.Errorf("MulConst: got %v, want 91", got)
-	}
-}
-
-func TestInt64EncodingNegatives(t *testing.T) {
-	k := testKey(t)
-	for _, v := range []int64{0, 1, -1, 1000, -1000, 1 << 40, -(1 << 40)} {
-		c, err := k.EncryptInt64(v, nil)
-		if err != nil {
-			t.Fatalf("EncryptInt64(%d): %v", v, err)
-		}
-		got, err := k.DecryptInt64(c)
-		if err != nil {
-			t.Fatalf("DecryptInt64(%d): %v", v, err)
-		}
-		if got != v {
-			t.Fatalf("int64 round trip %d -> %d", v, got)
-		}
-	}
-}
-
 func TestBlindedDifferenceProtocolShape(t *testing.T) {
-	// The homoPM core step: the server combines Enc(a) and Enc(-q) to get
-	// Enc(a - q) without decrypting; the querier decrypts and compares.
+	// The homoPM core step: the server combines Enc(a) and Enc(-q mod N)
+	// to get Enc(a - q mod N) without decrypting; the querier decrypts and
+	// reads plaintexts above N/2 as negative.
 	k := testKey(t)
-	a, q := int64(17), int64(25)
-	ca, _ := k.EncryptInt64(a, nil)
-	cq, _ := k.EncryptInt64(-q, nil)
+	a, q := big.NewInt(17), big.NewInt(25)
+	ca, _ := k.Encrypt(a, nil)
+	cq, _ := k.Encrypt(new(big.Int).Sub(k.N, q), nil)
 	diff, err := k.AddCipher(ca, cq)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := k.DecryptInt64(diff)
+	got, err := k.Decrypt(diff)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got != a-q {
-		t.Fatalf("blinded difference = %d, want %d", got, a-q)
+	if got.Cmp(new(big.Int).Rsh(k.N, 1)) > 0 {
+		got.Sub(got, k.N)
+	}
+	if got.Int64() != -8 {
+		t.Fatalf("blinded difference = %v, want -8", got)
 	}
 }
 
@@ -208,11 +160,11 @@ func TestHomomorphicOpsRejectBadCiphertexts(t *testing.T) {
 	if _, err := k.AddCipher(good, bad); err == nil {
 		t.Error("AddCipher accepted zero ciphertext")
 	}
-	if _, err := k.AddConst(bad, big.NewInt(1)); err == nil {
-		t.Error("AddConst accepted zero ciphertext")
+	if _, err := k.AddCipher(bad, good); err == nil {
+		t.Error("AddCipher accepted zero ciphertext as its first operand")
 	}
-	if _, err := k.MulConst(bad, big.NewInt(1)); err == nil {
-		t.Error("MulConst accepted zero ciphertext")
+	if _, err := k.Rerandomize(bad, nil); err == nil {
+		t.Error("Rerandomize accepted zero ciphertext")
 	}
 }
 

@@ -12,9 +12,6 @@ import (
 	"math/big"
 )
 
-// KeySize is the recommended key length in bytes.
-const KeySize = 32
-
 // Stream is a deterministic random bit generator. It implements io.Reader
 // and a set of typed draws on top of it. A Stream is NOT safe for concurrent
 // use; derive independent streams with New for concurrent consumers.

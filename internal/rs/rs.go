@@ -203,16 +203,6 @@ func (c *Code) Decode(received []gf.Elem) (corrected []gf.Elem, errPos []int, er
 	return out, positions, nil
 }
 
-// DecodeData decodes a received word and returns only the k data symbols of
-// the corrected codeword.
-func (c *Code) DecodeData(received []gf.Elem) ([]gf.Elem, error) {
-	word, _, err := c.Decode(received)
-	if err != nil {
-		return nil, err
-	}
-	return word[:c.k], nil
-}
-
 // berlekampMassey computes the error-locator polynomial sigma and the
 // error-evaluator polynomial omega from the syndromes.
 func (c *Code) berlekampMassey(syn []gf.Elem) (sigma, omega gf.Poly, err error) {
@@ -309,13 +299,4 @@ func (c *Code) forney(word []gf.Elem, sigma, omega gf.Poly, positions []int) err
 		word[pos] ^= mag
 	}
 	return nil
-}
-
-// NearestCodewordData quantizes a raw symbol vector to the data part of the
-// nearest codeword, the operation S-MATCH's fuzzy key generation performs.
-// It first treats the vector's k data symbols as exact, re-encodes, and if
-// the received parity disagrees it falls back to full decoding. Returns
-// ErrTooManyErrors when the vector is outside every decoding sphere.
-func (c *Code) NearestCodewordData(received []gf.Elem) ([]gf.Elem, error) {
-	return c.DecodeData(received)
 }

@@ -202,49 +202,6 @@ func TestDecodeBeyondRadiusDetectedOrWrongCodeword(t *testing.T) {
 	t.Logf("beyond-radius: %d detected, %d miscorrected", detected, miscorrected)
 }
 
-func TestDecodeDataRoundTrip(t *testing.T) {
-	c := mustCode(t, 10, 40, 20)
-	rng := rand.New(rand.NewSource(4))
-	data := randData(rng, c)
-	word, _ := c.Encode(data)
-	rx, _ := corrupt(rng, c, word, c.T())
-	got, err := c.DecodeData(rx)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range data {
-		if got[i] != data[i] {
-			t.Fatalf("data mismatch at %d", i)
-		}
-	}
-}
-
-func TestNearestCodewordDataIdempotent(t *testing.T) {
-	// Two vectors within t symbol differences of the same codeword must
-	// quantize identically — the property S-MATCH's key generation needs.
-	c := mustCode(t, 10, 24, 12)
-	rng := rand.New(rand.NewSource(5))
-	for trial := 0; trial < 100; trial++ {
-		data := randData(rng, c)
-		word, _ := c.Encode(data)
-		rxA, _ := corrupt(rng, c, word, rng.Intn(c.T()+1))
-		rxB, _ := corrupt(rng, c, word, rng.Intn(c.T()+1))
-		qa, err := c.NearestCodewordData(rxA)
-		if err != nil {
-			t.Fatal(err)
-		}
-		qb, err := c.NearestCodewordData(rxB)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for i := range qa {
-			if qa[i] != qb[i] {
-				t.Fatalf("trial %d: quantizations differ at %d", trial, i)
-			}
-		}
-	}
-}
-
 func TestLinearity(t *testing.T) {
 	// RS codes are linear: the sum of two codewords is a codeword.
 	c := mustCode(t, 8, 31, 19)

@@ -42,7 +42,7 @@ func FuzzWeightedSeal(f *testing.F) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		params := ope.Params{PlaintextBits: kBits + prof.ExtraBits(), CiphertextBits: kBits + 16 + prof.ExtraBits()}
+		params := ope.Params{PlaintextBits: kBits + w.ExtraBits(), CiphertextBits: kBits + 16 + w.ExtraBits()}
 
 		scheme1, err := ope.NewScheme(keySeed, params)
 		if err != nil {
@@ -60,7 +60,7 @@ func FuzzWeightedSeal(f *testing.F) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		legacy, err := chain.NewCodec(scheme2)
+		legacy, err := chain.NewScoredCodec(scheme2, nil)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -60,16 +60,6 @@ const MaxWeight = 1 << 20
 // is accepted.
 type Weights []uint32
 
-// Unit returns an explicit all-ones weight vector for d attributes. It is
-// equivalent to nil Weights: same chains, same keys, byte for byte.
-func Unit(d int) Weights {
-	w := make(Weights, d)
-	for i := range w {
-		w[i] = 1
-	}
-	return w
-}
-
 // IsUnit reports whether w performs no scaling: nil or all ones.
 func (w Weights) IsUnit() bool {
 	for _, wi := range w {
@@ -116,16 +106,6 @@ func (w Weights) Max() uint32 {
 		}
 	}
 	return max
-}
-
-// Total returns the sum of the priorities (0 for nil weights; callers that
-// need Σw for d attributes of a nil vector should use uint64(d)).
-func (w Weights) Total() uint64 {
-	var t uint64
-	for _, wi := range w {
-		t += uint64(wi)
-	}
-	return t
 }
 
 // ExtraBits returns the widening e of the OPE plaintext/ciphertext spaces
@@ -227,7 +207,6 @@ func Zipf(d int, s float64, maxW uint32, seed uint64) Weights {
 // implements chain.Scorer. Immutable and safe for concurrent use.
 type Profile struct {
 	weights Weights // nil for unit
-	extra   uint
 	binding []byte
 }
 
@@ -245,25 +224,12 @@ func NewProfile(schema profile.Schema, w Weights) (*Profile, error) {
 	}
 	return &Profile{
 		weights: append(Weights(nil), w...),
-		extra:   w.ExtraBits(),
 		binding: w.Canonical(),
 	}, nil
 }
 
 // IsUnit reports whether this profile performs no scaling.
 func (p *Profile) IsUnit() bool { return p.weights == nil }
-
-// Weights returns a copy of the priority vector (nil for unit).
-func (p *Profile) Weights() Weights {
-	if p.weights == nil {
-		return nil
-	}
-	return append(Weights(nil), p.weights...)
-}
-
-// ExtraBits returns the OPE space widening this profile needs (0 for
-// unit).
-func (p *Profile) ExtraBits() uint { return p.extra }
 
 // KeyBinding returns the material to fold into fuzzy key derivation: the
 // canonical weight encoding, or nil for unit (legacy keys).

@@ -18,7 +18,7 @@ func testSchema(d int) profile.Schema {
 }
 
 func TestUnitDetection(t *testing.T) {
-	for _, w := range []Weights{nil, {}, {1}, {1, 1, 1}, Unit(5)} {
+	for _, w := range []Weights{nil, {}, {1}, {1, 1, 1}, {1, 1, 1, 1, 1}} {
 		if !w.IsUnit() {
 			t.Errorf("%v not detected as unit", w)
 		}
@@ -174,7 +174,7 @@ func TestProfileScore(t *testing.T) {
 	if &out[0] != &mapped[0] {
 		t.Error("unit Score did not return the input slice itself")
 	}
-	if unit.KeyBinding() != nil || unit.ExtraBits() != 0 || !unit.IsUnit() {
+	if unit.KeyBinding() != nil || !unit.IsUnit() {
 		t.Error("unit profile carries scaling state")
 	}
 
@@ -202,9 +202,6 @@ func TestProfileScore(t *testing.T) {
 	if weighted.IsUnit() {
 		t.Error("weighted profile reports unit")
 	}
-	if weighted.ExtraBits() != 3 {
-		t.Errorf("ExtraBits %d, want 3 for max weight 5", weighted.ExtraBits())
-	}
 	if !bytes.Equal(weighted.KeyBinding(), Weights{3, 1, 5}.Canonical()) {
 		t.Error("KeyBinding != canonical encoding")
 	}
@@ -228,22 +225,12 @@ func TestNewProfileValidation(t *testing.T) {
 	if _, err := NewProfile(schema, Weights{0, 1}); err == nil {
 		t.Error("zero weight accepted")
 	}
-	p, err := NewProfile(schema, Unit(2))
+	p, err := NewProfile(schema, Weights{1, 1})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !p.IsUnit() {
 		t.Error("all-ones did not normalize to the unit profile")
-	}
-	// Weights() must be a defensive copy.
-	wp, err := NewProfile(schema, Weights{2, 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	got := wp.Weights()
-	got[0] = 99
-	if wp.Weights()[0] != 2 {
-		t.Error("Weights() exposed internal state")
 	}
 }
 

@@ -143,7 +143,7 @@ func TestUnitWeightsPersistenceByteIdentical(t *testing.T) {
 		{ID: 3, Attrs: []int{40, 41, 42}},
 	}
 	legacy := weightedEntries(t, nil, profiles)
-	unit := weightedEntries(t, scoring.Unit(3), profiles)
+	unit := weightedEntries(t, scoring.Weights{1, 1, 1}, profiles)
 
 	for i := range legacy {
 		a, b := wire.UploadReqOf(legacy[i]), wire.UploadReqOf(unit[i])

@@ -113,12 +113,6 @@ func (r *Registry) Register(t wire.MsgType, h Handler) {
 	r.handlers[t] = h
 }
 
-// Handler returns the installed handler for t (nil if none) — lets a
-// wrapper delegate to the handler it replaces.
-func (r *Registry) Handler(t wire.MsgType) Handler {
-	return r.handlers[t]
-}
-
 // Handle routes one request to its handler. Unknown types are an error,
 // exactly like the pre-service dispatch switch's default arm.
 func (r *Registry) Handle(t wire.MsgType, payload, resp []byte) (wire.MsgType, []byte, error) {

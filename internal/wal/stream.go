@@ -60,30 +60,17 @@ func (w *WAL) ReadFrom(from uint64, max int) ([][]byte, error) {
 		if len(records) >= max {
 			break
 		}
-		if seg.count == 0 || seg.last() < from {
-			continue
+		err := seg.readCommitted(from, max-len(records), func(_ uint64, payload []byte) error {
+			records = append(records, payload)
+			return nil
+		})
+		if errors.Is(err, os.ErrNotExist) {
+			// A checkpoint pruned this segment between the metadata
+			// snapshot and the read; everything it held is covered.
+			return nil, ErrCompacted
 		}
-		data, err := os.ReadFile(seg.path)
 		if err != nil {
-			if errors.Is(err, os.ErrNotExist) {
-				// A checkpoint pruned this segment between the metadata
-				// snapshot and the read; everything it held is covered.
-				return nil, ErrCompacted
-			}
-			return nil, fmt.Errorf("wal: %w", err)
-		}
-		off := segHeaderLen
-		for i := uint64(0); i < seg.count && len(records) < max; i++ {
-			payload, n, perr := parseRecord(data[off:])
-			if perr != nil {
-				// The committed prefix of a segment is always parseable;
-				// damage here means on-disk corruption, not a torn tail.
-				return nil, fmt.Errorf("wal: %s record %d: %w", seg.path, i, perr)
-			}
-			off += n
-			if seg.first+i >= from {
-				records = append(records, payload)
-			}
+			return nil, err
 		}
 	}
 	return records, nil

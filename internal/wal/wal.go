@@ -52,6 +52,7 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
+	"math"
 	"os"
 	"path/filepath"
 	"sort"
@@ -647,25 +648,38 @@ func (w *WAL) Replay(fn func(lsn uint64, data []byte) error) error {
 	ckpt := w.ckptLSN
 	w.mu.Unlock()
 	for _, seg := range segs {
-		if seg.count == 0 || seg.last() <= ckpt {
-			continue
+		if err := seg.readCommitted(ckpt+1, math.MaxInt, fn); err != nil {
+			return err
 		}
-		data, err := os.ReadFile(seg.path)
+	}
+	return nil
+}
+
+// readCommitted calls fn, in LSN order, for at most limit of the
+// segment's first count records whose LSN is at least from. Those records
+// are committed, so they always parse: damage among them is corruption,
+// not a torn tail. A failed read of the file is returned wrapped; a
+// non-nil error from fn stops the read and is returned as is.
+func (seg segMeta) readCommitted(from uint64, limit int, fn func(lsn uint64, payload []byte) error) error {
+	if seg.count == 0 || seg.last() < from {
+		return nil
+	}
+	data, err := os.ReadFile(seg.path)
+	if err != nil {
+		return fmt.Errorf("wal: %w", err)
+	}
+	off := segHeaderLen
+	for i := uint64(0); i < seg.count && limit > 0; i++ {
+		payload, n, err := parseRecord(data[off:])
 		if err != nil {
-			return fmt.Errorf("wal: %w", err)
+			return fmt.Errorf("wal: %s record %d: %w", seg.path, i, err)
 		}
-		off := segHeaderLen
-		for i := uint64(0); i < seg.count; i++ {
-			payload, n, err := parseRecord(data[off:])
-			if err != nil {
-				return fmt.Errorf("wal: %s record %d: %w", seg.path, i, err)
+		off += n
+		if lsn := seg.first + i; lsn >= from {
+			if err := fn(lsn, payload); err != nil {
+				return err
 			}
-			off += n
-			if lsn := seg.first + i; lsn > ckpt {
-				if err := fn(lsn, payload); err != nil {
-					return err
-				}
-			}
+			limit--
 		}
 	}
 	return nil

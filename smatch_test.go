@@ -129,9 +129,6 @@ func TestHomoPMExposed(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if sys.Dim() != 3 {
-		t.Errorf("Dim = %d", sys.Dim())
-	}
 	if NewHomoPMServer(sys) == nil {
 		t.Error("nil homoPM server")
 	}
