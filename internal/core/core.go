@@ -15,6 +15,7 @@ import (
 	"errors"
 	"fmt"
 	"math/big"
+	"sync"
 
 	"smatch/internal/chain"
 	"smatch/internal/entropy"
@@ -190,10 +191,26 @@ func (s *System) Verifier() *verify.Verifier { return s.verifier }
 
 // Client is one user's device: the client-side algorithms of Figure 3.
 // Safe for concurrent use.
+//
+// A device that registers more than once computes Auth's p^s while Keygen
+// waits on the OPRF server: the first Auth arms the client, and from then
+// on Keygen starts one fill of the commitment slot, which the next Auth
+// takes. A client that runs Keygen and Auth once never fills the slot.
 type Client struct {
 	sys    *System
 	gen    *keygen.Generator
 	secret []byte
+
+	mu      sync.Mutex
+	armed   bool        // an Auth has run
+	next    chan filled // the commitment slot: nil when empty
+	filling bool        // a fill started and no Auth has received it yet
+}
+
+// filled is one commitment fill's result.
+type filled struct {
+	c   verify.Commitment
+	err error
 }
 
 // NewClient binds a device to the system. eval is the OPRF transport (the
@@ -217,7 +234,21 @@ func (s *System) NewClient(eval oprf.Evaluator, secret []byte) (*Client, error) 
 }
 
 // Keygen derives the user's profile key Kup (Figure 3, Algorithm Keygen).
+// On an armed client with no fill outstanding it first starts one fill of
+// the commitment slot, so the comb runs while the OPRF round trip blocks.
 func (c *Client) Keygen(p profile.Profile) (*keygen.Key, error) {
+	c.mu.Lock()
+	if c.armed && !c.filling {
+		c.filling = true
+		ch := make(chan filled, 1) // the fill never blocks, even if no Auth comes
+		c.next = ch
+		v := c.sys.verifier
+		go func() {
+			cm, err := v.Commit(nil)
+			ch <- filled{cm, err}
+		}()
+	}
+	c.mu.Unlock()
 	return c.gen.ProfileKey(p)
 }
 
@@ -280,17 +311,34 @@ func (c *Client) Enc(key *keygen.Key, id profile.ID, mapped []*big.Int) (*chain.
 	return codec.Seal(mapped, permCoins)
 }
 
-// KeygenCandidates derives the primary profile key plus up to maxProbes
-// alternate keys for boundary-adjacent cells — the query-side multi-probe
-// extension (see internal/keygen). Candidate 0 is always the primary key.
-func (c *Client) KeygenCandidates(p profile.Profile, maxProbes int) ([]keygen.Candidate, error) {
-	return c.gen.ProfileKeyCandidates(p, maxProbes)
-}
-
 // Auth produces the user's authentication information ciph_u (Figure 3,
-// Algorithm Auth).
+// Algorithm Auth). It takes the slot's commitment, waiting for a fill
+// still running, or commits inline when the slot is empty; each
+// commitment goes to exactly one Auth.
 func (c *Client) Auth(key *keygen.Key, id profile.ID) ([]byte, error) {
-	return c.sys.verifier.Auth(key.Bytes(), id, nil)
+	v := c.sys.verifier
+	kb := key.Bytes()
+	if len(kb) == 0 || id == 0 {
+		return v.Auth(kb, id, nil) // reports the error; the slot stays as it is
+	}
+	c.mu.Lock()
+	ch := c.next
+	c.next = nil
+	c.armed = true
+	c.mu.Unlock()
+	var f filled
+	if ch != nil {
+		f = <-ch
+		c.mu.Lock()
+		c.filling = false
+		c.mu.Unlock()
+	} else {
+		f.c, f.err = v.Commit(nil)
+	}
+	if f.err != nil {
+		return nil, f.err
+	}
+	return v.AuthFrom(kb, id, f.c, nil)
 }
 
 // Vf verifies a matched user's authentication information (Figure 3,

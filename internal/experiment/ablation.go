@@ -9,6 +9,7 @@ import (
 
 	"smatch/internal/core"
 	"smatch/internal/dataset"
+	"smatch/internal/keygen"
 	"smatch/internal/match"
 	"smatch/internal/profile"
 )
@@ -54,14 +55,17 @@ func AblationMultiProbe(ds *dataset.Dataset, thetas []int, probeCounts []int) (*
 // MeasureTPRWithProbes is MeasureTPR with query-side multi-probe lookups.
 func MeasureTPRWithProbes(ds *dataset.Dataset, theta, topK, probes int) (float64, error) {
 	params := core.Params{PlaintextBits: 64, Theta: theta, TopK: topK}
+	var gen *keygen.Generator // the fuzzy-key code core.Client.Keygen runs, for alternate cells
 	return measureTPRParams(ds, params, func(dep *deployment, p profile.Profile, topK int) ([]match.Result, error) {
 		var alts [][]byte
 		if probes > 0 {
-			dev, err := dep.device(p.ID)
-			if err != nil {
-				return nil, err
+			if gen == nil {
+				var err error
+				if gen, err = keygen.New(ds.Schema, theta, dep.oprf.PublicKey(), dep.oprf); err != nil {
+					return nil, err
+				}
 			}
-			cands, err := dev.KeygenCandidates(p, probes)
+			cands, err := gen.ProfileKeyCandidates(p, probes)
 			if err != nil {
 				return nil, err
 			}

@@ -78,27 +78,69 @@ func (v *Verifier) AuthLen() int {
 // Auth generates a user's authentication information ciph_u under profile
 // key key. A fresh secret s_u is drawn from rng (crypto/rand by default);
 // the secret never leaves this function — verifiability only needs the
-// published commitment pair.
+// published commitment pair. Auth is Commit followed by AuthFrom on the
+// same rng: it draws s, then the IV.
 func (v *Verifier) Auth(key []byte, id profile.ID, rng io.Reader) ([]byte, error) {
-	if len(key) == 0 {
-		return nil, errors.New("verify: empty profile key")
+	if err := checkAuthArgs(key, id); err != nil {
+		return nil, err
 	}
-	if id == 0 {
-		// t1^0 = 1 for every secret: the tag would bind neither s nor the ID.
-		return nil, errors.New("verify: zero user ID")
+	c, err := v.Commit(rng)
+	if err != nil {
+		return nil, err
 	}
+	return v.AuthFrom(key, id, c, rng)
+}
+
+// Commitment is t1 = p^s for a fresh secret s that is already discarded.
+// It depends on neither the profile key nor the user ID, so a device can
+// compute it ahead of time; each Commitment must go to exactly one
+// AuthFrom, because two blobs sharing t1 are linkable by whoever opens
+// both. The zero Commitment is invalid.
+type Commitment struct {
+	t1 *big.Int
+}
+
+// Commit draws a fresh secret s from rng (crypto/rand by default) and
+// returns its commitment p^s, the one full-width exponentiation in Auth.
+// s never leaves this function.
+func (v *Verifier) Commit(rng io.Reader) (Commitment, error) {
 	if rng == nil {
 		rng = rand.Reader
 	}
 	s, err := v.grp.RandScalar(rng)
 	if err != nil {
-		return nil, fmt.Errorf("verify: sampling secret: %w", err)
+		return Commitment{}, fmt.Errorf("verify: sampling secret: %w", err)
 	}
-	// t1 = p^s, t2 = H(p^{s * ID}) = H(t1^ID).
-	t1 := v.grp.Pow(s)
-	t2 := v.tag(t1, id)
-	payload := append(v.grp.EncodeElement(t1), t2...)
+	return Commitment{t1: v.grp.Pow(s)}, nil
+}
+
+// AuthFrom finishes Auth from a commitment: it computes the tag
+// t2 = H(t1^ID) = H(p^{s*ID}) and seals t1 || t2 under key, drawing the IV
+// from rng (crypto/rand by default).
+func (v *Verifier) AuthFrom(key []byte, id profile.ID, c Commitment, rng io.Reader) ([]byte, error) {
+	if err := checkAuthArgs(key, id); err != nil {
+		return nil, err
+	}
+	if c.t1 == nil {
+		return nil, errors.New("verify: zero commitment")
+	}
+	if rng == nil {
+		rng = rand.Reader
+	}
+	payload := append(v.grp.EncodeElement(c.t1), v.tag(c.t1, id)...)
 	return v.seal(key, payload, rng)
+}
+
+// checkAuthArgs rejects what Auth can never bind.
+func checkAuthArgs(key []byte, id profile.ID) error {
+	if len(key) == 0 {
+		return errors.New("verify: empty profile key")
+	}
+	if id == 0 {
+		// t1^0 = 1 for every secret: the tag would bind neither s nor the ID.
+		return errors.New("verify: zero user ID")
+	}
+	return nil
 }
 
 // Verify checks the matched user's authentication information: it decrypts

@@ -123,6 +123,50 @@ func TestEmptyKeyRejected(t *testing.T) {
 	}
 }
 
+// TestAuthFromRejectsBadInput: AuthFrom has Auth's guards and refuses
+// the zero Commitment, which holds no t1.
+func TestAuthFromRejectsBadInput(t *testing.T) {
+	v := testVerifier(t)
+	c, err := v.Commit(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name string
+		key  []byte
+		id   profile.ID
+		c    Commitment
+	}{
+		{"zero commitment", keyAlice, 1, Commitment{}},
+		{"empty key", nil, 1, c},
+		{"ID 0", keyAlice, 0, c},
+	} {
+		if _, err := v.AuthFrom(tc.key, tc.id, tc.c, nil); err == nil {
+			t.Errorf("AuthFrom accepted %s", tc.name)
+		}
+	}
+}
+
+// TestAuthFromCommitVerifies: a commitment made ahead of time seals into a
+// blob that Verify accepts, as Auth's does.
+func TestAuthFromCommitVerifies(t *testing.T) {
+	v := testVerifier(t)
+	c, err := v.Commit(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ciph, err := v.AuthFrom(keyAlice, 42, c, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(ciph) != v.AuthLen() {
+		t.Errorf("AuthFrom produced %d bytes, want %d", len(ciph), v.AuthLen())
+	}
+	if ok, err := v.Verify(keyAlice, 42, ciph); err != nil || !ok {
+		t.Errorf("Verify = %v, %v", ok, err)
+	}
+}
+
 func TestAuthIsRandomized(t *testing.T) {
 	// Fresh s_u and IV every time: two auth blobs for the same user must
 	// differ (otherwise the server could correlate re-uploads).
