@@ -3,6 +3,7 @@ package group
 import (
 	"crypto/rand"
 	"math/big"
+	mrand "math/rand"
 	"testing"
 )
 
@@ -153,6 +154,93 @@ func TestIsElementAllocs(t *testing.T) {
 	}
 }
 
+// TestJacobiConvergesWithinBound: on every built-in group the divsteps
+// path, not the big.Jacobi fallback, answers each x in [1, P) (all coprime
+// to the prime P), and at 2048 bits it averages no more rounds than the
+// ceiling, so the fast path is checked without a timer.
+func TestJacobiConvergesWithinBound(t *testing.T) {
+	// The mean is 98 rounds for this seed: 62 divsteps per round, about
+	// 3 divsteps per bit of P.
+	const meanCeiling2048 = 100
+	groups := map[string]*Group{"1536": Default1536(), "2048": Default2048(), "3072": Default3072()}
+	for name, g := range groups {
+		t.Run(name, func(t *testing.T) {
+			t.Parallel()
+			rng := mrand.New(mrand.NewSource(int64(g.P.BitLen())))
+			n := 100
+			if testing.Short() {
+				n = 20
+			}
+			var uniform []*big.Int // random values and subgroup elements
+			for i := 0; i < n; i++ {
+				uniform = append(uniform, new(big.Int).Rand(rng, g.P), g.Pow(new(big.Int).Rand(rng, g.Q)))
+			}
+			xs := append([]*big.Int(nil), uniform...)
+			for _, x := range legendreEdgeInputs(g.P) {
+				if x.Sign() > 0 { // 0 is the fallback's: TestLegendreFallback
+					xs = append(xs, x)
+				}
+			}
+			// 2^k and P - 2^k for every k below 64, then at a widening stride.
+			for k := 0; k < g.P.BitLen(); k += 1 + k/64 {
+				x := new(big.Int).Lsh(one, uint(k))
+				xs = append(xs, x, new(big.Int).Sub(g.P, x))
+			}
+			total, most := 0, 0
+			for i, x := range xs {
+				got, rounds, ok := jacobiDivsteps(x, g.P)
+				if !ok {
+					t.Fatalf("jacobiDivsteps(%x) fell back after %d rounds", x, rounds)
+				}
+				if want := big.Jacobi(x, g.P); got != want {
+					t.Fatalf("jacobiDivsteps(%x) = %d, big.Jacobi says %d", x, got, want)
+				}
+				if i < len(uniform) {
+					total += rounds
+					most = max(most, rounds)
+				}
+			}
+			mean := float64(total) / float64(len(uniform))
+			t.Logf("%d uniform inputs: mean %.1f rounds, most %d, bound %d", len(uniform), mean, most, 4*g.P.BitLen()/62+4)
+			if g.P.BitLen() == 2048 && mean > meanCeiling2048 {
+				t.Errorf("mean %.1f rounds at 2048 bits, ceiling %d", mean, meanCeiling2048)
+			}
+		})
+	}
+}
+
+// TestLegendreFallback: what the divsteps path leaves to big.Jacobi gets
+// its answer (0 where x shares a factor with the modulus): x = 0, x = p,
+// x > p, and odd composite moduli sharing a factor with x, where f settles
+// at the gcd instead of 1.
+func TestLegendreFallback(t *testing.T) {
+	p := Default2048().P
+	composite := new(big.Int).Mul(p, big.NewInt(3))
+	cases := [][2]*big.Int{
+		{big.NewInt(0), p},
+		{big.NewInt(0), big.NewInt(1)},
+		{p, p},
+		{new(big.Int).Add(p, two), p},
+		{new(big.Int).Lsh(p, 70), p},
+		{new(big.Int).Lsh(one, 2100), p},
+		{big.NewInt(6), big.NewInt(15)},
+		{big.NewInt(21), big.NewInt(35)},
+		{big.NewInt(6), composite},
+		{p, composite},
+		{new(big.Int).Sub(composite, big.NewInt(3)), composite},
+	}
+	for _, c := range cases {
+		x, y := c[0], c[1]
+		if _, rounds, ok := jacobiDivsteps(x, y); ok {
+			t.Errorf("jacobiDivsteps(%x, %x) answered after %d rounds, want the fallback", x, y, rounds)
+		}
+		got, want := legendre(x, y), big.Jacobi(x, y)
+		if got != want {
+			t.Errorf("legendre(%x, %x) = %d, big.Jacobi says %d", x, y, got, want)
+		}
+	}
+}
+
 // FuzzLegendre checks the kernel against big.Jacobi on arbitrary operands
 // and against Euler's criterion whenever the modulus is prime.
 func FuzzLegendre(f *testing.F) {
@@ -162,6 +250,13 @@ func FuzzLegendre(f *testing.F) {
 	f.Add([]byte{0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff}, []byte{1, 0, 0, 0, 0, 0, 0, 0, 1})
 	f.Add(new(big.Int).Sub(p, one).Bytes(), p.Bytes())
 	f.Add(new(big.Int).Lsh(one, 1024).Bytes(), p.Bytes())
+	// The fallback to big.Jacobi: x = 0, x = p, x > p, and a composite
+	// modulus sharing a factor with x.
+	f.Add([]byte{}, p.Bytes())
+	f.Add(p.Bytes(), p.Bytes())
+	f.Add(new(big.Int).Add(p, two).Bytes(), p.Bytes())
+	f.Add([]byte{21}, []byte{35})
+	f.Add(big.NewInt(6).Bytes(), new(big.Int).Mul(p, big.NewInt(3)).Bytes())
 	f.Fuzz(func(t *testing.T, xb, yb []byte) {
 		if len(xb) > 512 || len(yb) > 512 {
 			return

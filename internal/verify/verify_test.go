@@ -376,3 +376,24 @@ func BenchmarkVerify(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkVerify2048 is Vf as a device runs it on a find result: the
+// default group and a 14-bit user ID.
+func BenchmarkVerify2048(b *testing.B) {
+	v, err := New(nil)
+	if err != nil {
+		b.Fatal(err)
+	}
+	const id = 9000
+	ciph, err := v.Auth(keyAlice, id, nil)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if ok, err := v.Verify(keyAlice, id, ciph); err != nil || !ok {
+			b.Fatalf("Verify = %v, %v", ok, err)
+		}
+	}
+}
