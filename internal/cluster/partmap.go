@@ -91,30 +91,41 @@ func (m *PartitionMap) Replicas(partition uint32) []Node {
 		w uint64
 	}
 	nodes := make([]scored, len(m.Nodes))
-	var key []byte
 	for i, n := range m.Nodes {
-		key = key[:0]
-		key = append(key, n.ID...)
-		key = append(key, 0xff) // unambiguous separator: node IDs are ID strings, 0xff never ends one ambiguously with the counter
-		key = binary.BigEndian.AppendUint64(key, uint64(partition))
-		// FNV-1a avalanches poorly in its final bytes — the partition
-		// counter at the key's tail would barely move the weight, and one
-		// node would win every partition. The finalizer (murmur3's
-		// fmix64) spreads the counter across all 64 bits; it is fixed
-		// forever for the same reason PartitionHash is.
-		nodes[i] = scored{n, mix64(match.PartitionHash(key))}
+		nodes[i] = scored{n, weight(n.ID, partition)}
 	}
 	sort.Slice(nodes, func(i, j int) bool {
-		if nodes[i].w != nodes[j].w {
-			return nodes[i].w > nodes[j].w
-		}
-		return nodes[i].n.ID < nodes[j].n.ID // total order even on hash ties
+		return outranks(nodes[i].w, nodes[i].n.ID, nodes[j].w, nodes[j].n.ID)
 	})
 	out := make([]Node, len(nodes))
 	for i, s := range nodes {
 		out[i] = s.n
 	}
 	return out
+}
+
+// weight is a node's rendezvous weight for a partition: the stable hash
+// of its ID, a separator and the partition number, finalized.
+func weight(id string, partition uint32) uint64 {
+	var stack [64]byte
+	key := append(stack[:0], id...)
+	key = append(key, 0xff) // unambiguous separator: node IDs are ID strings, 0xff never ends one ambiguously with the counter
+	key = binary.BigEndian.AppendUint64(key, uint64(partition))
+	// FNV-1a avalanches poorly in its final bytes — the partition
+	// counter at the key's tail would barely move the weight, and one
+	// node would win every partition. The finalizer (murmur3's
+	// fmix64) spreads the counter across all 64 bits; it is fixed
+	// forever for the same reason PartitionHash is.
+	return mix64(match.PartitionHash(key))
+}
+
+// outranks orders replicas: descending weight, then ascending ID, a total
+// order even on hash ties.
+func outranks(w1 uint64, id1 string, w2 uint64, id2 string) bool {
+	if w1 != w2 {
+		return w1 > w2
+	}
+	return id1 < id2
 }
 
 // mix64 is murmur3's 64-bit finalizer: a bijective full-avalanche mix.
@@ -127,9 +138,16 @@ func mix64(x uint64) uint64 {
 	return x
 }
 
-// Owner returns the partition's leader (the first replica).
+// Owner returns the partition's leader, the first replica, in one pass
+// over the nodes.
 func (m *PartitionMap) Owner(partition uint32) Node {
-	return m.Replicas(partition)[0]
+	best, bestW := m.Nodes[0], weight(m.Nodes[0].ID, partition)
+	for _, n := range m.Nodes[1:] {
+		if w := weight(n.ID, partition); outranks(w, n.ID, bestW, best.ID) {
+			best, bestW = n, w
+		}
+	}
+	return best
 }
 
 // OwnerOf returns the leader owning a bucket key.

@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"fmt"
+	"math/rand"
 	"reflect"
 	"strings"
 	"testing"
@@ -121,6 +122,36 @@ func TestReplicasIsStablePermutation(t *testing.T) {
 		if m.Owner(p) != reps[0] {
 			t.Fatalf("partition %d: Owner != Replicas[0]", p)
 		}
+	}
+}
+
+// TestOwnerIsFirstReplica: the one-pass Owner picks the node Replicas
+// ranks first, under seeded random node IDs, for 1–5 nodes and 1–64
+// partitions, and allocates nothing.
+func TestOwnerIsFirstReplica(t *testing.T) {
+	rng := rand.New(rand.NewSource(45))
+	for trial := 0; trial < 20; trial++ {
+		for n := 1; n <= 5; n++ {
+			nodes := make([]Node, n)
+			for i := range nodes {
+				nodes[i] = Node{ID: fmt.Sprintf("n%d-%x", i, rng.Uint64()), Addr: "127.0.0.1:1"}
+			}
+			for parts := uint32(1); parts <= 64; parts *= 2 {
+				m, err := NewMap(parts, nodes)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for p := uint32(0); p < parts; p++ {
+					if got, want := m.Owner(p), m.Replicas(p)[0]; got != want {
+						t.Fatalf("%d nodes, partition %d/%d: Owner %s, Replicas[0] %s", n, p, parts, got.ID, want.ID)
+					}
+				}
+			}
+		}
+	}
+	m, _ := NewMap(16, testNodes(5))
+	if allocs := testing.AllocsPerRun(100, func() { m.Owner(7) }); allocs != 0 {
+		t.Errorf("Owner allocates %.0f times, want 0", allocs)
 	}
 }
 

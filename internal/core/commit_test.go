@@ -20,12 +20,14 @@ func openT1(t *testing.T, sys *System, key *keygen.Key, blob []byte) []byte {
 	t.Helper()
 	kb := key.Bytes()
 	body, tag := blob[:len(blob)-sha256.Size], blob[len(blob)-sha256.Size:]
-	mac := hmac.New(sha256.New, prf.Derive(kb, []byte("verify/mac")))
+	macKey := prf.Derive(kb, []byte("verify/mac"))
+	mac := hmac.New(sha256.New, macKey[:])
 	mac.Write(body)
 	if !hmac.Equal(mac.Sum(nil), tag) {
 		t.Fatal("auth blob fails its MAC under its own key")
 	}
-	block, err := aes.NewCipher(prf.Derive(kb, []byte("verify/enc")))
+	encKey := prf.Derive(kb, []byte("verify/enc"))
+	block, err := aes.NewCipher(encKey[:])
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -219,24 +219,30 @@ func (g *Generator) keySeed(p profile.Profile) ([]byte, error) {
 // — and seeds under different bindings — live in disjoint input spaces;
 // an empty binding reproduces the v1 bytes exactly.
 func hashFuzzyVector(theta int, binding []byte, t []gf.Elem) []byte {
-	h := sha256.New()
-	if len(binding) == 0 {
-		h.Write([]byte("smatch/keyseed/v1/"))
+	const v1, v2 = "smatch/keyseed/v1/", "smatch/keyseed/v2/"
+	n := len(v1) + 8 + 2*len(t)
+	if len(binding) > 0 {
+		n += 4 + len(binding)
+	}
+	var stack [256]byte
+	var in []byte
+	if n <= len(stack) {
+		in = stack[:0]
 	} else {
-		h.Write([]byte("smatch/keyseed/v2/"))
-		var blen [4]byte
-		binary.BigEndian.PutUint32(blen[:], uint32(len(binding)))
-		h.Write(blen[:])
-		h.Write(binding)
+		in = make([]byte, 0, n)
 	}
-	var hdr [8]byte
-	binary.BigEndian.PutUint32(hdr[:4], uint32(theta))
-	binary.BigEndian.PutUint32(hdr[4:], uint32(len(t)))
-	h.Write(hdr[:])
+	if len(binding) == 0 {
+		in = append(in, v1...)
+	} else {
+		in = append(in, v2...)
+		in = binary.BigEndian.AppendUint32(in, uint32(len(binding)))
+		in = append(in, binding...)
+	}
+	in = binary.BigEndian.AppendUint32(in, uint32(theta))
+	in = binary.BigEndian.AppendUint32(in, uint32(len(t)))
 	for _, sym := range t {
-		var b [2]byte
-		binary.BigEndian.PutUint16(b[:], sym)
-		h.Write(b[:])
+		in = binary.BigEndian.AppendUint16(in, sym)
 	}
-	return h.Sum(nil)
+	sum := sha256.Sum256(in)
+	return sum[:]
 }

@@ -99,12 +99,22 @@ func NewScheme(key []byte, params Params) (*Scheme, error) {
 		domainSize: new(big.Int).Lsh(bigOne, params.PlaintextBits),
 		rangeSize:  new(big.Int).Lsh(bigOne, params.CiphertextBits),
 	}
-	h := sha256.New()
-	h.Write([]byte("smatch/ope/root/"))
-	h.Write([]byte{byte(params.PlaintextBits >> 8), byte(params.PlaintextBits),
-		byte(params.CiphertextBits >> 8), byte(params.CiphertextBits)})
-	h.Write(key)
-	h.Sum(s.rootSeed[:0])
+	// rootSeed = SHA-256(prefix ‖ BE16(N) ‖ BE16(M) ‖ key), hashed from a
+	// stack buffer.
+	const prefix = "smatch/ope/root/"
+	n := len(prefix) + 4 + len(key)
+	var stack [len(prefix) + 4 + 64]byte
+	var in []byte
+	if n <= len(stack) {
+		in = stack[:n]
+	} else {
+		in = make([]byte, n)
+	}
+	copy(in, prefix)
+	binary.BigEndian.PutUint16(in[len(prefix):], uint16(params.PlaintextBits))
+	binary.BigEndian.PutUint16(in[len(prefix)+2:], uint16(params.CiphertextBits))
+	copy(in[len(prefix)+4:], key)
+	s.rootSeed = sha256.Sum256(in)
 	return s, nil
 }
 

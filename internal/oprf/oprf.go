@@ -236,16 +236,23 @@ func Eval(pk PublicKey, ev Evaluator, input []byte) ([]byte, error) {
 func hashToGroup(input []byte, n *big.Int) *big.Int {
 	outLen := (n.BitLen() + 7) / 8
 	buf := make([]byte, 0, outLen+sha256.Size)
-	var ctr uint32
-	for len(buf) < outLen {
-		h := sha256.New()
-		h.Write([]byte("smatch/oprf/h2g/"))
-		var c [4]byte
-		binary.BigEndian.PutUint32(c[:], ctr)
-		h.Write(c[:])
-		h.Write(input)
-		buf = h.Sum(buf)
-		ctr++
+	// Each block is SHA-256(prefix ‖ BE32(ctr) ‖ input), hashed from one
+	// stack buffer whose counter field is rewritten per block.
+	const prefix = "smatch/oprf/h2g/"
+	msgLen := len(prefix) + 4 + len(input)
+	var stack [len(prefix) + 4 + 64]byte
+	var msg []byte
+	if msgLen <= len(stack) {
+		msg = stack[:msgLen]
+	} else {
+		msg = make([]byte, msgLen)
+	}
+	copy(msg, prefix)
+	copy(msg[len(prefix)+4:], input)
+	for ctr := uint32(0); len(buf) < outLen; ctr++ {
+		binary.BigEndian.PutUint32(msg[len(prefix):], ctr)
+		sum := sha256.Sum256(msg)
+		buf = append(buf, sum[:]...)
 	}
 	v := new(big.Int).SetBytes(buf[:outLen])
 	v.Mod(v, n)

@@ -2,45 +2,51 @@
 // HMAC-SHA256 in counter mode. The same (key, label) pair always yields the
 // same stream, which is what makes the OPE in internal/ope a deterministic
 // encryption: every recursion step re-derives its coins from the key and the
-// current (domain, range) interval rather than from mutable state.
+// current (domain, range) interval rather than from mutable state. MAC and
+// Derive expose the same HMAC-SHA256 kernel for one-shot keyed hashing.
 package prf
 
 import (
-	"crypto/hmac"
-	"crypto/sha256"
 	"encoding/binary"
 	"math/big"
 )
+
+// maxInlineLabel is the longest label a Stream keeps inline; a longer one
+// is copied to the heap once, in New.
+const maxInlineLabel = 32
 
 // Stream is a deterministic random bit generator. It implements io.Reader
 // and a set of typed draws on top of it. A Stream is NOT safe for concurrent
 // use; derive independent streams with New for concurrent consumers.
 type Stream struct {
-	key     []byte
-	label   []byte
+	kb      [blockSize]byte // HMAC key block of the stream key
+	label   []byte          // inline[:len], or a heap copy when longer
+	inline  [maxInlineLabel]byte
 	counter uint64
-	buf     [sha256.Size]byte
+	buf     [Size]byte
 	off     int // consumed bytes of buf; == len(buf) when empty
 }
 
 // New returns a stream keyed by key and domain-separated by label. Distinct
 // labels under the same key yield computationally independent streams.
+// Neither argument is retained.
 func New(key, label []byte) *Stream {
-	s := &Stream{
-		key:   append([]byte(nil), key...),
-		label: append([]byte(nil), label...),
+	s := &Stream{kb: keyBlock(key)}
+	if len(label) <= maxInlineLabel {
+		s.label = s.inline[:copy(s.inline[:], label)]
+	} else {
+		s.label = append([]byte(nil), label...)
 	}
 	s.off = len(s.buf)
 	return s
 }
 
+// refill computes the stream's next block, HMAC-SHA256(key, label ‖
+// BE64(counter)).
 func (s *Stream) refill() {
-	mac := hmac.New(sha256.New, s.key)
 	var ctr [8]byte
 	binary.BigEndian.PutUint64(ctr[:], s.counter)
-	mac.Write(s.label)
-	mac.Write(ctr[:])
-	mac.Sum(s.buf[:0])
+	s.buf = hmacSum(&s.kb, s.label, ctr[:])
 	s.counter++
 	s.off = 0
 }
@@ -130,12 +136,13 @@ func (s *Stream) Perm(n int) []int {
 	return p
 }
 
-// Derive computes a fixed 32-byte subkey from key and label, for callers
-// that need key material rather than a stream (e.g. the AES key in the
-// verification protocol).
-func Derive(key, label []byte) []byte {
-	mac := hmac.New(sha256.New, key)
-	mac.Write([]byte("smatch/derive/"))
-	mac.Write(label)
-	return mac.Sum(nil)
+var derivePrefix = []byte("smatch/derive/")
+
+// Derive computes a fixed 32-byte subkey from key and label,
+// HMAC-SHA256(key, "smatch/derive/" ‖ label), for callers that need key
+// material rather than a stream (e.g. the AES key in the verification
+// protocol).
+func Derive(key, label []byte) [Size]byte {
+	kb := keyBlock(key)
+	return hmacSum(&kb, derivePrefix, label)
 }

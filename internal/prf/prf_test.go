@@ -200,10 +200,10 @@ func TestDerive(t *testing.T) {
 	k1 := Derive([]byte("key"), []byte("a"))
 	k2 := Derive([]byte("key"), []byte("a"))
 	k3 := Derive([]byte("key"), []byte("b"))
-	if !bytes.Equal(k1, k2) {
+	if k1 != k2 {
 		t.Error("Derive nondeterministic")
 	}
-	if bytes.Equal(k1, k3) {
+	if k1 == k3 {
 		t.Error("Derive ignores label")
 	}
 	if len(k1) != 32 {

@@ -127,7 +127,8 @@ func (v *Verifier) AuthFrom(key []byte, id profile.ID, c Commitment, rng io.Read
 	if rng == nil {
 		rng = rand.Reader
 	}
-	payload := append(v.grp.EncodeElement(c.t1), v.tag(c.t1, id)...)
+	t2 := v.tag(c.t1, id)
+	payload := append(v.grp.EncodeElement(c.t1), t2[:]...)
 	return v.seal(key, payload, rng)
 }
 
@@ -166,18 +167,27 @@ func (v *Verifier) Verify(key []byte, id profile.ID, ciph []byte) (bool, error) 
 	if err != nil {
 		return false, nil // decrypted garbage: not our key
 	}
-	t2 := payload[elemLen:]
-	return hmac.Equal(v.tag(t1, id), t2), nil
+	want := v.tag(t1, id)
+	return hmac.Equal(want[:], payload[elemLen:]), nil
 }
 
-// tag computes H(t1^ID) with domain separation.
-func (v *Verifier) tag(t1 *big.Int, id profile.ID) []byte {
+const tagPrefix = "smatch/verify/tag/"
+
+// tag computes H(t1^ID) with domain separation: SHA-256 of the prefix and
+// the fixed-width encoding of t1^ID, hashed from a stack buffer.
+func (v *Verifier) tag(t1 *big.Int, id profile.ID) [tagLen]byte {
 	exp := new(big.Int).SetUint64(uint64(id))
 	pow := v.grp.Exp(t1, exp)
-	h := sha256.New()
-	h.Write([]byte("smatch/verify/tag/"))
-	h.Write(v.grp.EncodeElement(pow))
-	return h.Sum(nil)
+	n := len(tagPrefix) + v.grp.ElementLen()
+	var stack [len(tagPrefix) + 384]byte // 384: the element at 3072 bits
+	var in []byte
+	if n <= len(stack) {
+		in = stack[:n]
+	} else {
+		in = make([]byte, n)
+	}
+	pow.FillBytes(in[copy(in, tagPrefix):])
+	return sha256.Sum256(in)
 }
 
 // seal encrypts payload with AES-256-CTR and appends an HMAC-SHA256 over
@@ -190,14 +200,13 @@ func (v *Verifier) seal(key, payload []byte, rng io.Reader) ([]byte, error) {
 	if _, err := io.ReadFull(rng, out[:ivLen]); err != nil {
 		return nil, fmt.Errorf("verify: drawing IV: %w", err)
 	}
-	block, err := aes.NewCipher(encKey)
+	block, err := aes.NewCipher(encKey[:])
 	if err != nil {
 		return nil, fmt.Errorf("verify: AES init: %w", err)
 	}
 	cipher.NewCTR(block, out[:ivLen]).XORKeyStream(out[ivLen:], payload)
-	mac := hmac.New(sha256.New, macKey)
-	mac.Write(out)
-	return mac.Sum(out), nil
+	mac := prf.MAC(macKey[:], out)
+	return append(out, mac[:]...), nil
 }
 
 // open verifies the MAC and decrypts. Returns ok=false on MAC mismatch.
@@ -205,12 +214,11 @@ func (v *Verifier) open(key, blob []byte) ([]byte, bool) {
 	encKey := prf.Derive(key, []byte("verify/enc"))
 	macKey := prf.Derive(key, []byte("verify/mac"))
 	body, tag := blob[:len(blob)-macLen], blob[len(blob)-macLen:]
-	mac := hmac.New(sha256.New, macKey)
-	mac.Write(body)
-	if !hmac.Equal(mac.Sum(nil), tag) {
+	mac := prf.MAC(macKey[:], body)
+	if !hmac.Equal(mac[:], tag) {
 		return nil, false
 	}
-	block, err := aes.NewCipher(encKey)
+	block, err := aes.NewCipher(encKey[:])
 	if err != nil {
 		return nil, false
 	}

@@ -276,7 +276,8 @@ func TestManyIDs(t *testing.T) {
 // profile key could.
 func forge(t *testing.T, v *Verifier, key []byte, t1 *big.Int, id profile.ID) []byte {
 	t.Helper()
-	payload := append(v.grp.EncodeElement(t1), v.tag(t1, id)...)
+	t2 := v.tag(t1, id)
+	payload := append(v.grp.EncodeElement(t1), t2[:]...)
 	ciph, err := v.seal(key, payload, rand.Reader)
 	if err != nil {
 		t.Fatal(err)
