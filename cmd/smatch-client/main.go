@@ -38,8 +38,8 @@ func main() {
 	var (
 		server   = flag.String("server", "127.0.0.1:7788", "server address, or a comma-separated seed list (host1:port,host2:port) — the client fails over to the next seed when its current one is unreachable")
 		dsName   = flag.String("dataset", "Infocom06", "deployment dataset (Infocom06, Sigcomm09, Weibo)")
-		cmd      = flag.String("cmd", "", "upload | upload-all | upload-batch | query | remove | subscribe")
-		batch    = flag.Int("batch", 64, "entries per frame for -cmd upload-batch")
+		cmd      = flag.String("cmd", "", "upload | upload-all | query | remove | subscribe")
+		batch    = flag.Int("batch", 64, "entries per frame for -cmd upload-all")
 		userID   = flag.Uint("user", 1, "user ID within the dataset")
 		topK     = flag.Int("topk", core.DefaultTopK, "results per query")
 		theta    = flag.Int("theta", 8, "RS decoder threshold")
@@ -125,43 +125,14 @@ func run(server, dsName, cmd string, userID profile.ID, topK, theta int, kBits u
 		return nil
 
 	case "upload-all":
-		start := time.Now()
-		for _, p := range ds.Profiles {
-			dev, err := device(p.ID)
-			if err != nil {
-				return err
-			}
-			entry, _, err := dev.PrepareUpload(p)
-			if err != nil {
-				return fmt.Errorf("user %d: %w", p.ID, err)
-			}
-			if err := conn.Upload(entry); err != nil {
-				return fmt.Errorf("user %d: %w", p.ID, err)
-			}
-		}
-		fmt.Printf("uploaded %d users from %s in %v\n", len(ds.Profiles), dsName, time.Since(start).Round(time.Millisecond))
-		return nil
-
-	case "upload-batch":
-		// Same dataset as upload-all, but batched: N entries per frame
-		// means one round trip and one WAL fsync per batch instead of per
-		// user.
+		// The whole dataset, -batch entries per frame: one round trip and
+		// one WAL fsync per frame instead of per user.
 		if batch < 1 || batch > wire.MaxUploadBatch {
 			return fmt.Errorf("-batch %d out of range [1, %d]", batch, wire.MaxUploadBatch)
 		}
 		start := time.Now()
 		entries := make([]match.Entry, 0, batch)
-		flush := func() error {
-			if len(entries) == 0 {
-				return nil
-			}
-			if _, err := conn.UploadBatch(entries); err != nil {
-				return err
-			}
-			entries = entries[:0]
-			return nil
-		}
-		for _, p := range ds.Profiles {
+		for i, p := range ds.Profiles {
 			dev, err := device(p.ID)
 			if err != nil {
 				return err
@@ -171,16 +142,14 @@ func run(server, dsName, cmd string, userID profile.ID, topK, theta int, kBits u
 				return fmt.Errorf("user %d: %w", p.ID, err)
 			}
 			entries = append(entries, entry)
-			if len(entries) == batch {
-				if err := flush(); err != nil {
+			if len(entries) == batch || i == len(ds.Profiles)-1 {
+				if _, err := conn.UploadBatch(entries); err != nil {
 					return err
 				}
+				entries = entries[:0]
 			}
 		}
-		if err := flush(); err != nil {
-			return err
-		}
-		fmt.Printf("batch-uploaded %d users from %s in %v (%d per frame)\n",
+		fmt.Printf("uploaded %d users from %s in %v (%d per frame)\n",
 			len(ds.Profiles), dsName, time.Since(start).Round(time.Millisecond), batch)
 		return nil
 
@@ -284,6 +253,6 @@ func run(server, dsName, cmd string, userID profile.ID, topK, theta int, kBits u
 		}
 
 	default:
-		return fmt.Errorf("unknown -cmd %q (want upload, upload-all, upload-batch, query, remove or subscribe)", cmd)
+		return fmt.Errorf("unknown -cmd %q (want upload, upload-all, query, remove or subscribe)", cmd)
 	}
 }

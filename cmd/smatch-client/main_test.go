@@ -5,17 +5,27 @@ import (
 	"testing"
 	"time"
 
+	"smatch/internal/match"
 	"smatch/internal/oprf"
 	"smatch/internal/server"
 )
 
 func startTestServer(t *testing.T) string {
 	t.Helper()
+	addr, _ := startTestServerStore(t)
+	return addr
+}
+
+// startTestServerStore also returns the server's store, for tests that
+// check what reached it.
+func startTestServerStore(t *testing.T) (string, *match.Server) {
+	t.Helper()
 	oprfSrv, err := oprf.NewServer(1024)
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv, err := server.New(server.Config{OPRF: oprfSrv})
+	store := match.NewServer()
+	srv, err := server.New(server.Config{OPRF: oprfSrv, Store: store})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -34,7 +44,7 @@ func startTestServer(t *testing.T) string {
 			t.Error("test server did not stop")
 		}
 	})
-	return addr.String()
+	return addr.String(), store
 }
 
 func TestClientUploadAndQuery(t *testing.T) {
@@ -48,6 +58,27 @@ func TestClientUploadAndQuery(t *testing.T) {
 	}
 	if err := run(addr, "Infocom06", "query", 1, 5, 8, 64, 64, true, 10*time.Second, 2, 50*time.Millisecond, 0, 100, 0, ""); err != nil {
 		t.Fatalf("query: %v", err)
+	}
+}
+
+// TestClientUploadAll: -cmd upload-all sends the whole dataset in -batch
+// sized frames (78 users at 32 per frame is three frames, the last one
+// short), and a verified query over the result passes.
+func TestClientUploadAll(t *testing.T) {
+	addr, store := startTestServerStore(t)
+	if err := run(addr, "Infocom06", "upload-all", 1, 5, 8, 64, 32, false, 10*time.Second, 2, 50*time.Millisecond, 0, 100, 0, ""); err != nil {
+		t.Fatalf("upload-all: %v", err)
+	}
+	if n := store.NumUsers(); n != 78 {
+		t.Fatalf("store holds %d users after upload-all, want all 78 Infocom06 users", n)
+	}
+	if err := run(addr, "Infocom06", "query", 7, 5, 8, 64, 32, true, 10*time.Second, 2, 50*time.Millisecond, 0, 100, 0, ""); err != nil {
+		t.Fatalf("verified query: %v", err)
+	}
+	for _, batch := range []int{0, 257} {
+		if err := run(addr, "Infocom06", "upload-all", 1, 5, 8, 64, batch, false, 10*time.Second, 2, 50*time.Millisecond, 0, 100, 0, ""); err == nil {
+			t.Errorf("-batch %d accepted", batch)
+		}
 	}
 }
 

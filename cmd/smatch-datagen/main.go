@@ -51,6 +51,12 @@ func main() {
 
 func run(name string, nodes int, seed uint64, out string, stats bool, in, upload string,
 	batch int, kBits uint, theta int, weights string, zipfS float64, zipfMax uint) error {
+	if nodes < 0 {
+		return fmt.Errorf("-nodes %d is negative", nodes)
+	}
+	if nodes > 0 && (in != "" || name != "Weibo") {
+		return fmt.Errorf("-nodes applies only to -dataset Weibo, the one dataset with a free node count")
+	}
 	var ds *dataset.Dataset
 	switch {
 	case in != "":
@@ -62,14 +68,8 @@ func run(name string, nodes int, seed uint64, out string, stats bool, in, upload
 		if ds, err = dataset.ReadCSV(f, in); err != nil {
 			return err
 		}
-	case name == "Weibo" && nodes > 0:
-		ds = dataset.Weibo(nodes)
-		if seed != 0 {
-			var err error
-			if ds, err = weiboSeeded(nodes, seed); err != nil {
-				return err
-			}
-		}
+	case nodes > 0:
+		ds = dataset.WeiboSeeded(nodes, seed)
 	default:
 		var err error
 		ds, err = dataset.ByNameSeeded(name, seed)
@@ -110,21 +110,6 @@ func run(name string, nodes int, seed uint64, out string, stats bool, in, upload
 	}
 	defer f.Close()
 	return ds.WriteCSV(f)
-}
-
-// weiboSeeded resolves the -nodes/-seed combination for Weibo, which is the
-// one dataset with a free node count.
-func weiboSeeded(nodes int, seed uint64) (*dataset.Dataset, error) {
-	ds, err := dataset.ByNameSeeded("Weibo", seed)
-	if err != nil {
-		return nil, err
-	}
-	if nodes == dataset.DefaultWeiboNodes {
-		return ds, nil
-	}
-	// ByNameSeeded fixes the default scale; regenerate through WriteCSV is
-	// not an option, so reuse the seed via the dedicated constructor path.
-	return dataset.WeiboSeeded(nodes, seed), nil
 }
 
 // parseWeights resolves the -weights flag: empty = unweighted, "zipf" = a

@@ -49,6 +49,26 @@ func TestRunWeiboScaled(t *testing.T) {
 	}
 }
 
+// TestRunNodesOnlyForWeibo: -nodes sizes the Weibo population only; on
+// another dataset, or with -in, it is an error rather than ignored.
+func TestRunNodesOnlyForWeibo(t *testing.T) {
+	for _, name := range []string{"Infocom06", "Sigcomm09"} {
+		if err := run(name, 50, 0, "-", true, "", "", 128, 64, 8, "", 1.2, 16); err == nil {
+			t.Errorf("-nodes with -dataset %s accepted", name)
+		}
+	}
+	dump := filepath.Join(t.TempDir(), "dump.csv")
+	if err := run("Infocom06", 0, 0, dump, false, "", "", 128, 64, 8, "", 1.2, 16); err != nil {
+		t.Fatal(err)
+	}
+	if err := run("Weibo", 50, 0, "-", true, dump, "", 128, 64, 8, "", 1.2, 16); err == nil {
+		t.Error("-nodes with -in accepted")
+	}
+	if err := run("Weibo", -1, 0, "-", true, "", "", 128, 64, 8, "", 1.2, 16); err == nil {
+		t.Error("negative -nodes accepted")
+	}
+}
+
 func TestRunSeededPopulations(t *testing.T) {
 	// The same seed reproduces the same population; a different seed (and
 	// seed 0, the canonical one) produce different populations over the same

@@ -41,7 +41,7 @@
 // # Cluster mode
 //
 // Three additional roles distribute the store across processes (see
-// DESIGN.md §14 and the README cluster quickstart):
+// DESIGN.md §17 and the README cluster quickstart):
 //
 //   - Partition leader: an ordinary -wal server; followers replicate it
 //     by pulling WAL records over the wire. With -sync-repl each write is
@@ -195,6 +195,25 @@ func newOPRF(bits int) (*oprf.Server, error) {
 	return srv, nil
 }
 
+// serverConfig is the server configuration every role shares; each role
+// adds its own fields (the router its RemoteSubscriber, a storage node its
+// Store and journals).
+func (o options) serverConfig(oprfSrv *oprf.Server, reg *metrics.Registry) server.Config {
+	return server.Config{
+		OPRF:           oprfSrv,
+		MaxTopK:        o.maxTopK,
+		ReadTimeout:    60 * time.Second,
+		WriteTimeout:   o.writeTimeout,
+		MaxConns:       o.maxConns,
+		PipelineDepth:  o.pipeDepth,
+		DrainTimeout:   o.drainTimeout,
+		NotifyQueueCap: o.notifyQueue,
+		MaxSubsPerConn: o.maxSubs,
+		Logf:           log.Printf,
+		Metrics:        reg,
+	}
+}
+
 // runRouter is the stateless role: terminate clients, fan out, merge.
 func runRouter(o options) error {
 	nodes, err := parsePeers(o.peers)
@@ -219,20 +238,9 @@ func runRouter(o options) error {
 	if err != nil {
 		return err
 	}
-	srv, err := server.New(server.Config{
-		OPRF:             oprfSrv,
-		MaxTopK:          o.maxTopK,
-		ReadTimeout:      60 * time.Second,
-		WriteTimeout:     o.writeTimeout,
-		MaxConns:         o.maxConns,
-		PipelineDepth:    o.pipeDepth,
-		DrainTimeout:     o.drainTimeout,
-		NotifyQueueCap:   o.notifyQueue,
-		MaxSubsPerConn:   o.maxSubs,
-		Logf:             log.Printf,
-		Metrics:          reg,
-		RemoteSubscriber: rt.Subscribe,
-	})
+	cfg := o.serverConfig(oprfSrv, reg)
+	cfg.RemoteSubscriber = rt.Subscribe
+	srv, err := server.New(cfg)
 	if err != nil {
 		return err
 	}
@@ -271,22 +279,8 @@ func run(o options) error {
 		return err
 	}
 	acks := cluster.NewAckTracker()
-	cfg := server.Config{
-		OPRF:          oprfSrv,
-		MaxTopK:       o.maxTopK,
-		ReadTimeout:   60 * time.Second,
-		WriteTimeout:  o.writeTimeout,
-		MaxConns:      o.maxConns,
-		PipelineDepth: o.pipeDepth,
-		DrainTimeout:  o.drainTimeout,
-
-		NotifyQueueCap: o.notifyQueue,
-		MaxSubsPerConn: o.maxSubs,
-		Logf:           log.Printf,
-		Store:          store,
-		Metrics:        reg,
-		Journal:        journal,
-	}
+	cfg := o.serverConfig(oprfSrv, reg)
+	cfg.Store, cfg.Journal = store, journal
 	if o.syncRepl {
 		cfg.ServiceJournal = &cluster.SyncJournal{J: journal, Acks: acks}
 		log.Printf("semi-synchronous replication: each write's ack waits for a follower")

@@ -92,3 +92,69 @@ func pathExists(span string) bool {
 		p = p[:dot]
 	}
 }
+
+// designBudget is DESIGN.md's size ceiling in bytes (45 KiB). DESIGN is a
+// reference, one section per mechanism; measurements and history belong
+// in CHANGES.md. A change that needs more room raises this with a reason.
+const designBudget = 46080
+
+// TestDesignBudget fails when DESIGN.md outgrows its budget.
+func TestDesignBudget(t *testing.T) {
+	fi, err := os.Stat("DESIGN.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if fi.Size() > designBudget {
+		t.Errorf("DESIGN.md is %d bytes, budget %d: move measurements and history to CHANGES.md", fi.Size(), designBudget)
+	}
+}
+
+// TestDesignSectionCitations: every "DESIGN §N", "DESIGN.md §N" or
+// "DESIGN section N" in the Go sources and the docs that cite DESIGN names
+// a "## N." heading that exists. CHANGES.md is history and cites sections
+// as they were; ROADMAP.md is re-anchored on its own schedule.
+func TestDesignSectionCitations(t *testing.T) {
+	design, err := os.ReadFile("DESIGN.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	sections := map[string]bool{}
+	for _, m := range regexp.MustCompile(`(?m)^## (\d+)\. `).FindAllStringSubmatch(string(design), -1) {
+		sections[m[1]] = true
+	}
+	files := []string{"README.md", "SECURITY.md", "EXPERIMENTS.md", "testdata/unreached.txt"}
+	err = filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() && d.Name() == ".git" {
+			return filepath.SkipDir
+		}
+		if !d.IsDir() && strings.HasSuffix(path, ".go") {
+			files = append(files, path)
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// A citation may wrap across a line break, in a Go comment too.
+	wrap := regexp.MustCompile(`\s*\n\s*(?://\s*)?`)
+	citeRE := regexp.MustCompile("DESIGN(?:\\.md)?`? (?:§ ?|section )(\\d+)")
+	cites := 0
+	for _, path := range files {
+		src, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, m := range citeRE.FindAllStringSubmatch(wrap.ReplaceAllString(string(src), " "), -1) {
+			cites++
+			if !sections[m[1]] {
+				t.Errorf("%s: %q names no section of DESIGN.md", path, m[0])
+			}
+		}
+	}
+	if cites == 0 {
+		t.Error("no DESIGN section citations found: the pattern no longer matches how the tree cites DESIGN")
+	}
+}

@@ -19,7 +19,7 @@
 // boundary where thresholds are decoded). What the server learns from a
 // subscription is exactly what a standing MAX-distance query would leak:
 // the bucket, the probe's ciphertext position, the threshold width, and
-// when matches occur (see DESIGN §13 for the leakage note).
+// when matches occur (see DESIGN §16 for the leakage note).
 package broker
 
 import (

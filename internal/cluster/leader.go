@@ -262,7 +262,7 @@ func (l *Leader) handlePull(payload, respBuf []byte) (wire.MsgType, []byte, erro
 // LSN. A leader checkpoint is a store snapshot; it must fit in one v2
 // frame (wire.MaxFrameSize), which bounds snapshot-shipped stores —
 // bigger stores keep followers close enough that they never fall
-// behind a compaction (see DESIGN §14).
+// behind a compaction (see DESIGN §17).
 func (l *Leader) pullSnapshot(w *wal.WAL, respBuf []byte) (wire.MsgType, []byte, error) {
 	rc, lsn, ok, err := w.LatestCheckpoint()
 	if err != nil {
@@ -285,7 +285,7 @@ func (l *Leader) pullSnapshot(w *wal.WAL, respBuf []byte) (wire.MsgType, []byte,
 		if m := l.Metrics; m != nil {
 			m.ReplicationSnapshotOversize.Add(1)
 		}
-		return 0, nil, fmt.Errorf("cluster: leader checkpoint is %d bytes but a replication frame caps at %d — this follower fell behind a compaction and cannot catch up; keep followers closer than the compaction horizon or shrink the store (DESIGN §14)", buf.Len(), wire.MaxFrameSize)
+		return 0, nil, fmt.Errorf("cluster: leader checkpoint is %d bytes but a replication frame caps at %d — this follower fell behind a compaction and cannot catch up; keep followers closer than the compaction horizon or shrink the store (DESIGN §17)", buf.Len(), wire.MaxFrameSize)
 	}
 	if m := l.Metrics; m != nil {
 		m.ReplicationSnapshots.Add(1)

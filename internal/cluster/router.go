@@ -469,7 +469,7 @@ func firstErr(errs []error) error {
 //
 // If the upstream connection breaks, the relay ends: the subscription
 // is dead and the subscriber stops hearing notifications until it
-// re-subscribes (documented in DESIGN §14 — the router does not
+// re-subscribes (documented in DESIGN §17 — the router does not
 // re-register standing probes across a promotion, because the new
 // leader's notification sequence numbers would not continue the old
 // one's).

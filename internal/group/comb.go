@@ -15,8 +15,8 @@ import "math/big"
 // Evaluated by Horner's rule in k that is b−1 squarings and at most
 // combCols·b multiplications: 383 modular multiplications at 2048 bits,
 // where square-and-multiply with a 4-bit window takes about 2 560. The
-// table is combCols·2^combTeeth elements, 128 KiB at 2048 bits. DESIGN §11
-// has the measurements behind 8 × 2.
+// table is combCols·2^combTeeth elements, 128 KiB at 2048 bits. DESIGN §9
+// says why 8 × 2; CHANGES.md PR 23 has the measurements.
 const (
 	combTeeth = 8
 	combCols  = 2

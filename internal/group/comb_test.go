@@ -25,20 +25,10 @@ func powEdgeExponents(g *Group) []*big.Int {
 }
 
 // TestPowMatchesExp: Pow is Exp(G, e) for every integer e, on the
-// built-ins and on generated groups, one of them (130 bits) with an odd
-// tooth width so that its second column is short.
+// built-in group and on generated groups, one of them (130 bits) with an
+// odd tooth width so that its second column is short.
 func TestPowMatchesExp(t *testing.T) {
-	groups := map[string]*Group{
-		"1536": Default1536(), "2048": Default2048(), "3072": Default3072(), "generated256": smallGroup(t),
-	}
-	for name, bits := range map[string]int{"generated128": 128, "generated130": 130, "generated512": 512} {
-		g, err := Generate(bits, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		groups[name] = g
-	}
-	for name, g := range groups {
+	for name, g := range testGroups(t) {
 		t.Run(name, func(t *testing.T) {
 			t.Parallel()
 			if err := g.Validate(); err != nil {
@@ -111,12 +101,18 @@ func TestCombTableIsOneSlab(t *testing.T) {
 	}
 }
 
+// Fixed safe primes for the fuzz targets, so that a corpus means the same
+// on every run: at 256 bits the comb's tooth width is 32, at 130 bits 17.
+const (
+	safePrime256 = "d06047de84ecc139fcfaa09b905d9992517df4c2571cd71578f3679bf0ed3bf7"
+	safePrime130 = "3f3392e2522963f68a74cd3813213dd63"
+)
+
 // FuzzPowMatchesExp feeds Pow arbitrary exponents, negative and oversized
 // ones included, on a group with an even tooth width and one with an odd.
 // The groups are small so that the fuzzer gets through many exponents;
-// TestPowMatchesExp covers the built-in sizes.
+// TestPowMatchesExp covers the built-in size.
 func FuzzPowMatchesExp(f *testing.F) {
-	// Fixed safe primes, so that the corpus means the same on every run.
 	mk := func(hexP string) *Group {
 		g := mustFromHex(hexP)
 		if err := g.Validate(); err != nil {
@@ -125,8 +121,8 @@ func FuzzPowMatchesExp(f *testing.F) {
 		return g
 	}
 	groups := []*Group{
-		mk("d06047de84ecc139fcfaa09b905d9992517df4c2571cd71578f3679bf0ed3bf7"), // 256 bits, a = 32
-		mk("3f3392e2522963f68a74cd3813213dd63"),                                // 130 bits, a = 17
+		mk(safePrime256), // a = 32
+		mk(safePrime130), // a = 17
 	}
 	f.Add([]byte{0}, false)
 	f.Add([]byte{1}, true)

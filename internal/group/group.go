@@ -63,53 +63,13 @@ const rfc3526Prime2048 = "FFFFFFFFFFFFFFFFC90FDAA22168C234C4C6628B80DC1CD1" +
 	"DE2BCBF6955817183995497CEA956AE515D2261898FA0510" +
 	"15728E5A8AACAA68FFFFFFFFFFFFFFFF"
 
-// rfc3526Prime1536 is the 1536-bit MODP modulus from RFC 3526 §2.
-const rfc3526Prime1536 = "FFFFFFFFFFFFFFFFC90FDAA22168C234C4C6628B80DC1CD1" +
-	"29024E088A67CC74020BBEA63B139B22514A08798E3404DD" +
-	"EF9519B3CD3A431B302B0A6DF25F14374FE1356D6D51C245" +
-	"E485B576625E7EC6F44C42E9A637ED6B0BFF5CB6F406B7ED" +
-	"EE386BFB5A899FA5AE9F24117C4B1FE649286651ECE45B3D" +
-	"C2007CB8A163BF0598DA48361C55D39A69163FA8FD24CF5F" +
-	"83655D23DCA3AD961C62F356208552BB9ED529077096966D" +
-	"670C354E4ABC9804F1746C08CA237327FFFFFFFFFFFFFFFF"
-
-// rfc3526Prime3072 is the 3072-bit MODP modulus from RFC 3526 §4.
-const rfc3526Prime3072 = "FFFFFFFFFFFFFFFFC90FDAA22168C234C4C6628B80DC1CD1" +
-	"29024E088A67CC74020BBEA63B139B22514A08798E3404DD" +
-	"EF9519B3CD3A431B302B0A6DF25F14374FE1356D6D51C245" +
-	"E485B576625E7EC6F44C42E9A637ED6B0BFF5CB6F406B7ED" +
-	"EE386BFB5A899FA5AE9F24117C4B1FE649286651ECE45B3D" +
-	"C2007CB8A163BF0598DA48361C55D39A69163FA8FD24CF5F" +
-	"83655D23DCA3AD961C62F356208552BB9ED529077096966D" +
-	"670C354E4ABC9804F1746C08CA18217C32905E462E36CE3B" +
-	"E39E772C180E86039B2783A2EC07A28FB5C55DF06F4C52C9" +
-	"DE2BCBF6955817183995497CEA956AE515D2261898FA0510" +
-	"15728E5A8AAAC42DAD33170D04507A33A85521ABDF1CBA64" +
-	"ECFB850458DBEF0A8AEA71575D060C7DB3970F85A6E1E4C7" +
-	"ABF5AE8CDB0933D71E8C94E04A25619DCEE3D2261AD2EE6B" +
-	"F12FFA06D98A0864D87602733EC86A64521F2B18177B200C" +
-	"BBE117577A615D6C770988C0BAD946E208E24FA074E5AB31" +
-	"43DB5BFCE0FD108E4B82D120A93AD2CAFFFFFFFFFFFFFFFF"
-
-// The built-in groups are parsed once and shared, so every verifier over
-// one of them shares its Pow table too. Callers must not modify them.
-var (
-	default1536 = mustFromHex(rfc3526Prime1536)
-	default2048 = mustFromHex(rfc3526Prime2048)
-	default3072 = mustFromHex(rfc3526Prime3072)
-)
-
-// Default3072 returns the 3072-bit group (RFC 3526 group 15 modulus,
-// generator 4), for deployments wanting ~128-bit security.
-func Default3072() *Group { return default3072 }
+// The built-in group is parsed once and shared, so every verifier over it
+// shares its Pow table too. Callers must not modify it.
+var default2048 = mustFromHex(rfc3526Prime2048)
 
 // Default2048 returns the standard 2048-bit group (RFC 3526 group 14
 // modulus, generator 4).
 func Default2048() *Group { return default2048 }
-
-// Default1536 returns the 1536-bit group (RFC 3526 group 5 modulus,
-// generator 4). Useful where the 2048-bit group is needlessly slow.
-func Default1536() *Group { return default1536 }
 
 func mustFromHex(hexP string) *Group {
 	p, ok := new(big.Int).SetString(hexP, 16)
@@ -150,17 +110,9 @@ func Generate(bits int, rng io.Reader) (*Group, error) {
 	}
 }
 
-// builtinPrimes holds the RFC 3526 moduli above, parsed once and never
-// handed out: Validate compares against them by value.
-var builtinPrimes = []*big.Int{
-	mustFromHex(rfc3526Prime1536).P,
-	mustFromHex(rfc3526Prime2048).P,
-	mustFromHex(rfc3526Prime3072).P,
-}
-
 // Validate checks the group invariants: p and q prime, p = 2q+1, and G a
 // non-identity element of order q. The primality tests are skipped when P
-// equals one of the built-in moduli, whose primality
+// equals the built-in modulus, whose primality
 // TestBuiltinGroupsAreSafePrimes establishes once instead of every start.
 func (g *Group) Validate() error {
 	if g.P == nil || g.Q == nil || g.G == nil {
@@ -189,13 +141,10 @@ func (g *Group) Validate() error {
 	return nil
 }
 
+// isBuiltinPrime compares by value, so a group built from copies of the
+// built-in parameters is recognised too.
 func isBuiltinPrime(p *big.Int) bool {
-	for _, b := range builtinPrimes {
-		if p.Cmp(b) == 0 {
-			return true
-		}
-	}
-	return false
+	return p.Cmp(default2048.P) == 0
 }
 
 // Exp returns base^exp mod P.

@@ -6,11 +6,14 @@ import (
 	"testing"
 )
 
-// testGroup caches a small generated group: safe-prime generation is the
-// slow part of this suite.
+// smallGroup and testGroups cache generated groups: safe-prime generation
+// is the slow part of this suite.
 var (
 	smallGroupOnce sync.Once
 	smallGroupVal  *Group
+
+	testGroupsOnce sync.Once
+	testGroupsVal  map[string]*Group
 )
 
 func smallGroup(t testing.TB) *Group {
@@ -25,16 +28,36 @@ func smallGroup(t testing.TB) *Group {
 	return smallGroupVal
 }
 
+// testGroups returns the groups the kernel tests run on: the built-in
+// 2048-bit group and generated groups of 128, 130, 256 and 512 bits. At
+// 130 bits the comb's tooth width is odd, so its second column is short;
+// the generated sizes put the element encoding and the Legendre kernel's
+// limbs at widths other than the built-in one. Read-only once built.
+func testGroups(t testing.TB) map[string]*Group {
+	t.Helper()
+	small := smallGroup(t)
+	testGroupsOnce.Do(func() {
+		gs := map[string]*Group{"2048": Default2048(), "generated256": small}
+		for name, bits := range map[string]int{"generated128": 128, "generated130": 130, "generated512": 512} {
+			g, err := Generate(bits, nil)
+			if err != nil {
+				panic(err)
+			}
+			gs[name] = g
+		}
+		testGroupsVal = gs
+	})
+	return testGroupsVal
+}
+
+// TestDefaultGroupsValidate: the built-in group takes Validate's shortcut
+// for P's primality, the generated ones the full checks; all pass.
 func TestDefaultGroupsValidate(t *testing.T) {
-	for name, g := range map[string]*Group{
-		"2048": Default2048(),
-		"1536": Default1536(),
-		"3072": Default3072(),
-	} {
+	for name, g := range testGroups(t) {
 		t.Run(name, func(t *testing.T) {
 			t.Parallel()
 			if err := g.Validate(); err != nil {
-				t.Errorf("built-in group %s invalid: %v", name, err)
+				t.Errorf("group %s invalid: %v", name, err)
 			}
 		})
 	}

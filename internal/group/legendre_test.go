@@ -14,24 +14,25 @@ func eulerIsResidue(x, p *big.Int) bool {
 	return new(big.Int).Exp(x, q, p).Cmp(one) == 0
 }
 
+// TestBuiltinGroupsAreSafePrimes runs the primality checks Validate skips
+// for the built-in modulus, and checks that only that modulus skips them.
 func TestBuiltinGroupsAreSafePrimes(t *testing.T) {
-	groups := map[string]*Group{"1536": Default1536(), "2048": Default2048(), "3072": Default3072()}
-	for name, g := range groups {
-		t.Run(name, func(t *testing.T) {
-			t.Parallel()
-			if !isBuiltinPrime(g.P) {
-				t.Fatal("built-in modulus not recognised: Validate takes the slow path")
-			}
-			if !g.P.ProbablyPrime(32) || !g.Q.ProbablyPrime(32) {
-				t.Fatal("built-in modulus is not a safe prime")
-			}
-			if g.G.Cmp(big.NewInt(4)) != 0 || new(big.Int).Exp(g.G, g.Q, g.P).Cmp(one) != 0 {
-				t.Fatal("built-in generator is not 4 of order Q")
-			}
-		})
-	}
-	if len(groups) != len(builtinPrimes) {
-		t.Errorf("%d built-in moduli, %d tested", len(builtinPrimes), len(groups))
+	t.Run("2048", func(t *testing.T) {
+		g := Default2048()
+		if !isBuiltinPrime(g.P) || !isBuiltinPrime(new(big.Int).Set(g.P)) {
+			t.Fatal("built-in modulus not recognised: Validate takes the slow path")
+		}
+		if !g.P.ProbablyPrime(32) || !g.Q.ProbablyPrime(32) {
+			t.Fatal("built-in modulus is not a safe prime")
+		}
+		if g.G.Cmp(big.NewInt(4)) != 0 || new(big.Int).Exp(g.G, g.Q, g.P).Cmp(one) != 0 {
+			t.Fatal("built-in generator is not 4 of order Q")
+		}
+	})
+	for name, g := range testGroups(t) {
+		if name != "2048" && isBuiltinPrime(g.P) {
+			t.Errorf("generated group %s taken for the built-in one", name)
+		}
 	}
 }
 
@@ -78,10 +79,7 @@ func legendreEdgeInputs(p *big.Int) []*big.Int {
 }
 
 func TestLegendreDifferential(t *testing.T) {
-	groups := map[string]*Group{
-		"1536": Default1536(), "2048": Default2048(), "3072": Default3072(), "generated256": smallGroup(t),
-	}
-	for name, g := range groups {
+	for name, g := range testGroups(t) {
 		t.Run(name, func(t *testing.T) {
 			t.Parallel()
 			xs := legendreEdgeInputs(g.P)
@@ -154,16 +152,15 @@ func TestIsElementAllocs(t *testing.T) {
 	}
 }
 
-// TestJacobiConvergesWithinBound: on every built-in group the divsteps
-// path, not the big.Jacobi fallback, answers each x in [1, P) (all coprime
-// to the prime P), and at 2048 bits it averages no more rounds than the
-// ceiling, so the fast path is checked without a timer.
+// TestJacobiConvergesWithinBound: on the built-in and the generated groups
+// the divsteps path, not the big.Jacobi fallback, answers each x in [1, P)
+// (all coprime to the prime P), and at 2048 bits it averages no more
+// rounds than the ceiling, so the fast path is checked without a timer.
 func TestJacobiConvergesWithinBound(t *testing.T) {
 	// The mean is 98 rounds for this seed: 62 divsteps per round, about
 	// 3 divsteps per bit of P.
 	const meanCeiling2048 = 100
-	groups := map[string]*Group{"1536": Default1536(), "2048": Default2048(), "3072": Default3072()}
-	for name, g := range groups {
+	for name, g := range testGroups(t) {
 		t.Run(name, func(t *testing.T) {
 			t.Parallel()
 			rng := mrand.New(mrand.NewSource(int64(g.P.BitLen())))
@@ -244,7 +241,7 @@ func TestLegendreFallback(t *testing.T) {
 // FuzzLegendre checks the kernel against big.Jacobi on arbitrary operands
 // and against Euler's criterion whenever the modulus is prime.
 func FuzzLegendre(f *testing.F) {
-	p := Default1536().P
+	p := Default2048().P
 	f.Add([]byte{0}, []byte{1})
 	f.Add([]byte{2}, []byte{7})
 	f.Add([]byte{0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff}, []byte{1, 0, 0, 0, 0, 0, 0, 0, 1})
@@ -257,6 +254,14 @@ func FuzzLegendre(f *testing.F) {
 	f.Add(new(big.Int).Add(p, two).Bytes(), p.Bytes())
 	f.Add([]byte{21}, []byte{35})
 	f.Add(big.NewInt(6).Bytes(), new(big.Int).Mul(p, big.NewInt(3)).Bytes())
+	// Fixed safe primes below Euler's 256-bit cut-off, so that the seeds
+	// also reach that check: P - 1, 4 and a short x.
+	for _, hexP := range []string{safePrime256, safePrime130} {
+		q, _ := new(big.Int).SetString(hexP, 16)
+		f.Add(new(big.Int).Sub(q, one).Bytes(), q.Bytes())
+		f.Add([]byte{4}, q.Bytes())
+		f.Add(new(big.Int).Lsh(one, 65).Bytes(), q.Bytes())
+	}
 	f.Fuzz(func(t *testing.T, xb, yb []byte) {
 		if len(xb) > 512 || len(yb) > 512 {
 			return

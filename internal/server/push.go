@@ -210,7 +210,7 @@ func (p *connPush) writeNotify(msg wire.MatchNotify) bool {
 // no I/O), so a subscription is active before any later frame on the same
 // connection is processed. payload aliases the reader's reusable buffer,
 // so anything registered past this call (the broker's probe, a remote
-// subscriber's request) gets copies, per DESIGN §16.
+// subscriber's request) gets copies, per DESIGN §10.
 func (s *Server) handleSubscribe(p *connPush, payload, resp []byte) (wire.MsgType, []byte, error) {
 	req, err := wire.DecodeSubscribeReq(payload)
 	if err != nil {

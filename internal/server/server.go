@@ -559,7 +559,7 @@ func (s *Server) sealResp(frame []byte, id uint64, rt wire.MsgType, body []byte,
 // processJob runs one pipelined request through its handler and builds
 // the complete response frame in a pooled buffer. The request buffer is
 // released as soon as the handler returns — the service layer's buffer
-// contract (DESIGN §16) guarantees nothing retains the payload past
+// contract (DESIGN §10) guarantees nothing retains the payload past
 // that point.
 func (s *Server) processJob(job pipelineJob) pipelineResp {
 	out := getBuf()

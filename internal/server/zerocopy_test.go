@@ -1,5 +1,5 @@
 // Tests pinning the coalesced-write and pooled-buffer contracts of the
-// hot path (DESIGN §16): every response and push frame leaves the server
+// hot path (DESIGN §10): every response and push frame leaves the server
 // in exactly one conn.Write, and a frame handed to the writer is never
 // mutated until the write completes. Both drive Server.handle directly
 // over net.Pipe (servePipe) — no TLS, so a second Write could only come

@@ -64,7 +64,7 @@ type Deps struct {
 // reports it as an error frame); the connection itself is never the
 // handler's concern.
 //
-// Buffer contract (DESIGN §16): payload is transport-owned and valid only
+// Buffer contract (DESIGN §10): payload is transport-owned and valid only
 // for the duration of the call — a handler that retains decoded bytes
 // past its return must copy them. resp is a transport-owned appendable
 // buffer (it may carry reserved frame-header bytes); the handler appends

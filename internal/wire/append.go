@@ -12,7 +12,7 @@
 // caller-supplied grow-only buffer instead of allocating a payload per
 // frame.
 //
-// Buffer ownership rules are documented in DESIGN §16. The short form:
+// Buffer ownership rules are documented in DESIGN §10. The short form:
 // a payload returned by ReadFrameV2Buf (and everything a Decode* aliases
 // out of it) is valid only until the buffer's next use, so a consumer
 // that retains decoded bytes must copy them.
