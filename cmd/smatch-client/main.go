@@ -185,7 +185,7 @@ func run(server, dsName, cmd string, userID profile.ID, topK, theta int, kBits u
 			fmt.Printf("  match: user %d (verified)\n", r.ID)
 		}
 		if rejected > 0 {
-			fmt.Printf("  REJECTED %d result(s): failed Vf — fake or non-matching\n", rejected)
+			return fmt.Errorf("%d result(s) failed Vf: fake or non-matching", rejected)
 		}
 		return nil
 

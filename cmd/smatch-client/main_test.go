@@ -2,11 +2,13 @@ package main
 
 import (
 	"context"
+	"strings"
 	"testing"
 	"time"
 
 	"smatch/internal/match"
 	"smatch/internal/oprf"
+	"smatch/internal/profile"
 	"smatch/internal/server"
 )
 
@@ -58,6 +60,50 @@ func TestClientUploadAndQuery(t *testing.T) {
 	}
 	if err := run(addr, "Infocom06", "query", 1, 5, 8, 64, 64, true, 10*time.Second, 2, 50*time.Millisecond, 0, 100, 0, ""); err != nil {
 		t.Fatalf("query: %v", err)
+	}
+}
+
+// TestClientQueryVerifyRejects: a -verify query whose results fail Vf is
+// an error, not a printed warning, so the command exits nonzero. Every
+// stored auth blob but the querier's has one byte flipped.
+func TestClientQueryVerifyRejects(t *testing.T) {
+	addr, store := startTestServerStore(t)
+	if err := run(addr, "Infocom06", "upload-all", 1, 5, 8, 64, 32, false, 10*time.Second, 2, 50*time.Millisecond, 0, 100, 0, ""); err != nil {
+		t.Fatalf("upload-all: %v", err)
+	}
+	var entries []match.Entry
+	if err := store.ForEachEntry(func(e match.Entry) error {
+		entries = append(entries, e)
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	// The querier is the first user whose bucket holds someone else.
+	var querier profile.ID
+	for _, e := range entries {
+		if store.BucketSize(e.KeyHash) > 1 {
+			querier = e.ID
+			break
+		}
+	}
+	if querier == 0 {
+		t.Fatal("no bucket holds two users")
+	}
+	if err := run(addr, "Infocom06", "query", querier, 5, 8, 64, 64, true, 10*time.Second, 2, 50*time.Millisecond, 0, 100, 0, ""); err != nil {
+		t.Fatalf("query before tampering: %v", err)
+	}
+	for _, e := range entries {
+		if e.ID == querier {
+			continue
+		}
+		e.Auth[len(e.Auth)-1] ^= 1
+		if err := store.Upload(e); err != nil {
+			t.Fatal(err)
+		}
+	}
+	err := run(addr, "Infocom06", "query", querier, 5, 8, 64, 64, true, 10*time.Second, 2, 50*time.Millisecond, 0, 100, 0, "")
+	if err == nil || !strings.Contains(err.Error(), "failed Vf") {
+		t.Fatalf("query over tampered auth blobs returned %v, want a failed-Vf error", err)
 	}
 }
 

@@ -318,7 +318,7 @@ func run(o options) error {
 	if err != nil {
 		return err
 	}
-	log.Printf("listening on %s (TLS, self-signed, %d store shards)", addr, srv.Store().NumShards())
+	log.Printf("listening on %s (TLS, self-signed)", addr)
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()

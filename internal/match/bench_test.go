@@ -10,12 +10,10 @@ import (
 	"smatch/internal/profile"
 )
 
-// Parallel store benchmarks: sharded Server vs the single-lock Unsharded
-// baseline, at parallelism 1, 8 and 32. On multicore hardware the sharded
-// store's Upload/mixed throughput should scale with parallelism while the
-// single-lock store serializes on its one RWMutex; on a single-CPU host
-// the two converge (goroutines timeshare one core, so contention never
-// manifests). Run with:
+// Parallel store benchmarks: the skiplist Server against the slice-based
+// Unsharded reference, at parallelism 1, 8 and 32. Both take one RWMutex,
+// so what differs is the index: an O(log n) skiplist seek and splice
+// against a binary search and a memmove over a sorted slice. Run with:
 //
 //	go test -bench BenchmarkStore -benchtime 1s ./internal/match
 const (
@@ -50,8 +48,8 @@ func benchStores() []struct {
 		name string
 		mk   func() Store
 	}{
-		{"single-lock", func() Store { return NewUnsharded() }},
-		{"sharded", func() Store { return NewServer() }},
+		{"slice", func() Store { return NewUnsharded() }},
+		{"skiplist", func() Store { return NewServer() }},
 	}
 }
 

@@ -12,8 +12,8 @@ import (
 
 // TestChurnEquivalence storms both stores with an identical interleaved
 // sequence of uploads, re-uploads (re-key and same-bucket moves), removes,
-// and all three query flavors, asserting the sharded skiplist Server and
-// the single-lock slice Unsharded return byte-identical results — same
+// and all three query flavors, asserting the skiplist Server and the
+// slice-based Unsharded reference return byte-identical results — same
 // IDs, same Auth, same ORDER — and agreeing errors at every step. Sums are
 // drawn from a narrow range so (sum, ID) tie-breaks are constantly
 // exercised; run under -race this also shakes the lock discipline via the
@@ -46,7 +46,7 @@ func churnStormWith(t *testing.T, seed int64, steps int, keys []string,
 	t.Helper()
 	rng := rand.New(rand.NewSource(seed))
 	inconsistenciesBefore := IndexInconsistencies()
-	sharded := newServerShards(8)
+	server := NewServer()
 	reference := NewUnsharded()
 	const maxID = 200
 	live := map[profile.ID]bool{}
@@ -66,10 +66,10 @@ func churnStormWith(t *testing.T, seed int64, steps int, keys []string,
 	check := func(step int, op string, a, b []Result, errA, errB error) {
 		t.Helper()
 		if (errA == nil) != (errB == nil) {
-			t.Fatalf("step %d %s: sharded err=%v, reference err=%v", step, op, errA, errB)
+			t.Fatalf("step %d %s: server err=%v, reference err=%v", step, op, errA, errB)
 		}
 		if !reflect.DeepEqual(a, b) {
-			t.Fatalf("step %d %s diverged:\n sharded:   %v\n reference: %v", step, op, a, b)
+			t.Fatalf("step %d %s diverged:\n server:   %v\n reference: %v", step, op, a, b)
 		}
 	}
 
@@ -78,7 +78,7 @@ func churnStormWith(t *testing.T, seed int64, steps int, keys []string,
 		case 0, 1, 2: // upload: fresh ID or an overwrite of a live one
 			id := profile.ID(rng.Intn(maxID) + 1)
 			e := randEntry(id)
-			errA, errB := sharded.Upload(e), reference.Upload(cloneEntry(e))
+			errA, errB := server.Upload(e), reference.Upload(cloneEntry(e))
 			check(step, "upload", nil, nil, errA, errB)
 			live[id] = true
 		case 3: // re-upload a live ID, biased toward same-sum idempotent moves
@@ -87,11 +87,11 @@ func churnStormWith(t *testing.T, seed int64, steps int, keys []string,
 				continue
 			}
 			e := randEntry(id)
-			errA, errB := sharded.Upload(e), reference.Upload(cloneEntry(e))
+			errA, errB := server.Upload(e), reference.Upload(cloneEntry(e))
 			check(step, "re-upload", nil, nil, errA, errB)
 		case 4: // remove: sometimes a live ID, sometimes a missing one
 			id := profile.ID(rng.Intn(maxID) + 1)
-			errA, errB := sharded.Remove(id), reference.Remove(id)
+			errA, errB := server.Remove(id), reference.Remove(id)
 			check(step, "remove", nil, nil, errA, errB)
 			delete(live, id)
 		case 5, 6: // kNN match
@@ -100,7 +100,7 @@ func churnStormWith(t *testing.T, seed int64, steps int, keys []string,
 				continue
 			}
 			k := rng.Intn(12) + 1
-			a, errA := sharded.Match(id, k)
+			a, errA := server.Match(id, k)
 			b, errB := reference.Match(id, k)
 			check(step, "match", a, b, errA, errB)
 		case 7: // multi-probe across a random alternate-bucket subset
@@ -115,7 +115,7 @@ func churnStormWith(t *testing.T, seed int64, steps int, keys []string,
 				}
 			}
 			k := rng.Intn(12) + 1
-			a, errA := sharded.MatchProbe(id, alts, k)
+			a, errA := server.MatchProbe(id, alts, k)
 			b, errB := reference.MatchProbe(id, alts, k)
 			check(step, "probe", a, b, errA, errB)
 		default: // max-distance range
@@ -124,14 +124,14 @@ func churnStormWith(t *testing.T, seed int64, steps int, keys []string,
 				continue
 			}
 			d := randDist(rng)
-			a, errA := sharded.MatchMaxDistance(id, d)
+			a, errA := server.MatchMaxDistance(id, d)
 			b, errB := reference.MatchMaxDistance(id, d)
 			check(step, "maxdist", a, b, errA, errB)
 		}
 	}
-	if sharded.NumUsers() != reference.NumUsers() || sharded.NumBuckets() != reference.NumBuckets() {
+	if server.NumUsers() != reference.NumUsers() || server.NumBuckets() != reference.NumBuckets() {
 		t.Fatalf("final shape diverged: %d/%d users, %d/%d buckets",
-			sharded.NumUsers(), reference.NumUsers(), sharded.NumBuckets(), reference.NumBuckets())
+			server.NumUsers(), reference.NumUsers(), server.NumBuckets(), reference.NumBuckets())
 	}
 	if n := IndexInconsistencies() - inconsistenciesBefore; n != 0 {
 		t.Fatalf("churn tripped %d index inconsistencies", n)

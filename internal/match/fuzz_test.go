@@ -56,7 +56,7 @@ func FuzzEntryUpload(f *testing.F) {
 			}
 			ch.Cts[0] = ct
 		}
-		s := newServerShards(4)
+		s := NewServer()
 		e := Entry{ID: profile.ID(id), KeyHash: keyHash, Chain: ch, Auth: auth}
 		if err := s.Upload(e); err != nil {
 			// Rejected at validation: the store must be untouched.
@@ -195,7 +195,7 @@ func FuzzUploadBytes(f *testing.F) {
 		if nb.ID == 0 {
 			nb.ID = id - 1
 		}
-		put, up := newServerShards(4), newServerShards(4)
+		put, up := NewServer(), NewServer()
 		must(t, put.Upload(nb))
 		must(t, up.Upload(nb))
 		put.Put(rec)

@@ -10,24 +10,17 @@
 // ciphertext order sums — exactly the honest-but-curious interface the
 // security analysis assumes.
 //
-// # Sharding
+// # Locking
 //
-// Buckets are independent in the paper's cost model (each query touches
-// only the buckets under its key hashes), so the store is lock-striped:
-// profile records are spread over N bucket shards keyed by a hash of
-// h(Kup), each shard owning its own bucket map and RWMutex, plus N ID
-// stripes (keyed by user ID) that map IDs to records. Uploads and queries
-// against different shards never contend.
-//
-// Lock-ordering rule (deadlock freedom): an operation takes at most one
-// ID-stripe lock, always BEFORE any bucket-shard lock; when an operation
-// needs several bucket shards (a re-keying Upload, or a multi-bucket
-// MatchProbe), it acquires them in ascending shard index. Snapshot, which
-// walks every stripe, likewise locks stripes in ascending index.
+// One RWMutex guards the ID directory and every bucket index. Each
+// exported method takes it exactly once: a nested RLock deadlocks as soon
+// as a writer queues between the two calls. So a query reads the
+// querier's record and its buckets as one state, and Snapshot and
+// ForEachEntry hold the read lock for their whole walk.
 //
 // # Ordered index
 //
-// Each bucket in the sharded Server is an ordered skiplist keyed on
+// Each bucket is an ordered skiplist keyed on
 // (order sum, user ID) — see ordindex.go — so the OPE order-preserving
 // property is exploited directly: Upload and Remove are O(log n) with no
 // memmove, Match seeks the querier and expands bidirectionally,
@@ -56,10 +49,8 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"hash/maphash"
 	"math"
 	"math/big"
-	"runtime"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -312,107 +303,44 @@ type Result struct {
 	Auth []byte
 }
 
-// bucketShard owns a disjoint subset of the key-hash buckets.
-type bucketShard struct {
+// Server is the in-memory matching store. Safe for concurrent use: one
+// RWMutex guards the ID directory and every bucket index.
+type Server struct {
 	mu      sync.RWMutex
+	ids     map[profile.ID]*stored
 	buckets map[string]*ordIndex // key hash (raw bytes as string) -> ordered index
 }
 
-// idStripe owns a disjoint subset of the ID -> record directory.
-type idStripe struct {
-	mu sync.RWMutex
-	m  map[profile.ID]*stored
-}
-
-// Server is the in-memory matching store. Safe for concurrent use.
-type Server struct {
-	mask   uint64 // len(shards)-1; len is a power of two
-	seed   maphash.Seed
-	ids    []idStripe
-	shards []bucketShard
-}
-
-// NewServer returns an empty matching server with the default shard count:
-// the smallest power of two >= max(16, GOMAXPROCS).
-func NewServer() *Server { return newServerShards(0) }
-
-// newServerShards returns an empty matching server with n shards, rounded
-// up to a power of two; n <= 0 selects the default.
-func newServerShards(n int) *Server {
-	if n <= 0 {
-		n = runtime.GOMAXPROCS(0)
-		if n < 16 {
-			n = 16
-		}
-	}
-	shards := 1
-	for shards < n {
-		shards <<= 1
-	}
-	s := &Server{
-		mask:   uint64(shards - 1),
-		seed:   maphash.MakeSeed(),
-		ids:    make([]idStripe, shards),
-		shards: make([]bucketShard, shards),
-	}
-	for i := range s.ids {
-		s.ids[i].m = make(map[profile.ID]*stored)
-	}
-	for i := range s.shards {
-		s.shards[i].buckets = make(map[string]*ordIndex)
-	}
-	return s
-}
-
-// NumShards reports the shard count (a power of two).
-func (s *Server) NumShards() int { return len(s.shards) }
-
-// shardIndex maps a key hash to its bucket shard. Real key hashes are
-// uniformly distributed (they are h(Kup) outputs), but tests use short
-// labels, so the index hashes the whole key rather than trusting its
-// first bytes.
-func (s *Server) shardIndex(keyHash []byte) uint64 {
-	return maphash.Bytes(s.seed, keyHash) & s.mask
-}
-
-// shardOf is shardIndex for a stored key string; maphash.String and
-// maphash.Bytes agree on equal content.
-func (s *Server) shardOf(key string) uint64 {
-	return maphash.String(s.seed, key) & s.mask
-}
-
-func (s *Server) stripe(id profile.ID) *idStripe {
-	return &s.ids[uint64(id)&s.mask]
+// NewServer returns an empty matching server.
+func NewServer() *Server {
+	return &Server{ids: make(map[profile.ID]*stored), buckets: make(map[string]*ordIndex)}
 }
 
 // bucketInsert files rec into the ordered index of the bucket under
 // keyHash, creating the index on first use, and points rec.key at the
-// bucket's own key string. Caller holds the shard write lock.
-func bucketInsert(buckets map[string]*ordIndex, rec *stored, keyHash []byte) {
-	ix := buckets[string(keyHash)]
+// bucket's own key string. Caller holds the write lock.
+func (s *Server) bucketInsert(rec *stored, keyHash []byte) {
+	ix := s.buckets[string(keyHash)]
 	if ix == nil {
 		ix = newOrdIndex()
 		ix.key = string(keyHash)
-		buckets[ix.key] = ix
+		s.buckets[ix.key] = ix
 	}
 	rec.key = ix.key
 	ix.insert(rec)
 }
 
 // bucketRemove unfiles rec from its bucket's ordered index, reaping the
-// bucket when it empties. A false return means the record the ID
-// directory pointed at was not in its index — corruption, counted by the
-// caller. Caller holds the shard write lock.
-func bucketRemove(buckets map[string]*ordIndex, rec *stored) bool {
-	ix := buckets[rec.key]
-	if ix == nil {
-		return false
+// bucket when it empties. A record the ID directory pointed at but its
+// index lacks is corruption, counted here. Caller holds the write lock.
+func (s *Server) bucketRemove(rec *stored) {
+	ix := s.buckets[rec.key]
+	if ix == nil || !ix.remove(rec) {
+		inconsistencies.Add(1)
 	}
-	ok := ix.remove(rec)
-	if ix.length == 0 {
-		delete(buckets, rec.key)
+	if ix != nil && ix.length == 0 {
+		delete(s.buckets, rec.key)
 	}
-	return ok
 }
 
 // Upload stores or replaces a user's encrypted profile (users "update
@@ -435,86 +363,44 @@ func (s *Server) Put(r Record) { s.put(r.rec, r.keyHash) }
 
 // put files rec under keyHash, replacing any record with the same ID.
 func (s *Server) put(rec *stored, keyHash []byte) {
-	newIdx := s.shardIndex(keyHash)
-
-	st := s.stripe(rec.ID)
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	old := st.m[rec.ID]
-	st.m[rec.ID] = rec
-
-	if old == nil {
-		sh := &s.shards[newIdx]
-		sh.mu.Lock()
-		bucketInsert(sh.buckets, rec, keyHash)
-		sh.mu.Unlock()
-		return
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if old := s.ids[rec.ID]; old != nil {
+		s.bucketRemove(old)
 	}
-	oldIdx := s.shardOf(old.key)
-	// Ascending-index acquisition when the re-upload moves buckets across
-	// shards (the lock-ordering rule).
-	lo, hi := oldIdx, newIdx
-	if lo > hi {
-		lo, hi = hi, lo
-	}
-	s.shards[lo].mu.Lock()
-	if hi != lo {
-		s.shards[hi].mu.Lock()
-	}
-	if !bucketRemove(s.shards[oldIdx].buckets, old) {
-		inconsistencies.Add(1)
-	}
-	bucketInsert(s.shards[newIdx].buckets, rec, keyHash)
-	if hi != lo {
-		s.shards[hi].mu.Unlock()
-	}
-	s.shards[lo].mu.Unlock()
+	s.ids[rec.ID] = rec
+	s.bucketInsert(rec, keyHash)
 }
 
 // Remove deletes a user's record.
 func (s *Server) Remove(id profile.ID) error {
-	st := s.stripe(id)
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	rec, ok := st.m[id]
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	rec, ok := s.ids[id]
 	if !ok {
 		return fmt.Errorf("%w: %d", ErrUnknownUser, id)
 	}
-	sh := &s.shards[s.shardOf(rec.key)]
-	sh.mu.Lock()
-	if !bucketRemove(sh.buckets, rec) {
-		inconsistencies.Add(1)
-	}
-	sh.mu.Unlock()
-	delete(st.m, id)
+	s.bucketRemove(rec)
+	delete(s.ids, id)
 	return nil
 }
 
 // NumUsers returns the number of stored profiles.
 func (s *Server) NumUsers() int {
-	n := 0
-	for i := range s.ids {
-		s.ids[i].mu.RLock()
-		n += len(s.ids[i].m)
-		s.ids[i].mu.RUnlock()
-	}
-	return n
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	return len(s.ids)
 }
 
-// lookup returns the querier's record under its stripe's read lock; the
-// caller must release the stripe via the returned function after it is
-// done with any dependent bucket-shard reads (stripe before shard, per the
-// lock-ordering rule, so Upload/Remove cannot slide the record out from
-// under an in-flight query).
-func (s *Server) lookup(id profile.ID) (*stored, func(), error) {
-	st := s.stripe(id)
-	st.mu.RLock()
-	rec, ok := st.m[id]
+// lookup returns the querier's record. Caller holds the read lock for as
+// long as it reads the record's bucket, so no Upload or Remove can slide
+// the record out from under an in-flight query.
+func (s *Server) lookup(id profile.ID) (*stored, error) {
+	rec, ok := s.ids[id]
 	if !ok {
-		st.mu.RUnlock()
-		return nil, nil, fmt.Errorf("%w: %d", ErrUnknownUser, id)
+		return nil, fmt.Errorf("%w: %d", ErrUnknownUser, id)
 	}
-	return rec, st.mu.RUnlock, nil
+	return rec, nil
 }
 
 // Match answers a profile-matching query Qq = <q, t, IDv>: it returns the
@@ -525,15 +411,13 @@ func (s *Server) Match(id profile.ID, k int) ([]Result, error) {
 	if k <= 0 {
 		return nil, fmt.Errorf("match: non-positive k=%d", k)
 	}
-	me, release, err := s.lookup(id)
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	me, err := s.lookup(id)
 	if err != nil {
 		return nil, err
 	}
-	defer release()
-	sh := &s.shards[s.shardOf(me.key)]
-	sh.mu.RLock()
-	defer sh.mu.RUnlock()
-	return indexNearest(sh.buckets[me.key], me, k)
+	return indexNearest(s.buckets[me.key], me, k)
 }
 
 // indexNearest seeks the querier's node in its bucket index and expands
@@ -610,41 +494,22 @@ func (s *Server) MatchProbe(id profile.ID, altKeyHashes [][]byte, k int) ([]Resu
 	if k <= 0 {
 		return nil, fmt.Errorf("match: non-positive k=%d", k)
 	}
-	me, release, err := s.lookup(id)
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	me, err := s.lookup(id)
 	if err != nil {
 		return nil, err
 	}
-	defer release()
 
-	// Deduplicate probed key hashes, then the shards that own them; lock
-	// the shards in ascending index (the lock-ordering rule for
-	// multi-bucket probes).
+	// Deduplicate probed key hashes: a bucket walked twice would put its
+	// candidates into the merge twice.
 	keys := map[string]struct{}{me.key: {}}
 	for _, kh := range altKeyHashes {
 		keys[string(kh)] = struct{}{}
 	}
-	shardSet := map[uint64]struct{}{}
-	for key := range keys {
-		shardSet[s.shardOf(key)] = struct{}{}
-	}
-	shardIdx := make([]uint64, 0, len(shardSet))
-	for idx := range shardSet {
-		shardIdx = append(shardIdx, idx)
-	}
-	sort.Slice(shardIdx, func(i, j int) bool { return shardIdx[i] < shardIdx[j] })
-	for _, idx := range shardIdx {
-		s.shards[idx].mu.RLock()
-	}
-	defer func() {
-		for i := len(shardIdx) - 1; i >= 0; i-- {
-			s.shards[shardIdx[i]].mu.RUnlock()
-		}
-	}()
-
 	streams := make([][]probeCand, 0, len(keys))
 	for key := range keys {
-		ix := s.shards[s.shardOf(key)].buckets[key]
-		if cands := boundedNearest(ix, me, k); len(cands) > 0 {
+		if cands := boundedNearest(s.buckets[key], me, k); len(cands) > 0 {
 			streams = append(streams, cands)
 		}
 	}
@@ -796,15 +661,13 @@ func (s *Server) MatchMaxDistance(id profile.ID, maxDist *big.Int) ([]Result, er
 	if maxDist == nil || maxDist.Sign() < 0 {
 		return nil, errors.New("match: negative or nil distance bound")
 	}
-	me, release, err := s.lookup(id)
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	me, err := s.lookup(id)
 	if err != nil {
 		return nil, err
 	}
-	defer release()
-	sh := &s.shards[s.shardOf(me.key)]
-	sh.mu.RLock()
-	defer sh.mu.RUnlock()
-	ix := sh.buckets[me.key]
+	ix := s.buckets[me.key]
 	if ix == nil {
 		inconsistencies.Add(1)
 		return nil, fmt.Errorf("%w: user %d has no bucket index", ErrInconsistent, me.ID)
@@ -832,10 +695,9 @@ func (s *Server) MatchMaxDistance(id profile.ID, maxDist *big.Int) ([]Result, er
 // BucketSize reports how many users share the given key hash — the |V|
 // in the paper's O(|V| log |V|) server cost.
 func (s *Server) BucketSize(keyHash []byte) int {
-	sh := &s.shards[s.shardIndex(keyHash)]
-	sh.mu.RLock()
-	defer sh.mu.RUnlock()
-	if ix := sh.buckets[string(keyHash)]; ix != nil {
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	if ix := s.buckets[string(keyHash)]; ix != nil {
 		return ix.length
 	}
 	return 0
@@ -843,13 +705,9 @@ func (s *Server) BucketSize(keyHash []byte) int {
 
 // NumBuckets reports the number of distinct profile-key hashes stored.
 func (s *Server) NumBuckets() int {
-	n := 0
-	for i := range s.shards {
-		s.shards[i].mu.RLock()
-		n += len(s.shards[i].buckets)
-		s.shards[i].mu.RUnlock()
-	}
-	return n
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	return len(s.buckets)
 }
 
 // BucketStats summarizes the bucket-size distribution (the |V| the
@@ -864,18 +722,14 @@ type BucketStats struct {
 	P95     int     `json:"p95"`
 }
 
-// BucketStats computes the current bucket-size distribution. It locks one
-// shard at a time, so the snapshot is per-shard consistent, not global —
-// fine for observability.
+// BucketStats computes the current bucket-size distribution.
 func (s *Server) BucketStats() BucketStats {
-	var sizes []int
-	for i := range s.shards {
-		s.shards[i].mu.RLock()
-		for _, b := range s.shards[i].buckets {
-			sizes = append(sizes, b.length)
-		}
-		s.shards[i].mu.RUnlock()
+	s.mu.RLock()
+	sizes := make([]int, 0, len(s.buckets))
+	for _, b := range s.buckets {
+		sizes = append(sizes, b.length)
 	}
+	s.mu.RUnlock()
 	st := BucketStats{Buckets: len(sizes)}
 	if len(sizes) == 0 {
 		return st

@@ -10,7 +10,7 @@
 //
 // Level-0 nodes carry a backward link, so the bidirectional expansion the
 // kNN paths need is a pointer chase in both directions. All access is
-// guarded by the owning bucket shard's RWMutex: mutation only ever happens
+// guarded by the store's RWMutex: mutation only ever happens
 // under the write lock, walks under at least the read lock, and no
 // iterator outlives its lock — the skiplist itself needs no atomics.
 package match
@@ -40,7 +40,7 @@ type ordIndex struct {
 	head   *ordNode
 	height int // levels currently in use, >= 1
 	length int
-	rng    uint64 // xorshift state for tower heights; mutated under the shard write lock
+	rng    uint64 // xorshift state for tower heights; mutated under the store's write lock
 }
 
 // ordSeed derives distinct deterministic-ish rng seeds for successive
@@ -93,7 +93,7 @@ func nodeBefore(n *ordNode, sum ordSum, id profile.ID) bool {
 	return n.rec.ID < id
 }
 
-// insert files rec. Caller holds the shard write lock.
+// insert files rec. Caller holds the store's write lock.
 func (ix *ordIndex) insert(rec *stored) {
 	var update [ordMaxHeight]*ordNode
 	n := ix.head
@@ -125,7 +125,7 @@ func (ix *ordIndex) insert(rec *stored) {
 // remove unfiles rec, reporting whether it was present (pointer identity,
 // not just key equality). The unlinked node's references are nilled so a
 // dead node reachable from a stale pointer cannot keep pinning the
-// record. Caller holds the shard write lock.
+// record. Caller holds the store's write lock.
 func (ix *ordIndex) remove(rec *stored) bool {
 	var update [ordMaxHeight]*ordNode
 	n := ix.head
@@ -161,7 +161,7 @@ func (ix *ordIndex) remove(rec *stored) bool {
 
 // seek returns the first node whose key is >= (sum, id) (nil when every
 // key is smaller) plus its level-0 predecessor (the head sentinel when the
-// sought key precedes everything). Caller holds at least the shard read
+// sought key precedes everything). Caller holds at least the store's read
 // lock; neither returned node may be used after the lock is released.
 func (ix *ordIndex) seek(sum ordSum, id profile.ID) (ge, pred *ordNode) {
 	n := ix.head

@@ -1,20 +1,15 @@
 // Cluster partition hashing: a STABLE hash over the bucket key space.
 //
-// The in-process shard hash (shardIndex) is deliberately seeded per
-// process with maphash.MakeSeed — that randomization is a hash-flooding
-// defense, and it is fine there because shard placement is invisible
-// outside the process. Cluster ownership is the opposite: the router and
-// every node must compute the identical owner for a bucket, across
-// processes, restarts and machines, or uploads and queries land on
-// different partitions. PartitionHash is therefore a fixed, documented
-// function of the raw h(Kup) bytes with no per-process state.
+// The router and every node must compute the identical owner for a
+// bucket, across processes, restarts and machines, or uploads and queries
+// land on different partitions. PartitionHash is therefore a fixed,
+// documented function of the raw h(Kup) bytes with no per-process state.
 //
 // The function is FNV-1a (64-bit), chosen for being trivially stable
 // (constants are in the function, not a seed file), dependency-free and
 // fast. It does NOT need to resist hash flooding: bucket keys are OPRF
 // outputs — effectively uniform digests an adversary cannot shape without
-// controlling the server's RSA key — so the adversarial-input argument
-// that justifies maphash's seed does not apply here.
+// controlling the server's RSA key — so a seeded hash would buy nothing.
 package match
 
 // FNV-1a 64-bit parameters (FNV is public domain; see RFC draft
@@ -29,8 +24,7 @@ const (
 // PartitionHash returns the stable 64-bit partition hash of a bucket key
 // (the profile-key hash h(Kup)). Every process — router, leader, follower,
 // tooling — computes the same value for the same bytes, which is the
-// property cluster ownership is built on. Do not use it for in-process
-// shard placement; that is shardIndex's seeded hash.
+// property cluster ownership is built on.
 func PartitionHash(keyHash []byte) uint64 {
 	h := uint64(fnvOffset64)
 	for _, b := range keyHash {
@@ -41,16 +35,16 @@ func PartitionHash(keyHash []byte) uint64 {
 }
 
 // ForEachEntry calls fn with every stored record in ascending user-ID
-// order — the same deterministic order Snapshot writes, under the same
-// all-stripes read lock, so the walk is a globally consistent view. Used
-// by cluster rebalancing to stream a partition's entries off a node. Each
+// order — the same deterministic order Snapshot writes, under the read
+// lock for the whole walk, so the walk is one consistent view. Used by
+// cluster rebalancing to stream a partition's entries off a node. Each
 // Entry is decoded afresh and shares no memory with the store. fn must
-// not call back into the store (every ID-stripe read lock is held); a
-// non-nil error aborts the walk.
+// not call back into the store (the read lock is held); a non-nil error
+// aborts the walk.
 func (s *Server) ForEachEntry(fn func(Entry) error) error {
-	recs, unlock := s.sortedRecords()
-	defer unlock()
-	for _, rec := range recs {
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	for _, rec := range s.sortedRecords() {
 		e, err := rec.entry()
 		if err != nil {
 			return err

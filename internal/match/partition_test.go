@@ -45,9 +45,8 @@ func TestPartitionHashMatchesFNV(t *testing.T) {
 }
 
 // TestPartitionHashStableAcrossStores is the property that motivated the
-// function: two independently constructed stores (each with its own
-// maphash seed) still agree on partition hashes, while their in-process
-// shard placement is free to differ.
+// function: the hash has no per-process state, so every process computes
+// the same partition for the same bucket key.
 func TestPartitionHashStableAcrossStores(t *testing.T) {
 	key := []byte("some-oprf-derived-bucket-key")
 	a, b := PartitionHash(key), PartitionHash(key)

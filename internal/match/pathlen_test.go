@@ -60,7 +60,7 @@ func TestSeekPathLength(t *testing.T) {
 					t.Fatal(err)
 				}
 			}
-			ix := s.shards[s.shardIndex(keyHash)].buckets[string(keyHash)]
+			ix := s.buckets[string(keyHash)]
 			if ix == nil || ix.length != pathLenEntries {
 				t.Fatal("bucket index missing or short")
 			}

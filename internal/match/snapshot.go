@@ -24,13 +24,13 @@ const maxSnapshotEntries = 1 << 24 // backstop against corrupted counts
 // requiring all users to re-upload ("users update encrypted profiles
 // periodically" — but the store should survive a restart regardless).
 // Entries are written in ascending user-ID order, so two snapshots of the
-// same state are byte-identical. Every ID stripe is read-locked (in
-// ascending index, per the package lock-ordering rule) for the duration,
-// giving a globally consistent snapshot. A record's chain and auth bytes
-// are written as stored.
+// same state are byte-identical. The read lock is held for the whole
+// write, so the snapshot is one consistent state. A record's chain and
+// auth bytes are written as stored.
 func (s *Server) Snapshot(w io.Writer) error {
-	recs, unlock := s.sortedRecords()
-	defer unlock()
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	recs := s.sortedRecords()
 
 	// bufio.Writer's error is sticky: a failed write makes every later
 	// write and the final Flush return it, so only Flush is checked.
@@ -149,25 +149,13 @@ func Restore(r io.Reader) (*Server, error) {
 	return s, nil
 }
 
-// sortedRecords read-locks every ID stripe in ascending index (the
-// package lock-ordering rule) and returns every record in ascending ID
-// order, plus the function that releases the locks.
-func (s *Server) sortedRecords() ([]*stored, func()) {
-	n := 0
-	for i := range s.ids {
-		s.ids[i].mu.RLock()
-		n += len(s.ids[i].m)
-	}
-	recs := make([]*stored, 0, n)
-	for i := range s.ids {
-		for _, rec := range s.ids[i].m {
-			recs = append(recs, rec)
-		}
+// sortedRecords returns every record in ascending ID order. Caller holds
+// the read lock.
+func (s *Server) sortedRecords() []*stored {
+	recs := make([]*stored, 0, len(s.ids))
+	for _, rec := range s.ids {
+		recs = append(recs, rec)
 	}
 	slices.SortFunc(recs, func(a, b *stored) int { return cmp.Compare(a.ID, b.ID) })
-	return recs, func() {
-		for i := range s.ids {
-			s.ids[i].mu.RUnlock()
-		}
-	}
+	return recs
 }

@@ -3,28 +3,35 @@ package match
 import (
 	"bytes"
 	"fmt"
+	"math/big"
 	"math/rand"
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"smatch/internal/profile"
 )
 
-// TestShardedStoreStress hammers one sharded store from many goroutines
-// with overlapping buckets and overlapping IDs: uploads (including
-// bucket-moving re-uploads, which take two shard locks), removes, every
-// query flavor, snapshots, and the stat accessors. Run under -race this is
-// the store's primary concurrency safety net; the invariant checks at the
-// end catch lost or duplicated bucket entries.
-func TestShardedStoreStress(t *testing.T) {
+// stressDeadline bounds the stress workers. A method that takes the read
+// lock twice blocks forever once a writer queues between the two calls;
+// the deadline turns that hang into a failure.
+const stressDeadline = 60 * time.Second
+
+// TestStoreStress hammers one store from many goroutines with overlapping
+// buckets and overlapping IDs: uploads and Puts (including bucket-moving
+// re-uploads), removes, every query flavor, snapshots, ForEachEntry walks
+// and the stat accessors. Run under -race this is the store's primary
+// concurrency safety net; the invariant checks at the end catch lost or
+// duplicated bucket entries.
+func TestStoreStress(t *testing.T) {
 	const (
 		workers   = 12
 		opsPerG   = 400
 		idSpace   = 64 // small: forces ID collisions across workers
-		bucketFan = 8  // small: forces bucket collisions across shards
+		bucketFan = 8  // small: forces bucket collisions across workers
 	)
-	s := newServerShards(8) // fewer shards than buckets: shards are shared
+	s := NewServer()
 	bucketName := func(n int) string { return fmt.Sprintf("bucket-%d", n%bucketFan) }
 
 	// Seed so queries have someone to find.
@@ -41,10 +48,9 @@ func TestShardedStoreStress(t *testing.T) {
 			rng := rand.New(rand.NewSource(int64(g)))
 			for i := 0; i < opsPerG; i++ {
 				id := profile.ID(1 + rng.Intn(idSpace))
-				switch rng.Intn(10) {
+				switch rng.Intn(14) {
 				case 0, 1, 2:
-					// Re-upload, frequently into a different bucket (the
-					// two-shard lock path).
+					// Re-upload, frequently into a different bucket.
 					_ = s.Upload(entry(id, bucketName(rng.Intn(bucketFan)), int64(rng.Intn(1000))))
 				case 3:
 					_ = s.Remove(id)
@@ -61,6 +67,27 @@ func TestShardedStoreStress(t *testing.T) {
 					if err := s.Snapshot(&buf); err != nil {
 						t.Errorf("snapshot: %v", err)
 					}
+				case 9:
+					_, _ = s.MatchMaxDistance(id, big.NewInt(int64(rng.Intn(200))))
+				case 10:
+					cb := big.NewInt(int64(rng.Intn(1000))).FillBytes(make([]byte, 6))
+					rec, err := NewRecord(id, []byte(bucketName(rng.Intn(bucketFan))), 48, 1, cb, []byte("put"))
+					if err != nil {
+						t.Errorf("NewRecord: %v", err)
+						return
+					}
+					s.Put(rec)
+				case 11:
+					last := profile.ID(0)
+					if err := s.ForEachEntry(func(e Entry) error {
+						if e.ID <= last {
+							return fmt.Errorf("ID %d after %d", e.ID, last)
+						}
+						last = e.ID
+						return nil
+					}); err != nil {
+						t.Errorf("ForEachEntry: %v", err)
+					}
 				default:
 					_ = s.NumUsers()
 					_ = s.NumBuckets()
@@ -71,7 +98,14 @@ func TestShardedStoreStress(t *testing.T) {
 			}
 		}(g)
 	}
-	wg.Wait()
+	done := make(chan struct{})
+	go func() { wg.Wait(); close(done) }()
+	select {
+	case <-done:
+	case <-time.After(stressDeadline):
+		t.Fatalf("workers still running after %v (%d of %d ops done): a method is blocked on the store lock",
+			stressDeadline, ops.Load(), workers*opsPerG)
+	}
 	if got := ops.Load(); got != workers*opsPerG {
 		t.Fatalf("completed %d ops, want %d", got, workers*opsPerG)
 	}
@@ -103,7 +137,7 @@ func TestShardedStoreStress(t *testing.T) {
 // contended bucket and checks the store drains to empty — the bucket
 // cleanup path under contention.
 func TestStressRemoveAllThenEmpty(t *testing.T) {
-	s := newServerShards(4)
+	s := NewServer()
 	const n = 200
 	var wg sync.WaitGroup
 	for g := 0; g < 4; g++ {

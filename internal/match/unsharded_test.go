@@ -10,8 +10,8 @@ import (
 	"smatch/internal/profile"
 )
 
-// Store is the matching interface satisfied by both the sharded Server and
-// the single-lock Unsharded reference; equivalence tests and benchmarks run
+// Store is the matching interface satisfied by both the skiplist Server
+// and the slice-based Unsharded reference; equivalence tests and benchmarks run
 // the same workload against either.
 type Store interface {
 	Upload(Entry) error
@@ -24,11 +24,11 @@ type Store interface {
 	BucketSize(keyHash []byte) int
 }
 
-// Unsharded is the historical single-RWMutex store: one global lock, one
+// Unsharded is the historical slice-based store: one global lock, one
 // byID map, one bucket map of sorted slices. It is the tests' reference
 // implementation — the equivalence, churn and probe suites assert the
-// sharded, skiplist-indexed Server returns identical results — and the
-// single-lock baseline BenchmarkStore* measures the Server against. It
+// skiplist-indexed Server returns identical results — and the baseline
+// BenchmarkStore* measures the Server against. It
 // shares no record code with the Server: its order sums are big.Ints
 // computed from the entries it is given.
 type Unsharded struct {

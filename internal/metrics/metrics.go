@@ -6,7 +6,7 @@
 // summary for periodic logging.
 //
 // Everything on the record path is a single atomic add — safe to leave on
-// in production and meaningful under the sharded store's concurrency.
+// in production, and it adds no lock to the hot path.
 package metrics
 
 import (

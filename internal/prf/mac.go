@@ -10,9 +10,9 @@ const (
 	// maxStackMsg is the longest message the kernel hashes in a stack
 	// buffer; longer ones go through the same code in a heap buffer. It
 	// holds the encrypt-then-MAC body of verify's auth information (IV,
-	// element and tag) for groups up to 3072 bits: 16 + 384 + 32 = 432
-	// bytes, against 304 at the built-in 2048 bits.
-	maxStackMsg = 448
+	// element and tag) in the built-in 2048-bit group: 16 + 256 + 32 = 304
+	// bytes.
+	maxStackMsg = 304
 )
 
 // keyBlock returns HMAC's K0: the key zero-padded to a SHA-256 block, or

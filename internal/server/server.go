@@ -184,7 +184,6 @@ func New(cfg Config) (*Server, error) {
 	// The store's bucket-size distribution (the |V| behind per-query cost)
 	// is a gauge: computed on scrape, not on the hot path.
 	reg.RegisterGauge("bucket_stats", func() any { return store.BucketStats() })
-	reg.RegisterGauge("shards", func() any { return store.NumShards() })
 	// Nonzero means the ID directory and a bucket index disagreed — a
 	// store bug surfaced instead of silently degrading (see
 	// match.ErrInconsistent).

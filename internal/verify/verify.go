@@ -179,7 +179,7 @@ func (v *Verifier) tag(t1 *big.Int, id profile.ID) [tagLen]byte {
 	exp := new(big.Int).SetUint64(uint64(id))
 	pow := v.grp.Exp(t1, exp)
 	n := len(tagPrefix) + v.grp.ElementLen()
-	var stack [len(tagPrefix) + 384]byte // 384: the element at 3072 bits
+	var stack [len(tagPrefix) + 256]byte // 256: the element at 2048 bits
 	var in []byte
 	if n <= len(stack) {
 		in = stack[:n]
