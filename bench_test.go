@@ -21,6 +21,7 @@ import (
 	"smatch/internal/match"
 	"smatch/internal/oprf"
 	"smatch/internal/prf"
+	"smatch/internal/profile"
 )
 
 // Shared fixtures: RSA keygen and dataset generation are setup, not the
@@ -147,6 +148,7 @@ func benchClientPM(b *testing.B, k uint, withAuth bool) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
+		p.ID = profile.ID(i + 1) // a new user each time: the device's Keygen memo would skip the OPRF
 		key, err := dev.Keygen(p)
 		if err != nil {
 			b.Fatal(err)
@@ -182,6 +184,7 @@ func benchClientPMExpanded(b *testing.B, k uint) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
+		p.ID = profile.ID(i + 1) // a new user each time, as in benchClientPM
 		key, err := dev.Keygen(p)
 		if err != nil {
 			b.Fatal(err)

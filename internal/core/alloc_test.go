@@ -9,6 +9,7 @@ import (
 	"math/big"
 	"testing"
 
+	"smatch/internal/dataset"
 	"smatch/internal/profile"
 )
 
@@ -63,5 +64,39 @@ func TestInitDataAllocs(t *testing.T) {
 	})
 	if allocs > 30 {
 		t.Errorf("InitData allocates %.0f times per call, want <= 30", allocs)
+	}
+}
+
+// TestKeygenHitAllocs: a Keygen whose fuzzy vector has not moved runs no
+// OPRF round. On the Weibo schema (17 attributes, a (17, 9) code over
+// GF(2^10)) what it allocates is FuzzyVector's quantize and Reed–Solomon
+// decode (35 of the 36) and the seed hash (1); the memo lookup and the
+// seed comparison allocate nothing.
+func TestKeygenHitAllocs(t *testing.T) {
+	srv, grp := fixtures(t)
+	ds := dataset.Weibo(20)
+	sys, err := NewSystem(ds.Schema, ds.Dist, Params{PlaintextBits: 64}, srv.PublicKey(), grp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ev := &countingEval{srv: srv}
+	c, err := sys.NewClient(ev, []byte("allocs"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := ds.Profiles[0]
+	if _, err := c.Keygen(p); err != nil {
+		t.Fatal(err)
+	}
+	allocs := testing.AllocsPerRun(50, func() {
+		if _, err := c.Keygen(p); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if ev.n != 1 {
+		t.Fatalf("%d OPRF evaluations, want 1", ev.n)
+	}
+	if allocs > 36 {
+		t.Errorf("a memo-hit Keygen allocates %.0f times per call, want <= 36", allocs)
 	}
 }

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bytes"
 	"crypto/aes"
 	"crypto/cipher"
 	"crypto/hmac"
@@ -132,8 +133,9 @@ func TestCommitmentSlotOneShot(t *testing.T) {
 	}
 }
 
-// TestCommitmentSlotArmed: after one Auth, Keygen fills the slot and the
-// next Auth empties it.
+// TestCommitmentSlotArmed: after one Auth, Keygen leaves the slot alone
+// and the next Auth fills it as it returns. The Auth after that takes the
+// ready commitment rather than committing inline.
 func TestCommitmentSlotArmed(t *testing.T) {
 	sys := testSystem(t, Params{PlaintextBits: 64})
 	c := testClient(t, sys, "slot-armed")
@@ -143,15 +145,39 @@ func TestCommitmentSlotArmed(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if c.next == nil || !c.filling {
-		t.Fatal("Keygen on an armed client left the slot empty")
+	if c.next != nil || c.filling {
+		t.Fatal("Keygen on an armed client started a fill")
 	}
 	blob, err := c.Auth(key, p.ID)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if c.next != nil || c.filling {
-		t.Error("Auth did not empty the slot")
+	if c.next == nil || !c.filling {
+		t.Fatal("Auth on an armed client left the slot empty")
+	}
+	if ok, err := c.Vf(key, p.ID, blob); err != nil || !ok {
+		t.Errorf("Vf = %v, %v", ok, err)
+	}
+
+	p = slotProfile(2)
+	if key, err = c.Keygen(p); err != nil {
+		t.Fatal(err)
+	}
+	ch := c.next
+	f := <-ch // wait for the fill, and put its commitment back
+	ch <- f
+	if blob, err = c.Auth(key, p.ID); err != nil {
+		t.Fatal(err)
+	}
+	if len(ch) != 0 {
+		t.Fatal("the third Auth did not take the slot's commitment")
+	}
+	ref, err := sys.Verifier().AuthFrom(key.Bytes(), p.ID, f.c, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(openT1(t, sys, key, blob), openT1(t, sys, key, ref)) {
+		t.Error("the third Auth committed inline instead of using the ready commitment")
 	}
 	if ok, err := c.Vf(key, p.ID, blob); err != nil || !ok {
 		t.Errorf("Vf = %v, %v", ok, err)
@@ -165,12 +191,16 @@ func TestCommitmentSlotGuards(t *testing.T) {
 	sys := testSystem(t, Params{PlaintextBits: 64})
 	c := testClient(t, sys, "slot-guards")
 	register(t, c, slotProfile(0))
-	p := slotProfile(1)
+	register(t, c, slotProfile(1)) // the second Auth fills the slot
+	p := slotProfile(2)
 	key, err := c.Keygen(p)
 	if err != nil {
 		t.Fatal(err)
 	}
 	ch := c.next
+	if ch == nil {
+		t.Fatal("the second Auth left the slot empty")
+	}
 	ch <- <-ch // wait for the fill, and put its commitment back
 	for _, tc := range []struct {
 		key  *keygen.Key
@@ -191,7 +221,7 @@ func TestCommitmentSlotGuards(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if c.next != nil || len(ch) != 0 {
+	if c.next == ch || len(ch) != 0 {
 		t.Error("the next Auth did not take the slot's commitment")
 	}
 	if ok, err := c.Vf(key, p.ID, blob); err != nil || !ok {

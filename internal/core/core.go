@@ -11,6 +11,7 @@
 package core
 
 import (
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -192,19 +193,32 @@ func (s *System) Verifier() *verify.Verifier { return s.verifier }
 // Client is one user's device: the client-side algorithms of Figure 3.
 // Safe for concurrent use.
 //
-// A device that registers more than once computes Auth's p^s while Keygen
-// waits on the OPRF server: the first Auth arms the client, and from then
-// on Keygen starts one fill of the commitment slot, which the next Auth
-// takes. A client that runs Keygen and Auth once never fills the slot.
+// Keygen keeps, per user ID, the last seed K' = H(T(u)) it hardened and
+// the key that came back. A profile whose fuzzy vector has not moved gets
+// that key again with no OPRF round trip: the OPRF is a deterministic
+// function of K' under the System's public key, and the kept key passed
+// the OPRF's check when it was made.
+//
+// A device that registers more than once computes Auth's p^s off the
+// register path: the first Auth arms the client, and from then on each
+// Auth, as it returns, starts one fill of the commitment slot, which the
+// next Auth takes. A client that runs Auth once never fills the slot.
 type Client struct {
 	sys    *System
 	gen    *keygen.Generator
 	secret []byte
 
 	mu      sync.Mutex
-	armed   bool        // an Auth has run
-	next    chan filled // the commitment slot: nil when empty
-	filling bool        // a fill started and no Auth has received it yet
+	keys    map[profile.ID]memo // the last key Keygen made for each user ID
+	armed   bool                // an Auth has run
+	next    chan filled         // the commitment slot: nil when empty
+	filling bool                // a fill started and no Auth has received it yet
+}
+
+// memo is one Keygen result: the seed K' and the key it hardened to.
+type memo struct {
+	seed []byte
+	key  *keygen.Key
 }
 
 // filled is one commitment fill's result.
@@ -230,26 +244,33 @@ func (s *System) NewClient(eval oprf.Evaluator, secret []byte) (*Client, error) 
 		sys:    s,
 		gen:    gen,
 		secret: append([]byte(nil), secret...),
+		keys:   make(map[profile.ID]memo),
 	}, nil
 }
 
 // Keygen derives the user's profile key Kup (Figure 3, Algorithm Keygen).
-// On an armed client with no fill outstanding it first starts one fill of
-// the commitment slot, so the comb runs while the OPRF round trip blocks.
+// It always computes K' = H(T(u)) on the device. When K' equals the seed
+// this client last hardened for p.ID, it returns that key without an OPRF
+// round; otherwise it runs the OPRF and, on success, keeps the new pair.
 func (c *Client) Keygen(p profile.Profile) (*keygen.Key, error) {
-	c.mu.Lock()
-	if c.armed && !c.filling {
-		c.filling = true
-		ch := make(chan filled, 1) // the fill never blocks, even if no Auth comes
-		c.next = ch
-		v := c.sys.verifier
-		go func() {
-			cm, err := v.Commit(nil)
-			ch <- filled{cm, err}
-		}()
+	seed, err := c.gen.Seed(p)
+	if err != nil {
+		return nil, err
 	}
+	c.mu.Lock()
+	m, ok := c.keys[p.ID]
 	c.mu.Unlock()
-	return c.gen.ProfileKey(p)
+	if ok && bytes.Equal(m.seed, seed) {
+		return m.key, nil
+	}
+	key, err := c.gen.Harden(seed)
+	if err != nil {
+		return nil, err
+	}
+	c.mu.Lock()
+	c.keys[p.ID] = memo{seed, key}
+	c.mu.Unlock()
+	return key, nil
 }
 
 // InitData performs the entropy-increase step (Figure 3, Algorithm
@@ -314,7 +335,9 @@ func (c *Client) Enc(key *keygen.Key, id profile.ID, mapped []*big.Int) (*chain.
 // Auth produces the user's authentication information ciph_u (Figure 3,
 // Algorithm Auth). It takes the slot's commitment, waiting for a fill
 // still running, or commits inline when the slot is empty; each
-// commitment goes to exactly one Auth.
+// commitment goes to exactly one Auth. On a client that was already armed
+// it starts the next fill as it returns, so the comb runs between
+// registrations.
 func (c *Client) Auth(key *keygen.Key, id profile.ID) ([]byte, error) {
 	v := c.sys.verifier
 	kb := key.Bytes()
@@ -324,21 +347,34 @@ func (c *Client) Auth(key *keygen.Key, id profile.ID) ([]byte, error) {
 	c.mu.Lock()
 	ch := c.next
 	c.next = nil
+	armed := c.armed
 	c.armed = true
 	c.mu.Unlock()
 	var f filled
 	if ch != nil {
 		f = <-ch
-		c.mu.Lock()
-		c.filling = false
-		c.mu.Unlock()
 	} else {
 		f.c, f.err = v.Commit(nil)
 	}
-	if f.err != nil {
-		return nil, f.err
+	var blob []byte
+	if f.err == nil {
+		blob, f.err = v.AuthFrom(kb, id, f.c, nil)
 	}
-	return v.AuthFrom(kb, id, f.c, nil)
+	c.mu.Lock()
+	if ch != nil {
+		c.filling = false // this Auth received the fill it took
+	}
+	if armed && !c.filling {
+		c.filling = true
+		next := make(chan filled, 1) // the fill never blocks, even if no Auth comes
+		c.next = next
+		go func() {
+			cm, err := v.Commit(nil)
+			next <- filled{cm, err}
+		}()
+	}
+	c.mu.Unlock()
+	return blob, f.err
 }
 
 // Vf verifies a matched user's authentication information (Figure 3,

@@ -92,9 +92,11 @@ func measureClient(ds *dataset.Dataset, users []profile.Profile, params core.Par
 	runtime.GC()
 	var total time.Duration
 	for _, p := range users {
-		// A fresh Client per user keeps Auth inline: only a client that has
-		// already run Auth computes its next commitment during Keygen, so
-		// PM+V - PM stays the whole of Auth's computation.
+		// A fresh Client per user keeps Keygen on the OPRF, since a memo
+		// hit needs an earlier Keygen for the same user, and keeps Auth
+		// inline, since only a client that has already run Auth has a
+		// commitment ready. PM+V - PM stays the whole of Auth's
+		// computation.
 		dev, err := dep.device(p.ID)
 		if err != nil {
 			return 0, err

@@ -190,26 +190,36 @@ func (g *Generator) snap(cells []gf.Elem) ([]gf.Elem, error) {
 }
 
 // ProfileKey runs the full Keygen algorithm: fuzzy vector, hash, OPRF.
-// The OPRF round trips to the evaluator once per call.
+// It is Harden(Seed(p)); the OPRF round trips to the evaluator once per
+// call.
 func (g *Generator) ProfileKey(p profile.Profile) (*Key, error) {
-	seed, err := g.keySeed(p)
+	seed, err := g.Seed(p)
 	if err != nil {
 		return nil, err
 	}
-	hardened, err := oprf.Eval(g.pk, g.eval, seed)
-	if err != nil {
-		return nil, fmt.Errorf("keygen: OPRF hardening: %w", err)
-	}
-	return &Key{bytes: hardened}, nil
+	return g.Harden(seed)
 }
 
-// keySeed computes K' = H(T(u)), folding in the key binding when present.
-func (g *Generator) keySeed(p profile.Profile) ([]byte, error) {
+// Seed computes the OPRF input K' = H(T(u)) on the device, folding in the
+// key binding when present. Profiles with equal fuzzy vectors get equal
+// seeds, and so equal keys.
+func (g *Generator) Seed(p profile.Profile) ([]byte, error) {
 	t, err := g.FuzzyVector(p)
 	if err != nil {
 		return nil, err
 	}
 	return hashFuzzyVector(g.theta, g.binding, t), nil
+}
+
+// Harden turns a seed into the profile key Kup = RSA-OPRF(K'): one blind
+// evaluation round trip, whose result is checked against the public key
+// before it is used.
+func (g *Generator) Harden(seed []byte) (*Key, error) {
+	hardened, err := oprf.Eval(g.pk, g.eval, seed)
+	if err != nil {
+		return nil, fmt.Errorf("keygen: OPRF hardening: %w", err)
+	}
+	return &Key{bytes: hardened}, nil
 }
 
 // hashFuzzyVector hashes a fuzzy vector into the OPRF input K',
