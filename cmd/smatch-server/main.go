@@ -290,9 +290,8 @@ func run(o options) error {
 		return err
 	}
 	if journal != nil {
-		// Any journaled node can be replicated from: serve follower pulls
-		// and rebalance dumps.
-		ldr := &cluster.Leader{Journal: journal, Store: srv.Store(), Acks: acks, Metrics: reg}
+		// Any journaled node can be replicated from: serve follower pulls.
+		ldr := &cluster.Leader{Journal: journal, Acks: acks, Metrics: reg}
 		ldr.Register(srv.Service())
 	}
 	if o.replicaOf != "" {

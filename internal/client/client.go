@@ -397,6 +397,7 @@ type muxSession struct {
 	window  chan struct{} // in-flight slots
 
 	writeMu sync.Mutex
+	wbuf    []byte // frame build buffer, reused across writes; guarded by writeMu
 
 	mu       sync.Mutex
 	pending  map[uint64]chan muxResult
@@ -538,6 +539,29 @@ func (s *muxSession) removeSub(id uint64) {
 	s.mu.Unlock()
 }
 
+// maxKeptWriteBuf caps the frame buffer a session keeps between writes,
+// so one large forwarded batch does not pin its size for the session's
+// life.
+const maxKeptWriteBuf = 1 << 20
+
+// writeFrame sends one request frame as a single Write — one TLS record,
+// where a header-then-payload pair of writes would cost two records and
+// two segments. The frame is built in the session's reusable buffer, as
+// the server's writer builds its responses. The caller holds writeMu.
+func (s *muxSession) writeFrame(id uint64, t wire.MsgType, payload []byte) error {
+	frame := append(wire.BeginFrameV2(s.wbuf[:0]), payload...)
+	if cap(frame) <= maxKeptWriteBuf {
+		s.wbuf = frame
+	}
+	if err := wire.FinishFrameV2(frame, 0, id, t); err != nil {
+		return err
+	}
+	if _, err := s.conn.Write(frame); err != nil {
+		return fmt.Errorf("client: writing request frame: %w", err)
+	}
+	return nil
+}
+
 // do performs one request/response. It returns the response payload, or:
 // a server-reported error (healthy stream), a *connFailure (the session
 // is poisoned), or a *requestTimeout (this request gave up but the
@@ -576,7 +600,7 @@ func (s *muxSession) do(t wire.MsgType, payload []byte, wantType wire.MsgType, t
 	s.writeMu.Lock()
 	err := s.conn.SetWriteDeadline(time.Now().Add(timeout))
 	if err == nil {
-		err = wire.WriteFrameV2(s.conn, id, t, payload)
+		err = s.writeFrame(id, t, payload)
 	}
 	s.writeMu.Unlock()
 	if err != nil {

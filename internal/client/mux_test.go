@@ -335,3 +335,45 @@ func TestMuxWindowRespectsServerClamp(t *testing.T) {
 		t.Errorf("observed %d concurrent requests, want at most the acked window of 1", got)
 	}
 }
+
+// countingConn counts the Writes that reach the raw conn underneath TLS;
+// each one carries at least one TLS record.
+type countingConn struct {
+	net.Conn
+	writes *atomic.Int64
+}
+
+func (c countingConn) Write(p []byte) (int, error) {
+	c.writes.Add(1)
+	return c.Conn.Write(p)
+}
+
+// TestOneWritePerRequestFrame: after the hello, N queries cost exactly N
+// raw writes — each request frame leaves as one TLS record, not a header
+// record followed by a payload record.
+func TestOneWritePerRequestFrame(t *testing.T) {
+	addr := scriptServer(t, func(_ int, conn net.Conn) { respondQueries(t, conn, 0) })
+	var writes atomic.Int64
+	dial := func(network, addr string) (net.Conn, error) {
+		raw, err := net.Dial(network, addr)
+		if err != nil {
+			return nil, err
+		}
+		return countingConn{Conn: raw, writes: &writes}, nil
+	}
+	c, err := Dial(addr, Options{Timeout: 5 * time.Second, Dialer: dial})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	afterHello := writes.Load()
+	const n = 10
+	for i := 1; i <= n; i++ {
+		if _, err := c.Query(profile.ID(i), 5); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got := writes.Load() - afterHello; got != n {
+		t.Fatalf("%d queries took %d raw writes, want %d", n, got, n)
+	}
+}

@@ -8,6 +8,7 @@ import (
 	"context"
 	"crypto/rand"
 	"crypto/rsa"
+	"errors"
 	"fmt"
 	"math/big"
 	"net"
@@ -25,6 +26,7 @@ import (
 	"smatch/internal/profile"
 	"smatch/internal/server"
 	"smatch/internal/wal"
+	"smatch/internal/wire"
 )
 
 var (
@@ -92,7 +94,7 @@ func startNode(t *testing.T, id string, o nodeOpts) *node {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ldr := &Leader{Journal: j, Store: store, Acks: acks, Metrics: srv.Metrics(), MaxWait: 2 * time.Second}
+	ldr := &Leader{Journal: j, Acks: acks, Metrics: srv.Metrics(), MaxWait: 2 * time.Second}
 	ldr.Register(srv.Service())
 	a, err := srv.Listen("127.0.0.1:0")
 	if err != nil {
@@ -163,7 +165,7 @@ func dialT(t *testing.T, addr string) *client.Conn {
 	return c
 }
 
-// mapOver builds a version-1 map over running nodes.
+// mapOver builds a map over running nodes.
 func mapOver(t *testing.T, partitions uint32, nodes ...*node) *PartitionMap {
 	t.Helper()
 	members := make([]Node, len(nodes))
@@ -551,192 +553,34 @@ func TestReplicatorSnapshotCatchup(t *testing.T) {
 	}
 }
 
-// TestRebalance: adding a node moves only the partitions rendezvous
-// hands it, queries answer identically across the flip, and moved
-// entries live exactly once.
-func TestRebalance(t *testing.T) {
-	a := startNode(t, "node-a", nodeOpts{})
-	b := startNode(t, "node-b", nodeOpts{})
-	c := startNode(t, "node-c", nodeOpts{})
-	pm := mapOver(t, 8, a, b)
-	m := metrics.New()
-	rt, routerAddr := startRouter(t, pm, client.Options{}, m)
-
-	conn := dialT(t, routerAddr)
-	var entries []match.Entry
-	for i := uint32(1); i <= 30; i++ {
-		e := entryFor(i, fmt.Sprintf("reb-%d", i%10), int64(i*2))
-		entries = append(entries, e)
-		if err := conn.Upload(e); err != nil {
-			t.Fatal(err)
-		}
-	}
-	want := make(map[profile.ID][]match.Result)
-	for _, e := range entries {
-		r, err := conn.Query(e.ID, 5)
+// TestRetiredClusterTypesRejected: type bytes 25–28 once carried the
+// partition-map and partition-dump exchanges. They are retired, so
+// neither a router's nor a leader's registry has a handler for them.
+func TestRetiredClusterTypesRejected(t *testing.T) {
+	newSrv := func() *server.Server {
+		srv, err := server.New(server.Config{OPRF: testOPRF(t)})
 		if err != nil {
 			t.Fatal(err)
 		}
-		want[e.ID] = r
+		return srv
 	}
-
-	next, err := pm.WithNodes([]Node{{ID: a.id, Addr: a.addr}, {ID: b.id, Addr: b.addr}, {ID: c.id, Addr: c.addr}})
+	pm, err := NewMap(4, testNodes(2))
 	if err != nil {
 		t.Fatal(err)
 	}
-	movedParts := 0
-	for p := uint32(0); p < pm.NumPartitions; p++ {
-		if pm.Owner(p).ID != next.Owner(p).ID {
-			movedParts++
-		}
-	}
-	if movedParts == 0 {
-		t.Fatal("adding node-c moved no partition; pick different IDs")
-	}
-	if err := rt.Rebalance(next); err != nil {
-		t.Fatal(err)
-	}
-	if got := rt.Map().Version; got != next.Version {
-		t.Fatalf("map version %d after rebalance, want %d", got, next.Version)
-	}
-	// Re-running against the same or an older version must refuse.
-	if err := rt.Rebalance(next); err == nil {
-		t.Error("rebalance to the current version accepted")
-	}
-
-	for _, e := range entries {
-		got, err := conn.Query(e.ID, 5)
-		if err != nil {
-			t.Fatalf("query %d after rebalance: %v", e.ID, err)
-		}
-		if !reflect.DeepEqual(got, want[e.ID]) {
-			t.Fatalf("query %d changed across rebalance: %+v != %+v", e.ID, got, want[e.ID])
-		}
-	}
-	// Every entry lives exactly once, on its new owner.
-	byNode := map[string]*node{a.id: a, b.id: b, c.id: c}
-	for _, e := range entries {
-		part := next.PartitionOf(e.KeyHash)
-		owner := next.Owner(part).ID
-		for id, n := range byNode {
-			found := false
-			_ = n.store.ForEachEntry(func(se match.Entry) error {
-				if se.ID == e.ID {
-					found = true
-				}
-				return nil
-			})
-			if found != (id == owner) {
-				t.Fatalf("user %d on node %s = %v, want on %s only", e.ID, id, found, owner)
-			}
-		}
-	}
-	snap := m.Snapshot()
-	if v, _ := snap["rebalance_moves"].(uint64); v == 0 {
-		t.Errorf("rebalance_moves = %v, want > 0", snap["rebalance_moves"])
-	}
-}
-
-// TestRebalanceUnderTraffic pins the rebalance ordering contract:
-// queries issued while the rebalance is in flight never miss (or see a
-// changed answer for) a moved entry, because nothing is removed from an
-// old owner until the map has flipped to a new owner holding a complete
-// copy; and an upload racing the rebalance is never stranded on a
-// deserted old owner or reverted — it either lands before the write
-// fence (and is copied with everything else) or blocks on the fence and
-// routes by the new map.
-func TestRebalanceUnderTraffic(t *testing.T) {
-	a := startNode(t, "node-a", nodeOpts{})
-	b := startNode(t, "node-b", nodeOpts{})
-	c := startNode(t, "node-c", nodeOpts{})
-	pm := mapOver(t, 8, a, b)
-	rt, routerAddr := startRouter(t, pm, client.Options{}, metrics.New())
-
-	conn := dialT(t, routerAddr)
-	var entries []match.Entry
-	for i := uint32(1); i <= 60; i++ {
-		e := entryFor(i, fmt.Sprintf("traf-%d", i%12), int64(i*2))
-		entries = append(entries, e)
-		if err := conn.Upload(e); err != nil {
-			t.Fatal(err)
-		}
-	}
-	want := make(map[profile.ID][]match.Result)
-	for _, e := range entries {
-		r, err := conn.Query(e.ID, 5)
-		if err != nil {
-			t.Fatal(err)
-		}
-		want[e.ID] = r
-	}
-
-	next, err := pm.WithNodes([]Node{{ID: a.id, Addr: a.addr}, {ID: b.id, Addr: b.addr}, {ID: c.id, Addr: c.addr}})
+	rt, err := NewRouter(RouterConfig{Map: pm})
 	if err != nil {
 		t.Fatal(err)
 	}
-
-	stop := make(chan struct{})
-	var wg sync.WaitGroup
-	// Reader: every answer, before, during and after the move, must
-	// equal the pre-rebalance answer.
-	qconn := dialT(t, routerAddr)
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		for i := 0; ; i++ {
-			select {
-			case <-stop:
-				return
-			default:
+	routerSrv := newSrv()
+	rt.Register(routerSrv)
+	leaderSrv := newSrv()
+	(&Leader{Acks: NewAckTracker()}).Register(leaderSrv.Service())
+	for role, srv := range map[string]*server.Server{"router": routerSrv, "leader": leaderSrv} {
+		for typ := wire.MsgType(25); typ <= 28; typ++ {
+			if _, _, err := srv.Service().Handle(typ, nil, nil); !errors.Is(err, wire.ErrBadType) {
+				t.Errorf("%s answered type %d with %v, want wire.ErrBadType", role, typ, err)
 			}
-			e := entries[i%len(entries)]
-			got, err := qconn.Query(e.ID, 5)
-			if err != nil {
-				t.Errorf("mid-rebalance query %d: %v", e.ID, err)
-				return
-			}
-			if !reflect.DeepEqual(got, want[e.ID]) {
-				t.Errorf("mid-rebalance query %d changed: %+v != %+v", e.ID, got, want[e.ID])
-				return
-			}
-		}
-	}()
-	// Writer: an upload racing the rebalance.
-	late := entryFor(1000, "traf-late", 7)
-	wconn := dialT(t, routerAddr)
-	var lateErr error
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		time.Sleep(500 * time.Microsecond)
-		lateErr = wconn.Upload(late)
-	}()
-
-	if err := rt.Rebalance(next); err != nil {
-		t.Fatal(err)
-	}
-	close(stop)
-	wg.Wait()
-	if lateErr != nil {
-		t.Fatalf("upload racing rebalance: %v", lateErr)
-	}
-
-	// The raced upload lives exactly once, on the new map's owner, and
-	// is queryable through the router.
-	if _, err := conn.Query(late.ID, 5); err != nil {
-		t.Fatalf("query for raced upload: %v", err)
-	}
-	owner := next.Owner(next.PartitionOf(late.KeyHash)).ID
-	for id, n := range map[string]*node{a.id: a, b.id: b, c.id: c} {
-		found := false
-		_ = n.store.ForEachEntry(func(se match.Entry) error {
-			if se.ID == late.ID {
-				found = true
-			}
-			return nil
-		})
-		if found != (id == owner) {
-			t.Fatalf("raced upload on node %s = %v, want on %s only", id, found, owner)
 		}
 	}
 }

@@ -155,12 +155,12 @@ func (s *SyncJournal) waitReplicated() error {
 	return nil
 }
 
-// Leader serves the replication and rebalancing side of a partition
-// owner: followers pull WAL records (TypeReplicatePullReq), and a
-// router draining buckets off this node during a rebalance pages
-// through them with TypePartitionDumpReq.
+// Leader serves the replication side of a partition owner: followers
+// pull WAL records (TypeReplicatePullReq) and their pulls feed Acks.
 type Leader struct {
 	Journal *server.Journal
+	// Store is unread: nothing in the leader walks the store any more.
+	// It stays so the benchmark harness, which sets it, still builds.
 	Store   *match.Server
 	Acks    *AckTracker
 	Metrics *metrics.Registry
@@ -174,7 +174,6 @@ type Leader struct {
 // gauge on its metrics registry.
 func (l *Leader) Register(svc *service.Registry) {
 	svc.Register(wire.TypeReplicatePullReq, l.handlePull)
-	svc.Register(wire.TypePartitionDumpReq, l.handleDump)
 	if l.Metrics != nil {
 		l.Metrics.RegisterGauge("replication_followers", func() any { return l.lagStats() })
 	}
@@ -294,42 +293,3 @@ func (l *Leader) pullSnapshot(w *wal.WAL, respBuf []byte) (wire.MsgType, []byte,
 	resp := wire.ReplicatePullResp{Snapshot: true, LeaderLSN: w.LastLSN(), SnapLSN: lsn, Snap: buf.Bytes()}
 	return wire.TypeReplicatePullResp, resp.AppendEncode(respBuf), nil
 }
-
-// handleDump pages through this node's entries belonging to one
-// partition, in ascending user-ID order — the router's rebalance pull.
-// Entries are encoded UploadReq payloads, ready to replay into the new
-// owner's ordinary upload path.
-func (l *Leader) handleDump(payload, respBuf []byte) (wire.MsgType, []byte, error) {
-	req, err := wire.DecodePartitionDumpReq(payload)
-	if err != nil {
-		return 0, nil, err
-	}
-	max := int(req.MaxEntries)
-	if max == 0 {
-		max = 256
-	}
-	mask := uint64(req.Partitions - 1)
-	var resp wire.PartitionDumpResp
-	err = l.Store.ForEachEntry(func(e match.Entry) error {
-		if uint32(e.ID) < req.Cursor {
-			return nil
-		}
-		if uint32(match.PartitionHash(e.KeyHash)&mask) != req.Partition {
-			return nil
-		}
-		if len(resp.Entries) >= max {
-			resp.More = true
-			resp.NextCursor = uint32(e.ID)
-			return errStopDump
-		}
-		u := wire.UploadReqOf(e)
-		resp.Entries = append(resp.Entries, u.AppendEncode(nil))
-		return nil
-	})
-	if err != nil && err != errStopDump {
-		return 0, nil, err
-	}
-	return wire.TypePartitionDumpResp, resp.AppendEncode(respBuf), nil
-}
-
-var errStopDump = fmt.Errorf("cluster: dump page full")

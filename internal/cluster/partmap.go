@@ -1,8 +1,8 @@
 // Package cluster distributes the S-MATCH store across processes: a
-// versioned partition map assigns the bucket key space to nodes, WAL
-// log shipping replicates each partition leader onto followers, and a
-// router terminates client connections, fanning operations out to
-// partition owners and merging the results.
+// partition map, fixed for the life of the cluster, assigns the bucket
+// key space to nodes, WAL log shipping replicates each partition leader
+// onto followers, and a router terminates client connections, fanning
+// operations out to partition owners and merging the results.
 //
 // The unit of placement is the bucket: every profile in a bucket (same
 // h(Kup)) lives on the same partition, because matching is a
@@ -31,19 +31,13 @@ type Node struct {
 // number of partitions over the stable bucket hash, and the node set
 // partitions are placed on with rendezvous hashing. Everything placement
 // touches is derived from stable hashes of the map's contents, so every
-// process holding the same encoded map computes identical owners.
-// Version orders map generations; a router flips to a new version only
-// after rebalancing has moved the affected buckets.
+// process built from the same node list computes identical owners. A
+// cluster keeps one map for its whole life: nothing moves a bucket
+// between nodes once it is placed.
 type PartitionMap struct {
-	Version       uint64
 	NumPartitions uint32 // power of two
 	Nodes         []Node // sorted by ID; no duplicates
 }
-
-// maxNodeStrLen bounds a node's ID and address: Encode length-prefixes
-// both with a uint16, so anything longer would silently truncate into
-// an encoding the peer rejects (or worse, misparses).
-const maxNodeStrLen = 65535
 
 // Validate checks the structural invariants.
 func (m *PartitionMap) Validate() error {
@@ -57,9 +51,6 @@ func (m *PartitionMap) Validate() error {
 	for i, n := range m.Nodes {
 		if n.ID == "" || n.Addr == "" {
 			return fmt.Errorf("cluster: node %d missing ID or address", i)
-		}
-		if len(n.ID) > maxNodeStrLen || len(n.Addr) > maxNodeStrLen {
-			return fmt.Errorf("cluster: node %d ID or address exceeds %d bytes", i, maxNodeStrLen)
 		}
 		if seen[n.ID] {
 			return fmt.Errorf("cluster: duplicate node ID %q", n.ID)
@@ -82,9 +73,8 @@ func (m *PartitionMap) PartitionOf(keyHash []byte) uint32 {
 // rendezvous (highest-random-weight) hashing: each node's weight is the
 // stable hash of its ID mixed with the partition number, and nodes sort
 // by descending weight. The first node is the partition's leader, the
-// next ReplicationFactor-1 its followers. Rendezvous placement moves
-// only the affected partitions when the node set changes, which is what
-// keeps rebalancing proportional to the change.
+// next ReplicationFactor-1 its followers, so a leader's failover target
+// is the same on every router.
 func (m *PartitionMap) Replicas(partition uint32) []Node {
 	type scored struct {
 		n Node
@@ -155,92 +145,13 @@ func (m *PartitionMap) OwnerOf(keyHash []byte) Node {
 	return m.Owner(m.PartitionOf(keyHash))
 }
 
-// Encode serializes the map (big-endian, length-prefixed strings) for
-// the opaque payload of wire.PartitionMapResp. The map must have
-// passed Validate, which bounds node strings to the uint16 length
-// prefix used here.
-func (m *PartitionMap) Encode() []byte {
-	buf := binary.BigEndian.AppendUint64(nil, m.Version)
-	buf = binary.BigEndian.AppendUint32(buf, m.NumPartitions)
-	buf = binary.BigEndian.AppendUint32(buf, uint32(len(m.Nodes)))
-	for _, n := range m.Nodes {
-		buf = binary.BigEndian.AppendUint16(buf, uint16(len(n.ID)))
-		buf = append(buf, n.ID...)
-		buf = binary.BigEndian.AppendUint16(buf, uint16(len(n.Addr)))
-		buf = append(buf, n.Addr...)
-	}
-	return buf
-}
-
-// maxMapNodes bounds a decoded node count before any allocation.
-const maxMapNodes = 4096
-
-// DecodeMap parses and validates an encoded partition map.
-func DecodeMap(b []byte) (*PartitionMap, error) {
-	var m PartitionMap
-	if len(b) < 16 {
-		return nil, errors.New("cluster: truncated partition map")
-	}
-	m.Version = binary.BigEndian.Uint64(b)
-	m.NumPartitions = binary.BigEndian.Uint32(b[8:])
-	n := binary.BigEndian.Uint32(b[12:])
-	b = b[16:]
-	if n > maxMapNodes {
-		return nil, fmt.Errorf("cluster: partition map claims %d nodes", n)
-	}
-	str := func() (string, error) {
-		if len(b) < 2 {
-			return "", errors.New("cluster: truncated partition map")
-		}
-		l := int(binary.BigEndian.Uint16(b))
-		b = b[2:]
-		if len(b) < l {
-			return "", errors.New("cluster: truncated partition map")
-		}
-		s := string(b[:l])
-		b = b[l:]
-		return s, nil
-	}
-	m.Nodes = make([]Node, 0, n)
-	for i := uint32(0); i < n; i++ {
-		var node Node
-		var err error
-		if node.ID, err = str(); err != nil {
-			return nil, err
-		}
-		if node.Addr, err = str(); err != nil {
-			return nil, err
-		}
-		m.Nodes = append(m.Nodes, node)
-	}
-	if len(b) != 0 {
-		return nil, fmt.Errorf("cluster: %d trailing bytes after partition map", len(b))
-	}
-	if err := m.Validate(); err != nil {
-		return nil, err
-	}
-	return &m, nil
-}
-
-// NewMap builds a validated version-1 map over the given nodes, sorting
-// them by ID.
+// NewMap builds a validated map over the given nodes, sorting them by ID.
 func NewMap(numPartitions uint32, nodes []Node) (*PartitionMap, error) {
 	sorted := append([]Node(nil), nodes...)
 	sort.Slice(sorted, func(i, j int) bool { return sorted[i].ID < sorted[j].ID })
-	m := &PartitionMap{Version: 1, NumPartitions: numPartitions, Nodes: sorted}
+	m := &PartitionMap{NumPartitions: numPartitions, Nodes: sorted}
 	if err := m.Validate(); err != nil {
 		return nil, err
 	}
 	return m, nil
-}
-
-// WithNodes derives the next map generation (Version+1) over a changed
-// node set — the membership-change primitive rebalancing starts from.
-func (m *PartitionMap) WithNodes(nodes []Node) (*PartitionMap, error) {
-	next, err := NewMap(m.NumPartitions, nodes)
-	if err != nil {
-		return nil, err
-	}
-	next.Version = m.Version + 1
-	return next, nil
 }

@@ -5,12 +5,14 @@
 // from the owning partition through each client connection's
 // single-writer choke point.
 //
-// Placement is by bucket, and matching is a within-bucket computation,
-// so on a healthy cluster a scattered query succeeds on exactly one
-// partition — the merge is a pass-through, byte-identical to a
-// single-node store holding the same entries. The real merge logic
-// (concatenate in partition order, dedupe by user ID) only earns its
-// keep mid-rebalance, when an entry can transiently exist on two nodes.
+// Placement is by bucket on a partition map fixed for the router's life,
+// and matching is a within-bucket computation, so on a healthy cluster a
+// scattered query succeeds on exactly one partition — the merge is a
+// pass-through, byte-identical to a single-node store holding the same
+// entries. The real merge logic (concatenate in partition order, dedupe
+// by user ID) only earns its keep while a re-keyed user briefly exists
+// on two nodes: its upload landed on the new owner and the stale copy's
+// remove has not yet.
 package cluster
 
 import (
@@ -30,7 +32,7 @@ import (
 
 // RouterConfig wires a router.
 type RouterConfig struct {
-	// Map is the initial partition map. Required.
+	// Map is the partition map, fixed for the router's life. Required.
 	Map *PartitionMap
 	// ClientOptions tune the router's upstream connections to partition
 	// nodes.
@@ -44,31 +46,26 @@ type RouterConfig struct {
 // Router fans client operations out over the partition nodes.
 type Router struct {
 	cfg RouterConfig
+	pm  *PartitionMap
 
-	mapMu sync.RWMutex
-	pm    *PartitionMap
+	// replicas[p] is pm.Replicas(p), computed once: the map never changes.
+	replicas [][]Node
+	// owners holds one partition per distinct leader node, ascending —
+	// the fan-out set of a scatter (see distinctOwners).
+	owners []uint32
+	// active[p] is the index into replicas[p] currently serving the
+	// partition. It advances past a dead leader onto its caught-up
+	// follower — promotion, from the router's point of view.
+	active []atomic.Int32
 
 	connMu sync.Mutex
 	conns  map[string]*client.Conn // node ID -> upstream conn (lazily dialed)
-
-	// active[p] is the index into Replicas(p) currently serving the
-	// partition. It advances past a dead leader onto its caught-up
-	// follower — promotion, from the router's point of view.
-	active sync.Map // partition uint32 -> *atomic.Int32
 
 	// ownerHint remembers which partition last acknowledged a user's
 	// upload (profile.ID -> partition uint32). A re-upload whose bucket
 	// hash moved partitions uses it to remove the stale entry from the
 	// old owner with one targeted op instead of a scatter.
 	ownerHint sync.Map
-
-	// rebalMu is the rebalance write fence: mutations (upload, batch
-	// upload, remove) hold it shared, Rebalance holds it exclusively.
-	// With writers quiesced, the entries Rebalance copies cannot be
-	// overwritten mid-move and no write can land on a moving partition
-	// and be stranded on the old owner. Queries never take the fence —
-	// they stay live (and correct, see Rebalance) throughout.
-	rebalMu sync.RWMutex
 }
 
 // NewRouter builds a router over a validated partition map. Upstream
@@ -84,32 +81,31 @@ func NewRouter(cfg RouterConfig) (*Router, error) {
 	if cfg.Logf == nil {
 		cfg.Logf = func(string, ...any) {}
 	}
-	rt := &Router{cfg: cfg, pm: cfg.Map, conns: make(map[string]*client.Conn)}
+	pm := cfg.Map
+	rt := &Router{
+		cfg:      cfg,
+		pm:       pm,
+		replicas: make([][]Node, pm.NumPartitions),
+		owners:   distinctOwners(pm),
+		active:   make([]atomic.Int32, pm.NumPartitions),
+		conns:    make(map[string]*client.Conn),
+	}
+	for p := range rt.replicas {
+		rt.replicas[p] = pm.Replicas(uint32(p))
+	}
 	if m := cfg.Metrics; m != nil {
 		m.RegisterGauge("router_partitions", func() any {
-			pm := rt.Map()
-			return map[string]any{
-				"map_version": pm.Version,
-				"partitions":  pm.NumPartitions,
-				"nodes":       len(pm.Nodes),
-			}
+			return map[string]any{"partitions": pm.NumPartitions, "nodes": len(pm.Nodes)}
 		})
 	}
 	return rt, nil
 }
 
-// Map returns the current partition map.
-func (rt *Router) Map() *PartitionMap {
-	rt.mapMu.RLock()
-	defer rt.mapMu.RUnlock()
-	return rt.pm
-}
-
 // Register swaps the mutation and query handlers of a server's registry
-// for the router's forwarders and installs the partition-map op. The
-// server keeps serving OPRF locally — the router is the cluster's key
-// authority; bucket keys are h(Kup) under ITS key, which is exactly
-// what makes ownership consistent no matter which node stores a bucket.
+// for the router's forwarders. The server keeps serving OPRF locally —
+// the router is the cluster's key authority; bucket keys are h(Kup)
+// under ITS key, which is exactly what makes ownership consistent no
+// matter which node stores a bucket.
 // Wire the server's Config.RemoteSubscriber to rt.Subscribe separately
 // (it is a server construction-time option).
 func (rt *Router) Register(srv *server.Server) {
@@ -118,7 +114,6 @@ func (rt *Router) Register(srv *server.Server) {
 	svc.Register(wire.TypeUploadBatchReq, rt.handleUploadBatch)
 	svc.Register(wire.TypeRemoveReq, rt.handleRemove)
 	svc.Register(wire.TypeQueryReq, rt.handleQuery)
-	svc.Register(wire.TypePartitionMapReq, rt.handleMapReq)
 }
 
 // Close tears down every upstream connection.
@@ -146,19 +141,14 @@ func (rt *Router) getConn(n Node) (*client.Conn, error) {
 	return c, nil
 }
 
-func (rt *Router) activeIdx(part uint32) *atomic.Int32 {
-	v, _ := rt.active.LoadOrStore(part, new(atomic.Int32))
-	return v.(*atomic.Int32)
-}
-
 // forward sends one already-encoded request to the partition's active
 // replica, failing over (and sticking) to the next replica on transport
 // failure. A server-reported error (wire error frame on a healthy
 // stream) is returned as-is: the node answered, so failing over would
 // just re-ask a healthy cluster the same question.
 func (rt *Router) forward(part uint32, t wire.MsgType, payload []byte, want wire.MsgType) ([]byte, error) {
-	reps := rt.Map().Replicas(part)
-	idx := rt.activeIdx(part)
+	reps := rt.replicas[part]
+	idx := &rt.active[part]
 	start := int(idx.Load()) % len(reps)
 	var lastErr error
 	for i := 0; i < len(reps); i++ {
@@ -199,13 +189,11 @@ func (rt *Router) forward(part uint32, t wire.MsgType, payload []byte, want wire
 // any stale copy of the user from the partition that previously owned
 // them (a re-key moves the bucket hash, and with it the partition).
 func (rt *Router) handleUpload(payload, resp []byte) (wire.MsgType, []byte, error) {
-	rt.rebalMu.RLock()
-	defer rt.rebalMu.RUnlock()
 	req, err := wire.DecodeUploadReq(payload)
 	if err != nil {
 		return 0, nil, err
 	}
-	part := rt.Map().PartitionOf(req.KeyHash)
+	part := rt.pm.PartitionOf(req.KeyHash)
 	fwd, err := rt.forward(part, wire.TypeUploadReq, payload, wire.TypeUploadResp)
 	if err != nil {
 		return 0, nil, err
@@ -225,17 +213,16 @@ func (rt *Router) handleUpload(payload, resp []byte) (wire.MsgType, []byte, erro
 // their upload is acknowledged — the same invariant a single node's
 // upsert provides.
 func (rt *Router) cleanupMovedUser(id profile.ID, owner uint32) {
-	pm := rt.Map()
-	ownerNode := pm.Owner(owner).ID
+	ownerNode := rt.replicas[owner][0].ID
 	defer rt.ownerHint.Store(id, owner)
 	if prev, ok := rt.ownerHint.Load(id); ok {
-		if p := prev.(uint32); p != owner && pm.Owner(p).ID != ownerNode {
+		if p := prev.(uint32); p != owner && rt.replicas[p][0].ID != ownerNode {
 			rt.removeAt(p, id)
 		}
 		return
 	}
-	for _, p := range distinctOwners(pm) {
-		if pm.Owner(p).ID != ownerNode {
+	for _, p := range rt.owners {
+		if rt.replicas[p][0].ID != ownerNode {
 			rt.removeAt(p, id)
 		}
 	}
@@ -272,16 +259,13 @@ func (rt *Router) removeAt(part uint32, id profile.ID) {
 // order — the client sees exactly the response a single node would have
 // produced.
 func (rt *Router) handleUploadBatch(payload, resp []byte) (wire.MsgType, []byte, error) {
-	rt.rebalMu.RLock()
-	defer rt.rebalMu.RUnlock()
 	req, err := wire.DecodeUploadBatchReq(payload)
 	if err != nil {
 		return 0, nil, err
 	}
-	pm := rt.Map()
 	byPart := make(map[uint32][]int)
 	for i := range req.Entries {
-		p := pm.PartitionOf(req.Entries[i].KeyHash)
+		p := rt.pm.PartitionOf(req.Entries[i].KeyHash)
 		byPart[p] = append(byPart[p], i)
 	}
 	out := wire.UploadBatchResp{Status: make([]string, len(req.Entries))}
@@ -318,8 +302,6 @@ func (rt *Router) handleUploadBatch(payload, resp []byte) (wire.MsgType, []byte,
 // otherwise a scatter across all partitions — the remove request
 // carries only the user ID, and only the owning partition can succeed.
 func (rt *Router) handleRemove(payload, resp []byte) (wire.MsgType, []byte, error) {
-	rt.rebalMu.RLock()
-	defer rt.rebalMu.RUnlock()
 	req, err := wire.DecodeRemoveReq(payload)
 	if err != nil {
 		return 0, nil, err
@@ -333,8 +315,8 @@ func (rt *Router) handleRemove(payload, resp []byte) (wire.MsgType, []byte, erro
 		if !errors.Is(err, client.ErrServer) {
 			return 0, nil, err
 		}
-		// The hint lied (e.g. the router restarted mid-move); fall
-		// through to the scatter.
+		// The hint lied (e.g. the user was removed through another
+		// router); fall through to the scatter.
 	}
 	resps, errs := rt.scatter(wire.TypeRemoveReq, payload, wire.TypeRemoveResp)
 	for _, fwd := range resps {
@@ -351,8 +333,8 @@ func (rt *Router) handleRemove(payload, resp []byte) (wire.MsgType, []byte, erro
 // a single forward; the scatter path succeeds on exactly one node in a
 // healthy cluster. Responses are merged deterministically all the same:
 // results concatenated in partition order, deduplicated by user ID (the
-// store's own tie-break key), covering the transient mid-rebalance
-// window where an entry exists on two nodes.
+// store's own tie-break key), covering the window in which a re-keyed
+// user exists on two nodes until cleanupMovedUser's remove lands.
 func (rt *Router) handleQuery(payload, resp []byte) (wire.MsgType, []byte, error) {
 	start := time.Now()
 	defer func() {
@@ -384,31 +366,15 @@ func (rt *Router) handleQuery(payload, resp []byte) (wire.MsgType, []byte, error
 	return wire.TypeQueryResp, merged.AppendEncode(resp), nil
 }
 
-// handleMapReq serves the current partition map (empty body when the
-// requester's version is already current).
-func (rt *Router) handleMapReq(payload, resp []byte) (wire.MsgType, []byte, error) {
-	req, err := wire.DecodePartitionMapReq(payload)
-	if err != nil {
-		return 0, nil, err
-	}
-	pm := rt.Map()
-	out := wire.PartitionMapResp{Version: pm.Version}
-	if pm.Version != req.HaveVersion {
-		out.Map = pm.Encode()
-	}
-	return wire.TypePartitionMapResp, out.AppendEncode(resp), nil
-}
-
 // scatter sends one request to every distinct owner node concurrently
 // (one representative partition per node, ascending partition order).
 // resps[i] is non-nil where node i answered successfully; errs[i] holds
 // its failure otherwise.
 func (rt *Router) scatter(t wire.MsgType, payload []byte, want wire.MsgType) (resps [][]byte, errs []error) {
-	parts := distinctOwners(rt.Map())
-	resps = make([][]byte, len(parts))
-	errs = make([]error, len(parts))
+	resps = make([][]byte, len(rt.owners))
+	errs = make([]error, len(rt.owners))
 	var wg sync.WaitGroup
-	for i, p := range parts {
+	for i, p := range rt.owners {
 		wg.Add(1)
 		go func(i int, p uint32) {
 			defer wg.Done()
@@ -423,8 +389,10 @@ func (rt *Router) scatter(t wire.MsgType, payload []byte, want wire.MsgType) (re
 }
 
 // mergeQueryResps combines scattered query responses: results
-// concatenated in ascending partition order, deduplicated by user ID.
-// Returns nil when no partition succeeded.
+// concatenated in ascending partition order, deduplicated by user ID —
+// a re-keyed upload can leave the user on two nodes until
+// cleanupMovedUser's remove of the stale copy lands. Returns nil when no
+// partition succeeded.
 func mergeQueryResps(resps [][]byte) (*wire.QueryResp, error) {
 	var out *wire.QueryResp
 	seen := make(map[profile.ID]bool)
@@ -478,9 +446,9 @@ func (rt *Router) Subscribe(req *wire.SubscribeReq, deliver func(wire.MatchNotif
 	if err != nil {
 		return nil, err
 	}
-	part := rt.Map().PartitionOf(req.KeyHash)
-	reps := rt.Map().Replicas(part)
-	cur := int(rt.activeIdx(part).Load()) % len(reps)
+	part := rt.pm.PartitionOf(req.KeyHash)
+	reps := rt.replicas[part]
+	cur := int(rt.active[part].Load()) % len(reps)
 	conn, err := rt.getConn(reps[cur])
 	if err != nil {
 		return nil, err
@@ -505,152 +473,4 @@ func (rt *Router) Subscribe(req *wire.SubscribeReq, deliver func(wire.MatchNotif
 		}
 	}()
 	return func() { sub.Unsubscribe() }, nil
-}
-
-// Rebalance moves bucket ownership to a new map generation. The
-// ordering is what makes it safe under live traffic:
-//
-//  1. Mutations are fenced for the duration (uploads and removes block
-//     on rebalMu until the rebalance completes; queries never block).
-//     With writers quiesced, a copy below cannot race an overwrite, and
-//     no write can land on a moving partition and be stranded on the
-//     old owner or reverted to an older dumped version.
-//  2. For every partition whose owner changed, the new owner pulls the
-//     partition's entries off the old owner page by page (ordinary
-//     journaled uploads on the receiving side). Nothing is removed yet:
-//     until the flip, queries route by the old map, whose owner still
-//     holds every bucket. Entries transiently exist on both nodes,
-//     which the query merge's dedup covers — and the two copies are
-//     byte-identical, because writes are fenced.
-//  3. The router flips to the new map. At that instant every new owner
-//     holds a complete, current copy of its moved partitions, so
-//     queries are correct on both sides of the flip.
-//  4. Only then are the moved entries removed from their old owners —
-//     queries no longer route there, so the removals are invisible.
-//     A cleanup failure leaves duplicates, never a gap; the error names
-//     the node so the operator can retry the drop.
-func (rt *Router) Rebalance(next *PartitionMap) error {
-	if err := next.Validate(); err != nil {
-		return err
-	}
-	old := rt.Map()
-	if next.Version <= old.Version {
-		return fmt.Errorf("cluster: rebalance to version %d behind current %d", next.Version, old.Version)
-	}
-	if next.NumPartitions != old.NumPartitions {
-		return errors.New("cluster: rebalance cannot change the partition count")
-	}
-	rt.rebalMu.Lock()
-	defer rt.rebalMu.Unlock()
-	type moved struct {
-		from Node
-		ids  []profile.ID
-	}
-	var moves []moved
-	for p := uint32(0); p < old.NumPartitions; p++ {
-		from, to := old.Owner(p), next.Owner(p)
-		if from.ID == to.ID {
-			continue
-		}
-		ids, err := rt.copyPartition(p, from, to)
-		if err != nil {
-			return fmt.Errorf("cluster: copying partition %d %s -> %s: %w", p, from.ID, to.ID, err)
-		}
-		moves = append(moves, moved{from, ids})
-	}
-	rt.mapMu.Lock()
-	rt.pm = next
-	rt.mapMu.Unlock()
-	// Active-replica indices refer to the old map's replica orderings.
-	rt.active.Range(func(k, _ any) bool { rt.active.Delete(k); return true })
-	rt.cfg.Logf("cluster: partition map flipped to version %d", next.Version)
-	var cleanupErr error
-	for _, mv := range moves {
-		if err := rt.dropMoved(mv.from, mv.ids); err != nil {
-			rt.cfg.Logf("cluster: dropping moved entries from %s: %v (stale duplicates remain until retried)", mv.from.ID, err)
-			if cleanupErr == nil {
-				cleanupErr = fmt.Errorf("cluster: map flipped to version %d, but dropping moved entries from %s failed: %w", next.Version, mv.from.ID, err)
-			}
-		}
-	}
-	return cleanupErr
-}
-
-// copyPartition streams one partition's entries old owner -> new owner,
-// leaving the old owner's copy in place, and returns the copied user
-// IDs for the post-flip cleanup. The caller holds the write fence, so
-// the dump is a consistent, complete listing of the partition.
-func (rt *Router) copyPartition(p uint32, from, to Node) ([]profile.ID, error) {
-	src, err := rt.getConn(from)
-	if err != nil {
-		return nil, err
-	}
-	dst, err := rt.getConn(to)
-	if err != nil {
-		return nil, err
-	}
-	pm := rt.Map()
-	var ids []profile.ID
-	cursor := uint32(0)
-	for {
-		req := wire.PartitionDumpReq{Partition: p, Partitions: pm.NumPartitions, Cursor: cursor, MaxEntries: wire.MaxUploadBatch}
-		payload, err := src.Forward(wire.TypePartitionDumpReq, req.AppendEncode(nil), wire.TypePartitionDumpResp, true)
-		if err != nil {
-			return nil, err
-		}
-		resp, err := wire.DecodePartitionDumpResp(payload)
-		if err != nil {
-			return nil, err
-		}
-		if len(resp.Entries) > 0 {
-			batch := wire.UploadBatchReq{Entries: make([]wire.UploadReq, len(resp.Entries))}
-			pageIDs := make([]profile.ID, len(resp.Entries))
-			for i, raw := range resp.Entries {
-				u, err := wire.DecodeUploadReq(raw)
-				if err != nil {
-					return nil, fmt.Errorf("dump entry %d: %w", i, err)
-				}
-				batch.Entries[i] = *u
-				pageIDs[i] = u.ID
-			}
-			ackPayload, err := dst.Forward(wire.TypeUploadBatchReq, batch.AppendEncode(nil), wire.TypeUploadBatchResp, true)
-			if err != nil {
-				return nil, err
-			}
-			ack, err := wire.DecodeUploadBatchResp(ackPayload)
-			if err != nil {
-				return nil, err
-			}
-			for i, status := range ack.Status {
-				if status != "" {
-					return nil, fmt.Errorf("new owner rejected entry for user %d: %s", pageIDs[i], status)
-				}
-			}
-			ids = append(ids, pageIDs...)
-			if m := rt.cfg.Metrics; m != nil {
-				m.RebalanceMoves.Add(uint64(len(pageIDs)))
-			}
-		}
-		if !resp.More {
-			return ids, nil
-		}
-		cursor = resp.NextCursor
-	}
-}
-
-// dropMoved removes the copied entries from a moved partition's old
-// owner. Runs after the map flip: queries route to the new owner by
-// then, so each remove is invisible to them.
-func (rt *Router) dropMoved(from Node, ids []profile.ID) error {
-	src, err := rt.getConn(from)
-	if err != nil {
-		return err
-	}
-	for _, id := range ids {
-		rm := wire.RemoveReq{ID: id}
-		if _, err := src.Forward(wire.TypeRemoveReq, rm.AppendEncode(nil), wire.TypeRemoveResp, true); err != nil && !errors.Is(err, client.ErrServer) {
-			return err
-		}
-	}
-	return nil
 }

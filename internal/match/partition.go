@@ -13,9 +13,9 @@
 package match
 
 // FNV-1a 64-bit parameters (FNV is public domain; see RFC draft
-// draft-eastlake-fnv). Fixed forever: changing them is a cluster-wide
-// incompatible change and would need a partition-map version bump plus a
-// full rebalance.
+// draft-eastlake-fnv). Fixed forever: a cluster's partition map is fixed
+// for its life and nothing moves stored buckets between nodes, so
+// changing them would strand every bucket on the wrong node.
 const (
 	fnvOffset64 = 0xcbf29ce484222325
 	fnvPrime64  = 0x100000001b3
@@ -24,7 +24,8 @@ const (
 // PartitionHash returns the stable 64-bit partition hash of a bucket key
 // (the profile-key hash h(Kup)). Every process — router, leader, follower,
 // tooling — computes the same value for the same bytes, which is the
-// property cluster ownership is built on.
+// property cluster ownership is built on: a bucket stays on the node it
+// was first placed on for the cluster's life.
 func PartitionHash(keyHash []byte) uint64 {
 	h := uint64(fnvOffset64)
 	for _, b := range keyHash {
@@ -37,7 +38,7 @@ func PartitionHash(keyHash []byte) uint64 {
 // ForEachEntry calls fn with every stored record in ascending user-ID
 // order — the same deterministic order Snapshot writes, under the read
 // lock for the whole walk, so the walk is one consistent view. Used by
-// cluster rebalancing to stream a partition's entries off a node. Each
+// the server's snapshot import and a follower's snapshot install. Each
 // Entry is decoded afresh and shares no memory with the store. fn must
 // not call back into the store (the read lock is held); a non-nil error
 // aborts the walk.

@@ -8,9 +8,9 @@ import (
 // TestPartitionHashPinnedValues pins the hash to concrete outputs. These
 // values are a wire-format-grade contract: every node and router in a
 // cluster derives bucket ownership from them, so a change here is a
-// breaking change for any running cluster (it would require a partition
-// map version bump and a full rebalance). If this test fails, the fix is
-// to revert the hash, not to update the constants.
+// breaking change for any running cluster (its stored buckets would sit
+// on nodes that no longer own them). If this test fails, the fix is to
+// revert the hash, not to update the constants.
 func TestPartitionHashPinnedValues(t *testing.T) {
 	cases := []struct {
 		in   string

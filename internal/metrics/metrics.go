@@ -224,7 +224,6 @@ type Registry struct {
 	RouterForwards              atomic.Uint64
 	RouterScatters              atomic.Uint64
 	RouterRetries               atomic.Uint64 // forwards retried against another replica
-	RebalanceMoves              atomic.Uint64 // entries streamed to a new owner
 	RouterFanoutLatency         Histogram
 
 	mu     sync.Mutex
@@ -305,7 +304,6 @@ func (r *Registry) Snapshot() map[string]any {
 		"router_forwards":               r.RouterForwards.Load(),
 		"router_scatters":               r.RouterScatters.Load(),
 		"router_retries":                r.RouterRetries.Load(),
-		"rebalance_moves":               r.RebalanceMoves.Load(),
 		"router_fanout_latency":         r.RouterFanoutLatency.Snapshot(),
 	}
 	r.mu.Lock()

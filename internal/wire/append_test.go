@@ -56,10 +56,6 @@ func equivalenceCases() map[string]appendable {
 		"replicate_pull":    &ReplicatePullReq{NodeID: "node-a", AfterLSN: 40, MaxRecords: 512, WaitMS: 100},
 		"pull_resp_records": &ReplicatePullResp{LeaderLSN: 50, FirstLSN: 41, Records: [][]byte{{1}, {2, 3}}},
 		"pull_resp_snap":    &ReplicatePullResp{Snapshot: true, LeaderLSN: 50, SnapLSN: 44, Snap: []byte("snapshot")},
-		"partition_map_req": &PartitionMapReq{HaveVersion: 3},
-		"partition_map":     &PartitionMapResp{Version: 4, Map: []byte("map-bytes")},
-		"partition_dump":    &PartitionDumpReq{Partition: 1, Partitions: 8, Cursor: 100, MaxEntries: 256},
-		"partition_dump_rs": &PartitionDumpResp{Entries: [][]byte{{5, 6}}, More: true, NextCursor: 101},
 	}
 }
 
@@ -247,12 +243,6 @@ func FuzzAppendEncodeDifferential(f *testing.F) {
 		}
 		if m, err := DecodeReplicatePullResp(payload); err == nil {
 			check("replicate_pull_resp", m)
-		}
-		if m, err := DecodePartitionMapResp(payload); err == nil {
-			check("partition_map_resp", m)
-		}
-		if m, err := DecodePartitionDumpResp(payload); err == nil {
-			check("partition_dump_resp", m)
 		}
 	})
 }

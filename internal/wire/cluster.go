@@ -1,8 +1,8 @@
-// Cluster wire messages: WAL log-shipping replication and partition-map
-// exchange. Replication is pull-based — a follower is just a v2 client
-// of its leader that repeatedly asks "records after LSN x, please", and
-// the AfterLSN it sends doubles as its acknowledgement: the leader may
-// treat everything at or below it as durably applied by that follower.
+// Cluster wire messages: WAL log-shipping replication. Replication is
+// pull-based — a follower is just a v2 client of its leader that
+// repeatedly asks "records after LSN x, please", and the AfterLSN it
+// sends doubles as its acknowledgement: the leader may treat everything
+// at or below it as durably applied by that follower.
 // The shipped unit is the journal record byte-for-byte (op byte +
 // wire-encoded payload), the same bytes crash recovery replays, so the
 // follower's apply path is the replay path.
@@ -170,177 +170,4 @@ func DecodeReplicatePullResp(payload []byte) (*ReplicatePullResp, error) {
 	default:
 		return nil, fmt.Errorf("wire: replicate pull response kind %d", payload[0])
 	}
-}
-
-// PartitionMapReq asks a node for its current partition map. HaveVersion
-// lets a poller skip the body when nothing changed: a node whose map
-// version equals HaveVersion answers with an empty Map.
-type PartitionMapReq struct {
-	HaveVersion uint64
-}
-
-// AppendEncode appends the encoded partition-map request to buf.
-func (r *PartitionMapReq) AppendEncode(buf []byte) []byte {
-	e := encoder{buf: buf}
-	e.u64(r.HaveVersion)
-	return e.buf
-}
-
-// DecodePartitionMapReq parses a partition-map request payload.
-func DecodePartitionMapReq(payload []byte) (*PartitionMapReq, error) {
-	d := decoder{buf: payload}
-	var r PartitionMapReq
-	var err error
-	if r.HaveVersion, err = d.u64(); err != nil {
-		return nil, err
-	}
-	return &r, d.done()
-}
-
-// PartitionMapResp carries a version and the opaque encoded map (the
-// cluster package owns the map encoding; the wire layer ships bytes so
-// map evolution never forces a protocol rev). Empty Map with Version ==
-// the request's HaveVersion means "unchanged".
-type PartitionMapResp struct {
-	Version uint64
-	Map     []byte
-}
-
-// AppendEncode appends the encoded partition-map response to buf.
-func (r *PartitionMapResp) AppendEncode(buf []byte) []byte {
-	e := encoder{buf: buf}
-	e.u64(r.Version)
-	e.bytes(r.Map)
-	return e.buf
-}
-
-// DecodePartitionMapResp parses a partition-map response payload.
-func DecodePartitionMapResp(payload []byte) (*PartitionMapResp, error) {
-	d := decoder{buf: payload}
-	var r PartitionMapResp
-	var err error
-	if r.Version, err = d.u64(); err != nil {
-		return nil, err
-	}
-	if r.Map, err = d.bytes(); err != nil {
-		return nil, err
-	}
-	return &r, d.done()
-}
-
-// PartitionDumpReq asks a node to stream the stored entries whose bucket
-// hashes to partition Partition out of Partitions — the rebalancing
-// primitive: when ownership moves, the new owner pulls the affected
-// buckets' entries from the old one. Cursor is the lowest user ID to
-// include (0 starts from the beginning); responses are ID-ascending so
-// the cursor resumes a dump across multiple frames.
-type PartitionDumpReq struct {
-	Partition  uint32
-	Partitions uint32
-	Cursor     uint32 // resume from this user ID (inclusive)
-	MaxEntries uint32 // cap per response (0 = node default)
-}
-
-// AppendEncode appends the encoded dump request to buf.
-func (r *PartitionDumpReq) AppendEncode(buf []byte) []byte {
-	e := encoder{buf: buf}
-	e.u32(r.Partition)
-	e.u32(r.Partitions)
-	e.u32(r.Cursor)
-	e.u32(r.MaxEntries)
-	return e.buf
-}
-
-// DecodePartitionDumpReq parses a dump request payload.
-func DecodePartitionDumpReq(payload []byte) (*PartitionDumpReq, error) {
-	d := decoder{buf: payload}
-	var r PartitionDumpReq
-	var err error
-	if r.Partition, err = d.u32(); err != nil {
-		return nil, err
-	}
-	if r.Partitions, err = d.u32(); err != nil {
-		return nil, err
-	}
-	if r.Partitions == 0 || r.Partitions&(r.Partitions-1) != 0 {
-		return nil, fmt.Errorf("wire: partition count %d is not a power of two", r.Partitions)
-	}
-	if r.Partition >= r.Partitions {
-		return nil, fmt.Errorf("wire: partition %d out of range of %d", r.Partition, r.Partitions)
-	}
-	if r.Cursor, err = d.u32(); err != nil {
-		return nil, err
-	}
-	if r.MaxEntries, err = d.u32(); err != nil {
-		return nil, err
-	}
-	if r.MaxEntries > MaxReplicateRecords {
-		return nil, fmt.Errorf("wire: partition dump asks for %d entries, limit %d", r.MaxEntries, MaxReplicateRecords)
-	}
-	return &r, d.done()
-}
-
-// PartitionDumpResp carries one page of a partition's entries, each an
-// encoded UploadReq payload (the same bytes an upload carries, so the
-// receiving node ingests them through its ordinary journaled upload
-// path). More reports whether another page remains; NextCursor is the
-// user ID to resume from when it does.
-type PartitionDumpResp struct {
-	Entries    [][]byte
-	More       bool
-	NextCursor uint32
-}
-
-// AppendEncode appends the encoded dump response to buf.
-func (r *PartitionDumpResp) AppendEncode(buf []byte) []byte {
-	e := encoder{buf: buf}
-	e.u32(uint32(len(r.Entries)))
-	for _, ent := range r.Entries {
-		e.bytes(ent)
-	}
-	if r.More {
-		e.buf = append(e.buf, 1)
-	} else {
-		e.buf = append(e.buf, 0)
-	}
-	e.u32(r.NextCursor)
-	return e.buf
-}
-
-// DecodePartitionDumpResp parses a dump response payload.
-func DecodePartitionDumpResp(payload []byte) (*PartitionDumpResp, error) {
-	d := decoder{buf: payload}
-	var r PartitionDumpResp
-	n, err := d.u32()
-	if err != nil {
-		return nil, err
-	}
-	if n > MaxReplicateRecords {
-		return nil, fmt.Errorf("wire: partition dump response claims %d entries, limit %d", n, MaxReplicateRecords)
-	}
-	if n > 0 {
-		r.Entries = make([][]byte, 0, min(int(n), 256))
-		for i := uint32(0); i < n; i++ {
-			ent, err := d.bytes()
-			if err != nil {
-				return nil, err
-			}
-			if len(ent) == 0 {
-				return nil, errors.New("wire: empty partition dump entry")
-			}
-			r.Entries = append(r.Entries, ent)
-		}
-	}
-	more, err := d.u8()
-	if err != nil {
-		return nil, err
-	}
-	if more > 1 {
-		return nil, fmt.Errorf("wire: partition dump more flag %d", more)
-	}
-	r.More = more == 1
-	if r.NextCursor, err = d.u32(); err != nil {
-		return nil, err
-	}
-	return &r, d.done()
 }

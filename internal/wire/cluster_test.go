@@ -96,58 +96,3 @@ func TestReplicatePullRespRejects(t *testing.T) {
 		t.Error("empty record decoded")
 	}
 }
-
-func TestPartitionMapRoundTrip(t *testing.T) {
-	req := &PartitionMapReq{HaveVersion: 9}
-	gotReq, err := DecodePartitionMapReq(req.AppendEncode(nil))
-	if err != nil || *gotReq != *req {
-		t.Fatalf("req round trip: %+v, %v", gotReq, err)
-	}
-	resp := &PartitionMapResp{Version: 10, Map: []byte("encoded map")}
-	gotResp, err := DecodePartitionMapResp(resp.AppendEncode(nil))
-	if err != nil || gotResp.Version != 10 || !bytes.Equal(gotResp.Map, resp.Map) {
-		t.Fatalf("resp round trip: %+v, %v", gotResp, err)
-	}
-	// Unchanged: version echo, empty map.
-	unchanged := &PartitionMapResp{Version: 9}
-	gotResp, err = DecodePartitionMapResp(unchanged.AppendEncode(nil))
-	if err != nil || gotResp.Version != 9 || len(gotResp.Map) != 0 {
-		t.Fatalf("unchanged round trip: %+v, %v", gotResp, err)
-	}
-}
-
-func TestPartitionDumpRoundTrip(t *testing.T) {
-	req := &PartitionDumpReq{Partition: 3, Partitions: 4, Cursor: 17, MaxEntries: 100}
-	gotReq, err := DecodePartitionDumpReq(req.AppendEncode(nil))
-	if err != nil || *gotReq != *req {
-		t.Fatalf("req round trip: %+v, %v", gotReq, err)
-	}
-	resp := &PartitionDumpResp{Entries: [][]byte{{9, 9}, {8}}, More: true, NextCursor: 18}
-	gotResp, err := DecodePartitionDumpResp(resp.AppendEncode(nil))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(gotResp.Entries) != 2 || !gotResp.More || gotResp.NextCursor != 18 {
-		t.Fatalf("resp round trip: %+v", gotResp)
-	}
-	// Final page.
-	last := &PartitionDumpResp{}
-	gotResp, err = DecodePartitionDumpResp(last.AppendEncode(nil))
-	if err != nil || gotResp.More || gotResp.Entries != nil {
-		t.Fatalf("final page round trip: %+v, %v", gotResp, err)
-	}
-}
-
-func TestPartitionDumpReqRejects(t *testing.T) {
-	cases := map[string]*PartitionDumpReq{
-		"zero partitions":      {Partition: 0, Partitions: 0},
-		"non-power-of-two":     {Partition: 0, Partitions: 3},
-		"partition off range":  {Partition: 4, Partitions: 4},
-		"over max entry count": {Partition: 0, Partitions: 1, MaxEntries: MaxReplicateRecords + 1},
-	}
-	for name, req := range cases {
-		if _, err := DecodePartitionDumpReq(req.AppendEncode(nil)); err == nil {
-			t.Errorf("%s: decoded without error", name)
-		}
-	}
-}

@@ -18,7 +18,6 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
-	"net"
 )
 
 // ProtocolV2 is the version a Hello exchange negotiates.
@@ -65,21 +64,18 @@ func DecodeHello(payload []byte) (*Hello, error) {
 	return &h, nil
 }
 
-// WriteFrameV2 writes one pipelined frame: length, type and the request
-// ID that routes the response. Header and payload go out as one vectored
-// write (net.Buffers) — one writev on a *net.TCPConn, sequential writes
-// on transports without writev. The server's pipelined writer avoids even
-// that fallback by building whole frames with BeginFrameV2/FinishFrameV2.
+// WriteFrameV2 writes one pipelined frame — length, type and the request
+// ID that routes the response — as a single Write, so on a *tls.Conn the
+// frame is one TLS record rather than a header record and a payload
+// record. It builds the frame in a fresh buffer; a hot path reuses its
+// own with BeginFrameV2/FinishFrameV2 instead.
 func WriteFrameV2(w io.Writer, id uint64, t MsgType, payload []byte) error {
 	if len(payload) > MaxFrameSize {
 		return ErrFrameTooLarge
 	}
-	var hdr [v2HeaderSize]byte
-	binary.BigEndian.PutUint32(hdr[:4], uint32(len(payload)))
-	hdr[4] = byte(t)
-	binary.BigEndian.PutUint64(hdr[5:], id)
-	bufs := net.Buffers{hdr[:], payload}
-	if _, err := bufs.WriteTo(w); err != nil {
+	frame := append(BeginFrameV2(make([]byte, 0, v2HeaderSize+len(payload))), payload...)
+	_ = FinishFrameV2(frame, 0, id, t) // the size was checked above
+	if _, err := w.Write(frame); err != nil {
 		return fmt.Errorf("wire: writing v2 frame: %w", err)
 	}
 	return nil

@@ -50,10 +50,10 @@ const (
 	TypeMatchNotify
 	TypeReplicatePullReq
 	TypeReplicatePullResp
-	TypePartitionMapReq
-	TypePartitionMapResp
-	TypePartitionDumpReq
-	TypePartitionDumpResp
+	_ // 25: retired partition-map request; a cluster's map is fixed at startup
+	_ // 26: retired partition-map response
+	_ // 27: retired partition-dump request; nothing moves buckets between nodes
+	_ // 28: retired partition-dump response
 )
 
 // MaxFrameSize bounds a frame payload; large enough for a 2048-bit, many-
@@ -390,15 +390,6 @@ func (e *encoder) bytes(b []byte) {
 }
 
 type decoder struct{ buf []byte }
-
-func (d *decoder) u8() (uint8, error) {
-	if len(d.buf) < 1 {
-		return 0, ErrTruncated
-	}
-	v := d.buf[0]
-	d.buf = d.buf[1:]
-	return v, nil
-}
 
 func (d *decoder) u16() (uint16, error) {
 	if len(d.buf) < 2 {
