@@ -148,7 +148,7 @@ func benchClientPM(b *testing.B, k uint, withAuth bool) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		p.ID = profile.ID(i + 1) // a new user each time: the device's Keygen memo would skip the OPRF
+		p.ID = profile.ID(i + 1) // a new user each time: the device's memo would skip the OPRF and re-send Auth's blob
 		key, err := dev.Keygen(p)
 		if err != nil {
 			b.Fatal(err)

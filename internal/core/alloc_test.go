@@ -100,3 +100,27 @@ func TestKeygenHitAllocs(t *testing.T) {
 		t.Errorf("a memo-hit Keygen allocates %.0f times per call, want <= 36", allocs)
 	}
 }
+
+// TestAuthHitAllocs: an Auth under the key Keygen keeps for the ID, after
+// an Auth under it has run, re-sends the kept blob. It allocates only the
+// caller's copy: the memo is read before key.Bytes() would copy the key.
+func TestAuthHitAllocs(t *testing.T) {
+	sys := testSystem(t, Params{PlaintextBits: 64})
+	c := testClient(t, sys, "allocs")
+	p := profile.Profile{ID: 1, Attrs: []int{1, 2, 30, 40}}
+	key, err := c.Keygen(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.Auth(key, p.ID); err != nil {
+		t.Fatal(err)
+	}
+	allocs := testing.AllocsPerRun(50, func() {
+		if _, err := c.Auth(key, p.ID); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs > 1 {
+		t.Errorf("a memo-hit Auth allocates %.0f times per call, want <= 1", allocs)
+	}
+}

@@ -228,3 +228,129 @@ func TestCommitmentSlotGuards(t *testing.T) {
 		t.Errorf("Vf = %v, %v", ok, err)
 	}
 }
+
+// TestAuthMemo: Auth re-sends the blob it made for a (key, ID) while Keygen
+// keeps returning that key, without touching the commitment slot. Any
+// other key, any other ID and any Keygen miss gets a blob with a new t1.
+func TestAuthMemo(t *testing.T) {
+	sys := testSystem(t, Params{PlaintextBits: 64})
+	c := testClient(t, sys, "auth-memo")
+	// Cells are 2θ+1 = 17 values wide: 30 and 31 share cell 1, 34 is in
+	// cell 2 (as in TestKeygenMemo).
+	p := profile.Profile{ID: 1, Attrs: []int{1, 2, 30, 40}}
+	drift := profile.Profile{ID: 1, Attrs: []int{1, 2, 31, 40}}
+	moved := profile.Profile{ID: 1, Attrs: []int{1, 2, 34, 40}}
+	verified := func(what string, key *keygen.Key, id profile.ID, blob []byte) {
+		t.Helper()
+		if ok, err := c.Vf(key, id, blob); err != nil || !ok {
+			t.Errorf("%s: Vf = %v, %v", what, ok, err)
+		}
+	}
+	// fresh checks that blob carries a t1 that none of the earlier blobs
+	// carried.
+	seen := map[string]string{}
+	fresh := func(what string, key *keygen.Key, id profile.ID, blob []byte) {
+		t.Helper()
+		verified(what, key, id, blob)
+		t1 := string(openT1(t, sys, key, blob))
+		if prev, dup := seen[t1]; dup {
+			t.Errorf("%s: reuses the t1 of %s", what, prev)
+		}
+		seen[t1] = what
+	}
+
+	key, first := register(t, c, p)
+	fresh("join", key, p.ID, first)
+	if _, blob := register(t, c, p); !bytes.Equal(blob, first) || c.next != nil || c.filling {
+		t.Error("re-register on an armed client with an empty slot: not the kept blob, or a fill started")
+	}
+	register(t, c, slotProfile(9)) // the second keyed Auth fills the slot
+	ch := c.next
+	if ch == nil {
+		t.Fatal("the second Auth left the slot empty")
+	}
+	ch <- <-ch // wait for the fill, and put its commitment back
+
+	dkey, blob := register(t, c, drift)
+	if dkey != key {
+		t.Fatal("the in-cell drift got a new key: pick a profile that stays in its cell")
+	}
+	if !bytes.Equal(blob, first) {
+		t.Error("in-cell drift: the blob is not the one Auth made at join")
+	}
+	verified("in-cell drift", key, p.ID, blob)
+	if c.next != ch || len(ch) != 1 || !c.filling || !c.armed {
+		t.Error("in-cell drift: Auth touched the commitment slot")
+	}
+	blob[0] ^= 0xff // the caller owns what Auth returns
+	if again, err := c.Auth(key, p.ID); err != nil || !bytes.Equal(again, first) {
+		t.Errorf("a changed copy changed the kept blob: err = %v", err)
+	}
+
+	// The same key pointer under another ID, and a key that is Equal but
+	// came from another client.
+	blob, err := c.Auth(key, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fresh("same key, new ID", key, 2, blob)
+	other, _ := register(t, testClient(t, sys, "auth-memo-other"), p)
+	if !other.Equal(key) {
+		t.Fatal("another client derived a different key")
+	}
+	if blob, err = c.Auth(other, p.ID); err != nil {
+		t.Fatal(err)
+	}
+	fresh("an Equal key from another client", other, p.ID, blob)
+
+	mkey, blob := register(t, c, moved)
+	if mkey.Equal(key) {
+		t.Fatal("the cross-cell drift kept its key: pick a profile whose cell moves")
+	}
+	fresh("cross-cell drift", mkey, p.ID, blob)
+	if again, err := c.Auth(mkey, p.ID); err != nil || !bytes.Equal(again, blob) {
+		t.Errorf("the cross-cell drift's blob was not kept: err = %v", err)
+	}
+
+	// A refused Auth stores nothing.
+	zero := profile.Profile{ID: 0, Attrs: p.Attrs}
+	zkey, err := c.Keygen(zero)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 2; i++ {
+		if _, err := c.Auth(zkey, 0); err == nil || err.Error() != "verify: zero user ID" {
+			t.Fatalf("Auth(id 0) #%d: err = %v", i, err)
+		}
+	}
+	if _, err := c.Auth(new(keygen.Key), p.ID); err == nil {
+		t.Fatal("Auth accepted an empty key")
+	}
+	if c.keys[0].blob != nil {
+		t.Error("a refused Auth stored a blob")
+	}
+
+	// A failed AuthFrom stores nothing: the slot holds the zero
+	// commitment, which AuthFrom refuses.
+	q := profile.Profile{ID: 3, Attrs: []int{3, 5, 50, 10}}
+	qkey, err := c.Keygen(q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if c.filling {
+		<-c.next // let the last fill land before replacing the slot
+	}
+	bad := make(chan filled, 1)
+	bad <- filled{}
+	c.next, c.filling = bad, true
+	if _, err := c.Auth(qkey, q.ID); err == nil || err.Error() != "verify: zero commitment" {
+		t.Fatalf("Auth on the zero commitment: err = %v", err)
+	}
+	if c.keys[q.ID].blob != nil {
+		t.Error("a failed AuthFrom stored a blob")
+	}
+	if blob, err = c.Auth(qkey, q.ID); err != nil {
+		t.Fatal(err)
+	}
+	fresh("after a failed AuthFrom", qkey, q.ID, blob)
+}

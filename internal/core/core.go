@@ -199,10 +199,15 @@ func (s *System) Verifier() *verify.Verifier { return s.verifier }
 // function of K' under the System's public key, and the kept key passed
 // the OPRF's check when it was made.
 //
-// A device that registers more than once computes Auth's p^s off the
-// register path: the first Auth arms the client, and from then on each
-// Auth, as it returns, starts one fill of the commitment slot, which the
-// next Auth takes. A client that runs Auth once never fills the slot.
+// The entry also keeps the last blob Auth made for that ID under that
+// key. Auth re-sends it while Keygen keeps returning the same key, so a
+// drift within the cell runs no OPRF round and no p^s.
+//
+// A device that registers more than once under a new key computes Auth's
+// p^s off the register path: the first keyed Auth arms the client, and
+// from then on each keyed Auth, as it returns, starts one fill of the
+// commitment slot, which the next keyed Auth takes. A client that runs
+// Auth once never fills the slot.
 type Client struct {
 	sys    *System
 	gen    *keygen.Generator
@@ -210,15 +215,17 @@ type Client struct {
 
 	mu      sync.Mutex
 	keys    map[profile.ID]memo // the last key Keygen made for each user ID
-	armed   bool                // an Auth has run
+	armed   bool                // a keyed Auth has run
 	next    chan filled         // the commitment slot: nil when empty
 	filling bool                // a fill started and no Auth has received it yet
 }
 
-// memo is one Keygen result: the seed K' and the key it hardened to.
+// memo is one Keygen result, the seed K' and the key it hardened to, and
+// the blob the last successful Auth made under that key (nil before one).
 type memo struct {
 	seed []byte
 	key  *keygen.Key
+	blob []byte
 }
 
 // filled is one commitment fill's result.
@@ -268,7 +275,7 @@ func (c *Client) Keygen(p profile.Profile) (*keygen.Key, error) {
 		return nil, err
 	}
 	c.mu.Lock()
-	c.keys[p.ID] = memo{seed, key}
+	c.keys[p.ID] = memo{seed: seed, key: key}
 	c.mu.Unlock()
 	return key, nil
 }
@@ -333,12 +340,21 @@ func (c *Client) Enc(key *keygen.Key, id profile.ID, mapped []*big.Int) (*chain.
 }
 
 // Auth produces the user's authentication information ciph_u (Figure 3,
-// Algorithm Auth). It takes the slot's commitment, waiting for a fill
-// still running, or commits inline when the slot is empty; each
-// commitment goes to exactly one Auth. On a client that was already armed
-// it starts the next fill as it returns, so the comb runs between
+// Algorithm Auth). When key is the key Keygen keeps for id and an earlier
+// Auth made a blob under it, Auth returns a copy of that blob and leaves
+// the slot alone: the blob depends on the key, the ID and s, not on the
+// attributes. Otherwise it takes the slot's commitment, waiting for a fill
+// still running, or commits inline when the slot is empty; each t1
+// belongs to exactly one (key, ID). On a client that was already armed it
+// starts the next fill as it returns, so the comb runs between keyed
 // registrations.
 func (c *Client) Auth(key *keygen.Key, id profile.ID) ([]byte, error) {
+	c.mu.Lock()
+	m := c.keys[id]
+	c.mu.Unlock()
+	if m.key == key && m.blob != nil {
+		return append([]byte(nil), m.blob...), nil
+	}
 	v := c.sys.verifier
 	kb := key.Bytes()
 	if len(kb) == 0 || id == 0 {
@@ -356,11 +372,18 @@ func (c *Client) Auth(key *keygen.Key, id profile.ID) ([]byte, error) {
 	} else {
 		f.c, f.err = v.Commit(nil)
 	}
-	var blob []byte
+	var blob, kept []byte
 	if f.err == nil {
 		blob, f.err = v.AuthFrom(kb, id, f.c, nil)
 	}
+	if f.err == nil {
+		kept = append([]byte(nil), blob...)
+	}
 	c.mu.Lock()
+	if m := c.keys[id]; kept != nil && m.key == key {
+		m.blob = kept
+		c.keys[id] = m
+	}
 	if ch != nil {
 		c.filling = false // this Auth received the fill it took
 	}

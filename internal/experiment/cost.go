@@ -95,8 +95,8 @@ func measureClient(ds *dataset.Dataset, users []profile.Profile, params core.Par
 		// A fresh Client per user keeps Keygen on the OPRF, since a memo
 		// hit needs an earlier Keygen for the same user, and keeps Auth
 		// inline, since only a client that has already run Auth has a
-		// commitment ready. PM+V - PM stays the whole of Auth's
-		// computation.
+		// commitment ready or a blob to re-send. PM+V - PM stays the
+		// whole of Auth's computation.
 		dev, err := dep.device(p.ID)
 		if err != nil {
 			return 0, err
