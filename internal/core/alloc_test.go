@@ -1,8 +1,8 @@
 //go:build !race
 
-// Allocation ceilings for InitData and Enc. Excluded under -race, where
-// sync.Pool drops what it is given and the OPE frame is rebuilt on every
-// call.
+// Allocation ceilings for the client's algorithms. Excluded under -race,
+// where sync.Pool drops what it is given and the OPE frame is rebuilt on
+// every call.
 package core
 
 import (
@@ -122,5 +122,30 @@ func TestAuthHitAllocs(t *testing.T) {
 	})
 	if allocs > 1 {
 		t.Errorf("a memo-hit Auth allocates %.0f times per call, want <= 1", allocs)
+	}
+}
+
+// TestVfHitAllocs: a Vf on a triple it accepted before runs no Verify. On
+// the default 2048-bit group its 336-byte blob is hashed with the key and
+// ID from a stack buffer, so the one allocation is key.Bytes()'s copy.
+// Verify itself allocates about 16 times (TestVerifyAllocs).
+func TestVfHitAllocs(t *testing.T) {
+	srv, _ := fixtures(t)
+	sys, err := NewSystem(testSchema(), testDist(), Params{PlaintextBits: 64}, srv.PublicKey(), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := testClient(t, sys, "allocs")
+	key, blob := register(t, c, profile.Profile{ID: 9000, Attrs: []int{1, 2, 30, 40}})
+	if ok, err := c.Vf(key, 9000, blob); err != nil || !ok {
+		t.Fatalf("Vf = %v, %v", ok, err)
+	}
+	allocs := testing.AllocsPerRun(50, func() {
+		if ok, err := c.Vf(key, 9000, blob); err != nil || !ok {
+			t.Fatalf("Vf = %v, %v", ok, err)
+		}
+	})
+	if allocs > 1 {
+		t.Errorf("a memo-hit Vf allocates %.0f times per call, want <= 1", allocs)
 	}
 }

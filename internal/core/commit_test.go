@@ -14,10 +14,16 @@ import (
 	"smatch/internal/profile"
 )
 
-// openT1 decrypts an auth blob the way verify.open does (encrypt-then-MAC:
-// AES-256-CTR under prf.Derive(key, "verify/enc"), HMAC-SHA256 under
-// "verify/mac") and returns the encoded commitment t1 it carries.
+// openT1 returns the encoded commitment t1 an auth blob carries.
 func openT1(t *testing.T, sys *System, key *keygen.Key, blob []byte) []byte {
+	t.Helper()
+	return openPayload(t, key, blob)[:sys.Verifier().Group().ElementLen()]
+}
+
+// openPayload decrypts an auth blob the way verify.open does
+// (encrypt-then-MAC: AES-256-CTR under prf.Derive(key, "verify/enc"),
+// HMAC-SHA256 under "verify/mac") and returns its payload t1 ‖ t2.
+func openPayload(t *testing.T, key *keygen.Key, blob []byte) []byte {
 	t.Helper()
 	kb := key.Bytes()
 	body, tag := blob[:len(blob)-sha256.Size], blob[len(blob)-sha256.Size:]
@@ -34,7 +40,7 @@ func openT1(t *testing.T, sys *System, key *keygen.Key, blob []byte) []byte {
 	}
 	payload := make([]byte, len(body)-aes.BlockSize)
 	cipher.NewCTR(block, body[:aes.BlockSize]).XORKeyStream(payload, body[aes.BlockSize:])
-	return payload[:sys.Verifier().Group().ElementLen()]
+	return payload
 }
 
 func slotProfile(i int) profile.Profile {

@@ -12,6 +12,7 @@ package core
 
 import (
 	"bytes"
+	"crypto/sha256"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -34,6 +35,10 @@ import (
 // DefaultTopK is the paper's evaluation setting for the number of query
 // results ("the number of query results is set to 5").
 const DefaultTopK = 5
+
+// vfMemoCap bounds a Client's Vf memo: 4 096 digests, about 170 KB with
+// the map's overhead. A full memo is replaced by an empty one.
+const vfMemoCap = 4096
 
 // Params are the scheme's tunable parameters.
 type Params struct {
@@ -208,16 +213,20 @@ func (s *System) Verifier() *verify.Verifier { return s.verifier }
 // from then on each keyed Auth, as it returns, starts one fill of the
 // commitment slot, which the next keyed Auth takes. A client that runs
 // Auth once never fills the slot.
+//
+// Vf remembers the (key, ID, blob) triples it accepted, so a result the
+// server returns again is not verified again.
 type Client struct {
 	sys    *System
 	gen    *keygen.Generator
 	secret []byte
 
 	mu      sync.Mutex
-	keys    map[profile.ID]memo // the last key Keygen made for each user ID
-	armed   bool                // a keyed Auth has run
-	next    chan filled         // the commitment slot: nil when empty
-	filling bool                // a fill started and no Auth has received it yet
+	keys    map[profile.ID]memo            // the last key Keygen made for each user ID
+	armed   bool                           // a keyed Auth has run
+	next    chan filled                    // the commitment slot: nil when empty
+	filling bool                           // a fill started and no Auth has received it yet
+	vfs     map[[sha256.Size]byte]struct{} // vfDigest of each triple Verify accepted
 }
 
 // memo is one Keygen result, the seed K' and the key it hardened to, and
@@ -252,6 +261,7 @@ func (s *System) NewClient(eval oprf.Evaluator, secret []byte) (*Client, error) 
 		gen:    gen,
 		secret: append([]byte(nil), secret...),
 		keys:   make(map[profile.ID]memo),
+		vfs:    make(map[[sha256.Size]byte]struct{}),
 	}, nil
 }
 
@@ -403,8 +413,46 @@ func (c *Client) Auth(key *keygen.Key, id profile.ID) ([]byte, error) {
 // Vf verifies a matched user's authentication information (Figure 3,
 // Algorithm Vf): true means the result is trustworthy — the matched user
 // really holds a close profile and the blob really is theirs.
+//
+// Verify is a deterministic function of (key bytes, ID, blob) over the
+// System's group, so a triple it accepted once is accepted again without
+// running it. Only acceptances are kept: a server cannot fill the memo
+// with rejections, and a rejection is always verified afresh.
 func (c *Client) Vf(key *keygen.Key, id profile.ID, ciph []byte) (bool, error) {
-	return c.sys.verifier.Verify(key.Bytes(), id, ciph)
+	kb := key.Bytes()
+	d := vfDigest(kb, id, ciph)
+	c.mu.Lock()
+	_, hit := c.vfs[d]
+	c.mu.Unlock()
+	if hit {
+		return true, nil
+	}
+	ok, err := c.sys.verifier.Verify(kb, id, ciph)
+	if ok {
+		c.mu.Lock()
+		if len(c.vfs) >= vfMemoCap {
+			c.vfs = make(map[[sha256.Size]byte]struct{})
+		}
+		c.vfs[d] = struct{}{}
+		c.mu.Unlock()
+	}
+	return ok, err
+}
+
+// vfBlobLen is verify's AuthLen at 2048 bits: IV 16, element 256, tag 32,
+// MAC 32.
+const vfBlobLen = 16 + 256 + 32 + 32
+
+// vfDigest is SHA-256(BE32(len(key)) ‖ key ‖ BE32(ID) ‖ blob), hashed
+// from a stack buffer that holds a 2048-bit blob; a longer key or blob
+// spills to the heap.
+func vfDigest(key []byte, id profile.ID, blob []byte) [sha256.Size]byte {
+	var stack [4 + keygen.KeySize + 4 + vfBlobLen]byte
+	in := binary.BigEndian.AppendUint32(stack[:0], uint32(len(key)))
+	in = append(in, key...)
+	in = binary.BigEndian.AppendUint32(in, uint32(id))
+	in = append(in, blob...)
+	return sha256.Sum256(in)
 }
 
 // PrepareUpload runs the whole client pipeline — Keygen, InitData, Enc,

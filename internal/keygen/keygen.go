@@ -42,12 +42,21 @@ type Key struct {
 	bytes []byte
 }
 
-// Bytes returns the 32-byte key material (the OPE key).
-func (k *Key) Bytes() []byte { return append([]byte(nil), k.bytes...) }
+// Bytes returns the 32-byte key material (the OPE key). A nil Key has
+// none, so the callers' empty-key checks report it.
+func (k *Key) Bytes() []byte {
+	if k == nil {
+		return nil
+	}
+	return append([]byte(nil), k.bytes...)
+}
 
 // Hash returns h(Kup), the public index the server files encrypted profiles
-// under (message format (3) in the paper).
+// under (message format (3) in the paper). A nil Key has no hash.
 func (k *Key) Hash() []byte {
+	if k == nil {
+		return nil
+	}
 	h := sha256.Sum256(append([]byte("smatch/keyhash/"), k.bytes...))
 	return h[:]
 }
